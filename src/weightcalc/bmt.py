@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, DomainExhaustedError, PreconditionError
+from .errors import DomainError, PreconditionError
 from .functions import (
     WeightFunction,
     c2_proxy,
@@ -27,9 +27,8 @@ from .grids import (
     DEFAULT_TAIL,
     GridSpec,
     TailWindow,
-    golden_max_vec,
+    grid_sup,
     quarter_maxima,
-    quarter_minima,
 )
 from .sequences import (
     RelationVerdict,
@@ -79,24 +78,19 @@ def phi_star_many(
         raise DomainError("grid/domain leaves no room above t = 1")
     ys = np.linspace(0.0, y_hi, grid.n)
     wvals = omega.evaluate_many(np.exp(ys))
-    n = ys.size
-    obj = xs[:, None] * ys[None, :] - wvals[None, :]
-    j = np.argmax(obj, axis=1)
-    if np.any((j == n - 1) & (xs > 0)):
-        bad = float(xs[np.argmax(j == n - 1)])
-        raise DomainExhaustedError(
-            f"phi* supremum at grid edge for x={bad:g}; enlarge t_max", x=bad
-        )
-    lo = ys[np.maximum(j - 1, 0)]
-    hi = ys[np.minimum(j + 1, n - 1)]
     inner = omega.evaluate_many
 
-    def objective(yy):
-        return xs * yy - inner(np.exp(yy))
+    def scan(x):
+        return x[:, None] * ys[None, :] - wvals[None, :], None
 
-    _, best = golden_max_vec(objective, lo, hi, grid.refine_iters)
+    def refine(x, y):
+        return x * y - inner(np.exp(y))
+
     endpoint = -wvals[0]  # y = 0
-    return np.maximum(best, endpoint)
+    out = np.full_like(xs, endpoint)
+    live = ~(xs <= 0)
+    out[live] = grid_sup(xs[live], ys, scan, refine, ("phi_star", "x"), floor=endpoint)
+    return out
 
 
 def phi_star(
@@ -357,7 +351,7 @@ def bmt_report(
         if float(np.max(defect)) > 1e-9:
             continue
         gain = omega.evaluate_many(h * ts[tail_pos]) / vals[tail_pos]
-        qmins = quarter_minima(gain)
+        qmins = -quarter_maxima(-gain)
         sliding = bool(np.all(np.diff(qmins) < 0)) and qmins[3] < 0.95 * qmins[0]
         if not sliding:
             om6 = True

@@ -23,7 +23,7 @@ from . import bmt
 from . import functions as fn
 from . import sequences as sq
 from .errors import CapacityError, PreconditionError, UsageError, WellDefinednessError
-from .grids import GridSpec, TailWindow, quarter_minima
+from .grids import GridSpec, TailWindow, quarter_maxima
 
 REL_TOL_CLOSED_FORM = 1e-4
 REL_TOL_TRANSFORM = 1e-3
@@ -773,7 +773,7 @@ def check_uniform_bound(k_members: int = 4, p_max: int = 400) -> CheckReport:
     ps = np.arange(1, p_max + 1, dtype=float)
     for k, member in enumerate(family, 1):
         ratio_roots = (res.log_values[1:] - member.log_small[1:]) / ps
-        qmins = quarter_minima(ratio_roots)
+        qmins = -quarter_maxima(-ratio_roots)
         margins.add(f"divergence_proxy_member_{k}", float(qmins[3] - qmins[0]))
     single = sq.uniform_bound([family[0]])
     margins.bound(

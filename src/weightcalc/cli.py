@@ -69,10 +69,7 @@ def _build_sequence(text: str, p_max_override=None) -> sq.WeightSequence:
     return ser.build_sequence(spec)
 
 
-_FUNCTION_FAMILIES = ("power", "log_power", "identity")
-
-
-def _build_function(text: str, grid: GridSpec) -> fn.WeightFunction:
+def _build_function(text: str) -> fn.WeightFunction:
     spec = _parse_spec(text)
     if "file" in spec:
         spec = _load_spec_file(spec["file"])
@@ -80,16 +77,11 @@ def _build_function(text: str, grid: GridSpec) -> fn.WeightFunction:
         return fn.associated(ser.build_sequence(spec))
     if "kind" in spec:
         return ser.build_function(spec)
-    family = spec.get("family")
-    if family == "power":
-        return fn.power_weight(float(spec["alpha"]))
-    if family == "log_power":
-        return fn.log_power_weight(float(spec["beta"]))
-    if family == "identity":
-        return fn.identity_weight()
+    if spec.get("family") in ser.FUNCTION_FAMILIES:
+        return ser.build_function({"kind": spec["family"], "params": spec})
     raise UsageError(
         f"cannot build a weight function from {text!r}; use a family in "
-        f"{_FUNCTION_FAMILIES + tuple(ser._SEQUENCE_FAMILIES)} or file=..."
+        f"{ser.FUNCTION_FAMILIES + tuple(ser._SEQUENCE_FAMILIES)} or file=..."
     )
 
 
@@ -177,7 +169,7 @@ def _cmd_conj_seq(args) -> int:
 
 def _cmd_conj_fn(args) -> int:
     grid = _grid_from_args(args)
-    omega = _build_function(args.fn, grid)
+    omega = _build_function(args.fn)
     star = fn.conjugate(omega, grid)
     if args.eval is not None:
         print(repr(star(args.eval)))
@@ -194,8 +186,8 @@ def _cmd_conj_fn(args) -> int:
 
 def _cmd_envelope(args) -> int:
     grid = _grid_from_args(args)
-    sigma = _build_function(args.sigma, grid)
-    tau = _build_function(args.tau, grid)
+    sigma = _build_function(args.sigma)
+    tau = _build_function(args.tau)
     op = fn.envelope_lower if args.op == "lower" else fn.envelope_upper
     env = op(sigma, tau, grid)
     if args.eval is not None:
@@ -212,8 +204,7 @@ def _cmd_envelope(args) -> int:
 
 
 def _cmd_indices(args) -> int:
-    grid = _grid_from_args(args)
-    omega = _build_function(args.fn, grid)
+    omega = _build_function(args.fn)
     est = fn.gamma_indices(omega, _window_from_args(args))
     _emit(args, est.as_dict())
     return 0
@@ -221,9 +212,8 @@ def _cmd_indices(args) -> int:
 
 def _cmd_relation(args) -> int:
     if args.fn:
-        grid = _grid_from_args(args)
-        sigma = _build_function(args.m, grid)
-        tau = _build_function(args.n, grid)
+        sigma = _build_function(args.m)
+        tau = _build_function(args.n)
         verdict = fn.relation_fn(sigma, tau, _window_from_args(args))
         _emit(args, verdict.as_dict())
         return 0
@@ -236,7 +226,7 @@ def _cmd_relation(args) -> int:
 
 def _cmd_matrix(args) -> int:
     grid = _grid_from_args(args)
-    omega = _build_function(args.fn, grid)
+    omega = _build_function(args.fn)
     ells = tuple(float(x) for x in args.ells.split(","))
     mat = bmt.associated_matrix(omega, ells=ells, p_max=args.p_max, grid=grid)
     if args.conjugate:
@@ -346,6 +336,28 @@ def _add_common(p, seq=False, function=False):
     p.add_argument("--samples", type=int, default=256)
 
 
+#: Operand flag -> help of the parameter flags its '--family' shorthand takes.
+_SHORTHAND_FLAGS = {
+    "seq": {
+        "s": "gevrey index (with --family gevrey)",
+        "a": "exp_power exponent",
+        "q": "qgevrey base",
+    },
+    "fn": {
+        "alpha": "power weight index (with --family power)",
+        "beta": "log_power exponent",
+    },
+}
+
+
+def _add_operand(p, dest):
+    """``--seq``/``--fn`` spec plus its '--family NAME --KEY VALUE' shorthand."""
+    p.add_argument(f"--{dest}", default=None)
+    p.add_argument("--family", help=f"shorthand for --{dest}: family name")
+    for key, help_text in _SHORTHAND_FLAGS[dest].items():
+        p.add_argument(f"--{key}", type=float, help=help_text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weightcalc",
@@ -354,29 +366,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("assoc", help="associated weight function of a sequence")
-    p.add_argument("--seq", required=False, default=None)
-    p.add_argument("--family", help="shorthand: sequence family name")
-    p.add_argument("--s", type=float, help="gevrey index (with --family gevrey)")
-    p.add_argument("--a", type=float, help="exp_power exponent")
-    p.add_argument("--q", type=float, help="qgevrey base")
+    _add_operand(p, "seq")
     p.add_argument("--eval", type=float, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_assoc)
 
     p = sub.add_parser("conj-seq", help="conjugate sequence p!/M_p")
-    p.add_argument("--seq", default=None)
-    p.add_argument("--family")
-    p.add_argument("--s", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--q", type=float)
+    _add_operand(p, "seq")
     _add_common(p)
     p.set_defaults(func=_cmd_conj_seq)
 
     p = sub.add_parser("conj-fn", help="conjugate weight function sup(st - w(t))")
-    p.add_argument("--fn", default=None)
-    p.add_argument("--family")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
+    _add_operand(p, "fn")
     p.add_argument("--eval", type=float, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_conj_fn)
@@ -390,10 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_envelope)
 
     p = sub.add_parser("indices", help="growth indices of a weight function")
-    p.add_argument("--fn", default=None)
-    p.add_argument("--family")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
+    _add_operand(p, "fn")
     _add_common(p)
     p.set_defaults(func=_cmd_indices)
 
@@ -405,10 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_relation)
 
     p = sub.add_parser("matrix", help="associated weight matrix of a function")
-    p.add_argument("--fn", default=None)
-    p.add_argument("--family")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
+    _add_operand(p, "fn")
     p.add_argument("--ells", default="0.125,0.25,0.5,1,2,4,8")
     p.add_argument("--conjugate", action="store_true")
     p.add_argument("--csv-ell", default=None, dest="csv_ell")
@@ -416,11 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("regularize", help="almost-decreasing quotient regularisation")
-    p.add_argument("--seq", default=None)
-    p.add_argument("--family")
-    p.add_argument("--s", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--q", type=float)
+    _add_operand(p, "seq")
     p.add_argument("--normalize-head", action="store_true", dest="normalize_head")
     _add_common(p)
     p.set_defaults(func=_cmd_regularize)
@@ -432,11 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_uniform_bound)
 
     p = sub.add_parser("slowly-varying", help="slow-variation detection")
-    p.add_argument("--seq", default=None)
-    p.add_argument("--family")
-    p.add_argument("--s", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--q", type=float)
+    _add_operand(p, "seq")
     p.add_argument("--probe-t", type=float, default=1e6, dest="probe_t")
     _add_common(p)
     p.set_defaults(func=_cmd_slowly_varying)
@@ -455,26 +442,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_shorthand(args):
-    """Allow '--family gevrey --s 1' instead of a packed spec string."""
-    if getattr(args, "seq", None) is None and getattr(args, "family", None):
+    """Allow '--family gevrey --s 1' instead of a packed spec string.
+
+    Values are written with repr so the spec keeps every digit given.
+    """
+    for dest, keys in _SHORTHAND_FLAGS.items():
+        if not hasattr(args, dest) or getattr(args, dest) is not None:
+            continue
+        if not args.family:
+            raise UsageError(f"missing --{dest} or --family")
         parts = [f"family={args.family}"]
-        for key in ("s", "a", "q"):
-            value = getattr(args, key, None)
+        for key in keys:
+            value = getattr(args, key)
             if value is not None:
-                parts.append(f"{key}={value:g}")
-        if hasattr(args, "seq"):
-            args.seq = ",".join(parts)
-    if getattr(args, "fn", None) in (None, False) and getattr(args, "family", None):
-        parts = [f"family={args.family}"]
-        for key in ("alpha", "beta", "s", "a", "q"):
-            value = getattr(args, key, None)
-            if isinstance(value, float):
-                parts.append(f"{key}={value:g}")
-        if hasattr(args, "fn") and not isinstance(args.fn, bool):
-            args.fn = ",".join(parts)
-    for attr in ("seq", "fn"):
-        if hasattr(args, attr) and getattr(args, attr) in (None,):
-            raise UsageError(f"missing --{attr} or --family")
+                parts.append(f"{key}={value!r}")
+        setattr(args, dest, ",".join(parts))
 
 
 def main(argv=None) -> int:

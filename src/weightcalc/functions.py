@@ -8,9 +8,11 @@ transforms).  All sup/inf transforms mask arguments beyond the operands'
 hints and raise :class:`DomainExhaustedError` when an argmax lands on a
 search boundary, so a silently-extrapolated value can never win a supremum.
 
-Suprema are located by a dense log-spaced grid scan followed by
-golden-section refinement of the winning cell, which removes the grid bias
-down to machine precision for unimodal objectives.
+Suprema are located by :func:`weightcalc.grids.grid_sup`: a dense
+log-spaced grid scan followed by golden-section refinement of the winning
+cell, which removes the grid bias down to machine precision for unimodal
+objectives.  Each transform supplies only its grid, its objective on the
+grid and at one point per row, and its endpoint or cap values.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .grids import (
     GridSpec,
     TailWindow,
     decays_to_zero,
-    golden_max_vec,
+    grid_sup,
     quarter_maxima,
 )
 from .sequences import (
@@ -42,9 +44,6 @@ from .sequences import (
     is_log_convex,
     log_convex_minorant,
 )
-
-#: Matrix size budget (elements) for grid transforms before chunking.
-_CHUNK_ELEMENTS = 4_000_000
 
 #: Cap on finite-window ratio sups for function relations (log scale).
 LOG_R_CAP_FN = 20.0
@@ -403,36 +402,25 @@ def conjugate(
     ts = np.exp(log_ts)
     wvals = omega.evaluate_many(ts)
     w0 = omega(0.0)
-    n = ts.size
     inner = omega.evaluate_many
     # conservative reliable-argument bound: maximal secant slope covered
     slopes = np.diff(wvals) / np.diff(ts)
     slope_cap = float(np.max(slopes)) if np.all(np.isfinite(slopes)) else math.inf
     hint = 0.95 * slope_cap if math.isfinite(slope_cap) else math.inf
 
+    def scan(ss):
+        return ss[:, None] * ts[None, :] - wvals[None, :], None
+
+    def refine(ss, ys):
+        return ss * np.exp(ys) - inner(np.exp(ys))
+
     def fn(ss):
         ss = np.atleast_1d(np.asarray(ss, dtype=float))
-        out = np.empty_like(ss)
-        chunk = max(1, _CHUNK_ELEMENTS // n)
-        for start in range(0, ss.size, chunk):
-            sub = ss[start : start + chunk]
-            obj = sub[:, None] * ts[None, :] - wvals[None, :]
-            j = np.argmax(obj, axis=1)
-            if np.any((j == n - 1) & (sub > 0)):
-                bad = float(sub[np.argmax(j == n - 1)])
-                raise DomainExhaustedError(
-                    f"conjugate argmax at grid edge for s={bad:g}; enlarge t_max",
-                    s=bad,
-                )
-            lo = log_ts[np.maximum(j - 1, 0)]
-            hi = log_ts[np.minimum(j + 1, n - 1)]
-
-            def objective(ys, sub=sub):
-                return sub * np.exp(ys) - inner(np.exp(ys))
-
-            _, best = golden_max_vec(objective, lo, hi, grid.refine_iters)
-            out[start : start + chunk] = np.maximum(best, -w0)
-        out[ss == 0.0] = -w0
+        out = np.full_like(ss, -w0)
+        live = ~(ss <= 0)
+        out[live] = grid_sup(
+            ss[live], log_ts, scan, refine, ("conjugate", "s"), floor=-w0
+        )
         return out
 
     return WeightFunction(
@@ -455,7 +443,7 @@ def biconjugate(
     star = conjugate(omega, grid, check=check)
     upper = min(grid.t_max, star.domain_hint)
     star_tab = tabulate(star, grid.t_min, upper, grid.n)
-    outer = conjugate(star_tab, GridSpec(grid.t_min, upper, grid.n, grid.refine_iters))
+    outer = conjugate(star_tab, GridSpec(grid.t_min, upper, grid.n))
     return WeightFunction(
         "biconjugate",
         outer.evaluate_many,
@@ -479,50 +467,36 @@ def envelope_lower(
     log_ss = grid.log_points(sigma.domain_hint)
     ss = np.exp(log_ss)
     sig_vals = sigma.evaluate_many(ss)
-    n = ss.size
     value_at_0 = sigma(0.0) + tau(0.0)
     tau_hint = tau.domain_hint
     sig_fn, tau_fn = sigma.evaluate_many, tau.evaluate_many
 
+    # the infimum is the negated supremum of -(sigma(s) + tau(t/s)); since
+    # sigma(s) >= sigma(0) and tau(t/s) >= tau(0), -value_at_0 is an exact
+    # cap, and a row reaching it sits on a flat plateau whose boundary
+    # argmax is legitimate
+    def scan(ts):
+        args = ts[:, None] / ss[None, :]
+        obj = sig_vals[None, :] + tau_fn(args.ravel()).reshape(args.shape)
+        return -obj, args > tau_hint
+
+    def refine(ts, ys):
+        s = np.exp(ys)
+        return -(sig_fn(s) + tau_fn(ts / s))
+
     def fn(ts):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.empty_like(ts)
-        chunk = max(1, _CHUNK_ELEMENTS // n)
-        for start in range(0, ts.size, chunk):
-            sub = ts[start : start + chunk]
-            pos = sub > 0
-            args = np.where(sub[:, None] > 0, sub[:, None] / ss[None, :], 0.0)
-            obj = sig_vals[None, :] + tau_fn(args.ravel()).reshape(args.shape)
-            masked = args > tau_hint
-            obj[masked] = np.inf
-            j = np.argmin(obj, axis=1)
-            rows = np.arange(len(sub))
-            row_min = obj[rows, j]
-            # sigma(s) >= sigma(0) and tau(t/s) >= tau(0), so the value at 0
-            # is an exact floor; a row sitting on it needs no refinement and
-            # its boundary argmin is legitimate (flat plateau).
-            on_floor = row_min <= value_at_0 + 1e-12
-            left_bad = (j == 0) | masked[rows, np.maximum(j - 1, 0)]
-            right_bad = (j == n - 1) | masked[rows, np.minimum(j + 1, n - 1)]
-            at_edge = pos & ~on_floor & (left_bad | right_bad)
-            if np.any(at_edge):
-                bad = float(sub[np.argmax(at_edge)])
-                raise DomainExhaustedError(
-                    f"lower envelope argmin at search boundary for t={bad:g}; "
-                    "enlarge the grid or the operands' coverage",
-                    t=bad,
-                )
-            lo = log_ss[np.maximum(j - 1, 0)]
-            hi = log_ss[np.minimum(j + 1, n - 1)]
-
-            def neg_objective(ys, sub=sub):
-                s = np.exp(ys)
-                return -(sig_fn(s) + tau_fn(np.where(sub > 0, sub / s, 0.0)))
-
-            _, best = golden_max_vec(neg_objective, lo, hi, grid.refine_iters)
-            vals = np.where(on_floor, value_at_0, np.maximum(-best, value_at_0))
-            vals[~pos] = value_at_0
-            out[start : start + chunk] = vals
+        out = np.full_like(ts, value_at_0)
+        live = ~(ts <= 0)
+        out[live] = -grid_sup(
+            ts[live],
+            log_ss,
+            scan,
+            refine,
+            ("envelope_lower", "t"),
+            cap=-value_at_0,
+            both_ends=True,
+        )
         return out
 
     return WeightFunction(
@@ -559,53 +533,29 @@ def envelope_upper(
     log_ss = grid.log_points(sigma.domain_hint)
     ss = np.exp(log_ss)
     sig_vals = sigma.evaluate_many(ss)
-    n = ss.size
     value_at_0 = sigma(0.0) - tau(0.0)
     tau_hint = tau.domain_hint
     sig_fn, tau_fn = sigma.evaluate_many, tau.evaluate_many
 
+    def scan(ts):
+        args = ss[None, :] / ts[:, None]
+        obj = sig_vals[None, :] - tau_fn(args.ravel()).reshape(args.shape)
+        return obj, args > tau_hint
+
+    def refine(ts, ys):
+        s = np.exp(ys)
+        return sig_fn(s) - tau_fn(s / ts)
+
     def fn(ts):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.empty_like(ts)
-        chunk = max(1, _CHUNK_ELEMENTS // n)
-        for start in range(0, ts.size, chunk):
-            sub = ts[start : start + chunk]
-            pos = sub > 0
-            with np.errstate(divide="ignore"):
-                args = np.where(sub[:, None] > 0, ss[None, :] / sub[:, None], np.inf)
-            obj = sig_vals[None, :] - tau_fn(
-                np.where(np.isfinite(args), args, 0.0).ravel()
-            ).reshape(args.shape)
-            masked = args > tau_hint
-            obj[masked] = -np.inf
-            j = np.argmax(obj, axis=1)
-            nxt = np.minimum(j + 1, n - 1)
-            fully_masked = np.all(masked, axis=1)
-            at_edge = (
-                pos
-                & ~fully_masked
-                & ((j == n - 1) | masked[np.arange(len(sub)), nxt])
-            )
-            if np.any(at_edge):
-                bad = float(sub[np.argmax(at_edge)])
-                raise DomainExhaustedError(
-                    f"upper envelope argmax at search boundary for t={bad:g}; "
-                    "enlarge the grid or the operands' coverage",
-                    t=bad,
-                )
-            lo = log_ss[np.maximum(j - 1, 0)]
-            hi = log_ss[nxt]
-
-            def objective(ys, sub=sub):
-                s = np.exp(ys)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    inner_args = np.where(sub > 0, s / sub, 0.0)
-                return sig_fn(s) - tau_fn(inner_args)
-
-            _, best = golden_max_vec(objective, lo, hi, grid.refine_iters)
-            vals = np.maximum(best, value_at_0)  # s = 0 endpoint competes
-            vals[~pos | fully_masked] = value_at_0
-            out[start : start + chunk] = vals
+        out = np.full_like(ts, value_at_0)
+        # the s = 0 endpoint competes, and alone answers the rows whose whole
+        # grid lies beyond tau's coverage
+        with np.errstate(divide="ignore"):
+            live = ~(ts <= 0) & ~(ss[0] / ts > tau_hint)
+        out[live] = grid_sup(
+            ts[live], log_ss, scan, refine, ("envelope_upper", "t"), floor=value_at_0
+        )
         return out
 
     return WeightFunction(
@@ -1081,26 +1031,18 @@ def recover_sequence(
     log_ts = grid.log_points(omega.domain_hint)
     ts = np.exp(log_ts)
     wvals = omega.evaluate_many(ts)
-    w0 = omega(0.0)
-    n = ts.size
     inner = omega.evaluate_many
 
-    ps = np.arange(0, p_count + 1, dtype=float)
-    obj = ps[:, None] * log_ts[None, :] - wvals[None, :]
-    j = np.argmax(obj, axis=1)
-    if np.any((j == n - 1) & (ps > 0)):
-        bad = int(ps[np.argmax(j == n - 1)])
-        raise DomainExhaustedError(
-            f"recovery supremum at grid edge for p={bad}; enlarge t_max", p=bad
-        )
-    lo = log_ts[np.maximum(j - 1, 0)]
-    hi = log_ts[np.minimum(j + 1, n - 1)]
+    def scan(ps):
+        return ps[:, None] * log_ts[None, :] - wvals[None, :], None
 
-    def objective(ys):
+    def refine(ps, ys):
         return ps * ys - inner(np.exp(ys))
 
-    _, best = golden_max_vec(objective, lo, hi, grid.refine_iters)
-    # the t -> 0 endpoint only competes for p = 0 (value -omega(0) there)
-    best[0] = max(best[0], -w0)
+    # p = 0 is answered by the t -> 0 endpoint, -omega(0); for p >= 1 that
+    # endpoint is -inf and only the grid supremum counts
+    best = np.full(p_count + 1, -omega(0.0))
+    ps = np.arange(1, p_count + 1, dtype=float)
+    best[1:] = grid_sup(ps, log_ts, scan, refine, ("recover_sequence", "p"))
     values = math.log(m0) + best
     return WeightSequence(values, name=f"recovered({omega.name})")

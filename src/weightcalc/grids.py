@@ -1,4 +1,11 @@
-"""Grids, tail windows and the finite-window trend heuristics.
+"""Grids, tail windows, the scan-and-refine kernel and the finite-window
+trend heuristics.
+
+Every sup/inf transform of the package (conjugate, the two Legendre
+envelopes, sequence recovery and the Young conjugate phi*) is one call of
+``grid_sup``: a dense scan of the objective on a log grid, an edge test that
+refuses an optimum outside the searched range, and golden-section refinement
+of the winning cell.
 
 Asymptotic statements (limits, O/o relations) are undecidable from finite
 data.  Every detector here is an estimator over a declared window and the
@@ -21,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainExhaustedError
+
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
@@ -31,6 +40,11 @@ DECAY_EXPONENT = 0.15
 #: Log-scale rise of the last quarter required to call a sequence divergent.
 DIVERGENCE_RISE = 0.05
 
+#: Objective cells of one dense-scan chunk in ``grid_sup``.
+_SCAN_CHUNK_CELLS = 4_000_000
+#: A row whose grid maximum comes this close to the exact cap is answered by it.
+_CAP_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -39,7 +53,6 @@ class GridSpec:
     t_min: float = 1e-2
     t_max: float = 1e8
     n: int = 2048
-    refine_iters: int = 60
 
     def __post_init__(self):
         if not (self.t_min > 0 and self.t_min < self.t_max):
@@ -48,9 +61,17 @@ class GridSpec:
             raise ValueError("grid needs at least 64 points")
 
     def log_points(self, upper=None):
+        """Log grid on [t_min, min(t_max, upper)]; ``upper`` is an operand's
+        coverage, and a coverage ending at or below t_min is refused because
+        every grid point would be extrapolated."""
         hi = self.t_max if upper is None else min(self.t_max, upper)
         if hi <= self.t_min:
-            hi = self.t_min * 10.0
+            raise DomainExhaustedError(
+                f"operand coverage ends at {hi:g}, at or below the grid start "
+                f"t_min={self.t_min:g}; no grid point is covered",
+                coverage=hi,
+                t_min=self.t_min,
+            )
         return np.linspace(math.log(self.t_min), math.log(hi), self.n)
 
     def points(self, upper=None):
@@ -103,20 +124,15 @@ DEFAULT_TAIL = TailWindow()
 
 
 def quarter_maxima(values):
-    """Maxima of the four consecutive quarters of a sampled array."""
+    """Maxima of the four consecutive quarters of a sampled array.
+
+    The quarter minima are ``-quarter_maxima(-values)``.
+    """
     vals = np.asarray(values, dtype=float)
     if vals.size < 8:
         raise ValueError("need at least 8 samples for quarter statistics")
     quarters = np.array_split(vals, 4)
     return np.array([q.max() for q in quarters])
-
-
-def quarter_minima(values):
-    vals = np.asarray(values, dtype=float)
-    if vals.size < 8:
-        raise ValueError("need at least 8 samples for quarter statistics")
-    quarters = np.array_split(vals, 4)
-    return np.array([q.min() for q in quarters])
 
 
 def decays_to_zero(ratios, span):
@@ -136,33 +152,6 @@ def diverges(log_values):
     if not np.all(np.diff(qm) > 0):
         return False
     return bool(qm[3] - qm[2] > DIVERGENCE_RISE)
-
-
-def golden_max(f, lo, hi, iters=60):
-    """Golden-section maximisation of a unimodal ``f`` on [lo, hi].
-
-    Returns (argmax, max).  ``f`` is scalar-valued.
-    """
-    a, b = (lo, hi) if lo <= hi else (hi, lo)
-    h = b - a
-    if h <= 0:
-        return a, f(a)
-    c = a + INV_PHI_SQ * h
-    d = a + INV_PHI * h
-    yc, yd = f(c), f(d)
-    for _ in range(iters):
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h = INV_PHI * h
-            c = a + INV_PHI_SQ * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h = INV_PHI * h
-            d = a + INV_PHI * h
-            yd = f(d)
-    x = c if yc > yd else d
-    return x, max(yc, yd)
 
 
 def golden_max_vec(f, lo, hi, iters=60):
@@ -192,3 +181,60 @@ def golden_max_vec(f, lo, hi, iters=60):
     x = np.where(best_c, c, d)
     y = np.where(best_c, yc, yd)
     return x, y
+
+
+def grid_sup(
+    xs, ys, scan, refine, where, floor=-math.inf, cap=math.inf, both_ends=False
+):
+    """Row-wise supremum over the log grid ``ys``, one row per entry of ``xs``.
+
+    ``scan(chunk)`` returns the objective of the arguments ``chunk`` on the
+    whole grid, shape (len(chunk), len(ys)), together with the mask of cells
+    beyond the operands' coverage (or None); ``refine(chunk, y)`` evaluates
+    the objective at one point ``y`` per row.  The best grid cell j of each
+    row is refined by golden section on [ys[j-1], ys[j+1]], which assumes the
+    objective unimodal near its maximum.
+
+    ``floor`` is the value of a competing endpoint outside the grid and
+    ``cap`` an exact upper bound of the supremum; a row whose grid maximum
+    comes within 1e-12 of the cap sits on a plateau and is answered by the
+    cap.  Any other argmax on the right end of the grid (also the left
+    end with ``both_ends``) or next to a masked cell may hide the supremum
+    outside the searched range and raises :class:`DomainExhaustedError`;
+    ``where`` = (transform, argument name) labels the message and
+    ``details``.  NaN arguments give NaN.
+    """
+    xs = np.asarray(xs, dtype=float)
+    n = ys.size
+    out = np.empty_like(xs)
+    chunk = max(1, _SCAN_CHUNK_CELLS // n)
+    for start in range(0, xs.size, chunk):
+        sub = xs[start : start + chunk]
+        rows = np.arange(sub.size)
+        obj, masked = scan(sub)
+        if masked is not None:
+            obj[masked] = -np.inf
+        j = np.argmax(obj, axis=1)
+        prev, nxt = np.maximum(j - 1, 0), np.minimum(j + 1, n - 1)
+        at_cap = (obj[rows, j] >= cap - _CAP_TOL) & math.isfinite(cap)
+        edge = j == n - 1
+        if both_ends:
+            edge |= j == 0
+        if masked is not None:
+            edge |= masked[rows, nxt]
+            if both_ends:
+                edge |= masked[rows, prev]
+        edge &= ~at_cap & ~np.isnan(sub)
+        if np.any(edge):
+            name, arg = where
+            bad = float(sub[np.argmax(edge)])
+            raise DomainExhaustedError(
+                f"{name}: optimum at the edge of the searched range for "
+                f"{arg}={bad:g}; enlarge the grid or the operands' coverage",
+                **{arg: bad},
+            )
+        _, best = golden_max_vec(lambda y: refine(sub, y), ys[prev], ys[nxt])
+        best = np.minimum(np.maximum(best, floor), cap)
+        out[start : start + chunk] = np.where(at_cap, cap, best)
+    out[np.isnan(xs)] = np.nan
+    return out

@@ -209,7 +209,7 @@ def is_log_convex(
 def is_strong_log_convex(m: WeightSequence, tol: float = TOL_LOG_CONVEX) -> bool:
     """True iff the small sequence m is log-convex, i.e. mu_p/p non-decreasing."""
     ok, _ = is_log_convex(
-        WeightSequence(m.log_small, name=f"{m.name}.small" if m.name else "")
+        WeightSequence(m.log_small, name=f"{m.name}.small" if m.name else ""), tol
     )
     return ok
 

@@ -96,67 +96,66 @@ def grid_from_dict(data: dict | None) -> GridSpec:
     )
 
 
+#: kind -> (constructor, its parameters in call order, whether a grid
+#: follows them); see ``_param_codec`` for how each parameter is stored.
+_FUNCTION_KINDS = {
+    "power": (fn.power_weight, ("alpha",), False),
+    "log_power": (fn.log_power_weight, ("beta",), False),
+    "identity": (fn.identity_weight, (), False),
+    "normalized": (fn.normalized, ("of",), False),
+    "power_substitution": (fn.power_substitution, ("of", "alpha"), False),
+    "associated": (fn.associated, ("sequence",), False),
+    "integral_form": (fn.integral_form, ("sequence",), False),
+    "conjugate": (fn.conjugate, ("of",), True),
+    "biconjugate": (fn.biconjugate, ("of",), True),
+    "envelope_lower": (fn.envelope_lower, ("sigma", "tau"), True),
+    "envelope_upper": (fn.envelope_upper, ("sigma", "tau"), True),
+}
+_NESTED_PARAMS = frozenset({"of", "sigma", "tau", "sequence"})
+
+#: Kinds built from scalar parameters alone, usable as CLI families.
+FUNCTION_FAMILIES = tuple(
+    kind
+    for kind, (_, keys, _) in _FUNCTION_KINDS.items()
+    if not _NESTED_PARAMS.intersection(keys)
+)
+
+
 def function_to_dict(omega: fn.WeightFunction) -> dict:
     """Descriptor of a weight function; transform kinds nest their operands."""
-    kind = omega.kind
-    out: dict = {"kind": kind, "params": {}}
-    p = omega.params
-    if kind == "power":
-        out["params"]["alpha"] = p["alpha"]
-    elif kind == "log_power":
-        out["params"]["beta"] = p["beta"]
-    elif kind == "normalized":
-        out["params"]["of"] = function_to_dict(p["of"])
-    elif kind == "power_substitution":
-        out["params"]["of"] = function_to_dict(p["of"])
-        out["params"]["alpha"] = p["alpha"]
-    elif kind in ("associated", "integral_form"):
-        out["params"]["sequence"] = sequence_to_dict(p["sequence"])
-    elif kind in ("conjugate", "biconjugate"):
-        out["params"]["of"] = function_to_dict(p["of"])
-        out["grid"] = grid_to_dict(p["grid"])
-    elif kind in ("envelope_lower", "envelope_upper"):
-        out["params"]["sigma"] = function_to_dict(p["sigma"])
-        out["params"]["tau"] = function_to_dict(p["tau"])
-        out["grid"] = grid_to_dict(p["grid"])
-    else:
-        raise FormatError(f"function kind {kind!r} has no serialised form")
+    if omega.kind not in _FUNCTION_KINDS:
+        raise FormatError(f"function kind {omega.kind!r} has no serialised form")
+    _, keys, gridded = _FUNCTION_KINDS[omega.kind]
+    params = {key: _param_codec(key)[0](omega.params[key]) for key in keys}
+    out: dict = {"kind": omega.kind, "params": params}
+    if gridded:
+        out["grid"] = grid_to_dict(omega.params["grid"])
     return out
 
 
 def build_function(data: dict) -> fn.WeightFunction:
     kind = data.get("kind")
+    if kind not in _FUNCTION_KINDS:
+        raise FormatError(f"unknown function kind {kind!r}")
+    builder, keys, gridded = _FUNCTION_KINDS[kind]
     params = data.get("params", {})
-    grid = grid_from_dict(data.get("grid"))
-    if kind == "power":
-        return fn.power_weight(float(params["alpha"]))
-    if kind == "log_power":
-        return fn.log_power_weight(float(params["beta"]))
-    if kind == "identity":
-        return fn.identity_weight()
-    if kind == "normalized":
-        return fn.normalized(build_function(params["of"]))
-    if kind == "power_substitution":
-        return fn.power_substitution(
-            build_function(params["of"]), float(params["alpha"])
-        )
-    if kind == "associated":
-        return fn.associated(build_sequence(params["sequence"]))
-    if kind == "integral_form":
-        return fn.integral_form(build_sequence(params["sequence"]))
-    if kind == "conjugate":
-        return fn.conjugate(build_function(params["of"]), grid)
-    if kind == "biconjugate":
-        return fn.biconjugate(build_function(params["of"]), grid)
-    if kind == "envelope_lower":
-        return fn.envelope_lower(
-            build_function(params["sigma"]), build_function(params["tau"]), grid
-        )
-    if kind == "envelope_upper":
-        return fn.envelope_upper(
-            build_function(params["sigma"]), build_function(params["tau"]), grid
-        )
-    raise FormatError(f"unknown function kind {kind!r}")
+    missing = [key for key in keys if key not in params]
+    if missing:
+        raise FormatError(f"function kind {kind!r} needs parameters {missing}")
+    args = [_param_codec(key)[1](params[key]) for key in keys]
+    if gridded:
+        args.append(grid_from_dict(data.get("grid")))
+    return builder(*args)
+
+
+def _param_codec(key: str):
+    """(encode, decode) of one descriptor parameter: nested functions and
+    sequence specs are dicts, every other parameter a float."""
+    if key == "sequence":
+        return sequence_to_dict, build_sequence
+    if key in _NESTED_PARAMS:
+        return function_to_dict, build_function
+    return (lambda value: value), float
 
 
 def write_samples_csv(ts, values, stream: IO[str]):

@@ -17,6 +17,13 @@ def test_assoc_eval_prints_value(capsys):
     assert float(out) == pytest.approx(math.log(27 / 6), abs=1e-10)
 
 
+def test_family_shorthand_keeps_every_digit(capsys):
+    assert run(["assoc", "--family", "gevrey", "--s", "0.123456789", "--eval", "5"]) == 0
+    shorthand = capsys.readouterr().out
+    assert run(["assoc", "--seq", "family=gevrey,s=0.123456789", "--eval", "5"]) == 0
+    assert capsys.readouterr().out == shorthand
+
+
 def test_conj_fn_eval_prints_value(capsys):
     assert run(["conj-fn", "--family", "power", "--alpha", "0.5", "--eval", "2"]) == 0
     out = capsys.readouterr().out.strip()

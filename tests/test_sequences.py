@@ -116,6 +116,14 @@ def test_conjugate_of_gevrey2_not_log_convex():
     assert not ok and violation == 2
 
 
+def test_strong_log_convexity_honours_tol():
+    # the small sequence p!^(-1/2) of Gevrey 1/2 is log-concave, so it
+    # passes as log-convex only under a loose tolerance
+    m = sq.gevrey(0.5, 300)
+    assert not sq.is_strong_log_convex(m)
+    assert sq.is_strong_log_convex(m, tol=1e6)
+
+
 def _brute_force_lower_hull(values):
     # O(n^2) oracle: largest convex minorant at integer abscissae
     n = len(values)

@@ -54,11 +54,30 @@ def test_sequence_csv_columns():
 
 
 def test_function_descriptor_round_trip():
-    omega = fn.conjugate(fn.power_weight(0.5))
-    data = ser.function_to_dict(omega)
-    rebuilt = ser.build_function(json.loads(json.dumps(data)))
+    square, root = fn.power_weight(0.5), fn.power_weight(2.0)
+    m = sq.gevrey(1, 40)
+    functions = [
+        square,
+        fn.log_power_weight(2.0),
+        fn.normalized(square),
+        fn.power_substitution(square, 2.0),
+        fn.associated(m),
+        fn.integral_form(m),
+        fn.conjugate(square),
+        fn.biconjugate(square),
+        fn.envelope_lower(square, root),
+        fn.envelope_upper(root, fn.identity_weight()),
+    ]
+    # "identity" is a build-only alias of the power weight with alpha = 1
+    assert {f.kind for f in functions} | {"identity"} == set(ser._FUNCTION_KINDS)
     ss = np.linspace(1.0, 50.0, 20)
-    assert np.max(np.abs(rebuilt.evaluate_many(ss) - omega.evaluate_many(ss))) < 1e-9
+    for omega in functions:
+        data = ser.function_to_dict(omega)
+        rebuilt = ser.build_function(json.loads(json.dumps(data)))
+        assert rebuilt.kind == omega.kind
+        assert np.max(np.abs(rebuilt.evaluate_many(ss) - omega.evaluate_many(ss))) < 1e-9
+    identity = ser.build_function({"kind": "identity"})
+    assert np.array_equal(identity.evaluate_many(ss), ss)
 
 
 def test_function_descriptor_nested_envelope():
