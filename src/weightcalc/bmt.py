@@ -35,6 +35,7 @@ from .sequences import (
     WeightSequence,
     conjugate_sequence,
     is_log_convex,
+    max_split_deficit,
     relation,
     small_roots_vanish,
 )
@@ -198,12 +199,9 @@ def associated_matrix(
         )
         if doubled is None:
             continue
-        lv, lv2 = member.log_values, doubled.log_values
-        for p in range(p_max + 1):
-            q = np.arange(0, p_max - p + 1)
-            mg_defect = max(
-                mg_defect, float(np.max(lv[p + q] - lv2[p] - lv2[q]))
-            )
+        mg_defect = max(
+            mg_defect, max_split_deficit(member.log_values, doubled.log_values)
+        )
     diagnostics["doubled_mg_defect"] = mg_defect
     if order_defect > 1e-8:
         raise PreconditionError(

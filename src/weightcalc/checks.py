@@ -619,8 +619,7 @@ def check_bmt_sandwich(ells=(0.5, 1.0, 2.0), p_max: int = 800) -> CheckReport:
     """Matrix members, the dilation sandwich and the conjugate sandwich for
     the normalized square weight."""
     params = {"ells": list(ells), "p_max": p_max}
-    omega = fn.normalized(fn.power_weight(0.5))
-    omega.name = "norm_id^2"
+    omega = fn.normalized(fn.power_weight(0.5)).with_name("norm_id^2")
     report = bmt.bmt_report(omega)
     if not (report.om0 and report.om3 and report.om4):
         return _skip("BMT_SANDWICH", params, "generator is not a BMT weight")

@@ -67,7 +67,7 @@ H_GRID_SMALL = 2.0 ** (-np.arange(0, 11, dtype=float))
 class WeightFunction:
     """Evaluable non-decreasing map [0, inf) -> [0, inf) with omega -> inf."""
 
-    __slots__ = ("kind", "name", "domain_hint", "params", "_fn")
+    __slots__ = ("kind", "_name", "domain_hint", "params", "_fn")
 
     def __init__(
         self,
@@ -81,7 +81,14 @@ class WeightFunction:
         self._fn = fn
         self.domain_hint = domain_hint
         self.params = params or {}
-        self.name = name
+        self._name = name
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    def with_name(self, name: str) -> "WeightFunction":
+        return WeightFunction(self.kind, self._fn, self.domain_hint, self.params, name)
 
     def evaluate_many(self, ts) -> np.ndarray:
         return self._fn(np.asarray(ts, dtype=float))

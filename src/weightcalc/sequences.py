@@ -22,6 +22,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapacityError, DomainError, FormatError, PreconditionError
 from .grids import DIVERGENCE_RISE, quarter_maxima
@@ -43,6 +44,8 @@ LOG_C_CAP = 10.0
 EPS_TRIANGLE = 0.05
 #: Absolute tolerance for log-convexity tests (log domain).
 TOL_LOG_CONVEX = 1e-12
+#: Cells (p, q) per block of the O(P^2) split-deficit scan.
+_SPLIT_CHUNK_CELLS = 1 << 18
 
 
 def log_factorials(p_max: int) -> np.ndarray:
@@ -224,25 +227,94 @@ def small_is_log_concave(m: WeightSequence, tol: float = TOL_LOG_CONVEX) -> bool
 def log_convex_minorant(m: WeightSequence) -> WeightSequence:
     """Lower convex envelope of p -> log M_p evaluated at integer p.
 
-    Monotone lower-hull scan over the graph points; agrees with the input
-    wherever the input is already log-convex.
+    Andrew's monotone chain over the graph points (p, log M_p): a point p2
+    on top of the hull stack, with p1 below it, is dropped when it lies on
+    or above the chord p1 -> p, i.e. when
+    ``(lv[p2] - lv[p1]) * (p - p1) >= (lv[p] - lv[p1]) * (p2 - p1)``; the
+    minorant interpolates linearly between the surviving vertices.
+
+    One numpy pass evaluates that test on every consecutive triple
+    (q-1, q, q+1).  The points q where it holds (local convexity
+    violations) are the only places where the scan can pop right after a
+    run of consecutive pushes, so each run between violations is pushed in
+    one slice.  Per-point Python steps run only at violations and in the
+    pop cascades that follow them.  Every pop decision evaluates the
+    expression above with the same operands, so the vertex set, and the
+    output, are those of the plain per-point scan bit for bit.  Without any
+    violation the input is returned unchanged after the single O(P) pass;
+    sequences with many violations (noise, concave stretches) still cost
+    O(P) interpreted steps.
     """
     lv = m.log_values
     n = lv.size
-    hull_p: list[int] = []
-    for p in range(n):
-        while len(hull_p) >= 2:
-            p1, p2 = hull_p[-2], hull_p[-1]
-            # drop p2 if it lies on or above the chord p1 -> p
-            if (lv[p2] - lv[p1]) * (p - p1) >= (lv[p] - lv[p1]) * (p2 - p1):
-                hull_p.pop()
-            else:
-                break
-        hull_p.append(p)
-    xs = np.array(hull_p, dtype=float)
-    out = np.interp(np.arange(n, dtype=float), xs, lv[hull_p])
     name = f"{m.name}.lc" if m.name else ""
+    # the test with p1, p2, p = q-1, q, q+1 (so p2 - p1 = 1, p - p1 = 2)
+    local = (lv[1:-1] - lv[:-2]) * 2 >= lv[2:] - lv[:-2]
+    if not local.any():
+        return WeightSequence(lv, name)
+    violation = b"\0" + local.tobytes() + b"\0"  # violation[q] is 1 at a violation
+    hull = np.empty(n, dtype=np.intp)
+    val, hull_at, next_violation = lv.item, hull.item, violation.find
+    hull[:2] = 0, 1
+    top = 2  # hull[:top] is the stack
+    p1, y1, p2, y2 = 0, val(0), 1, val(1)  # the two top entries; p2 == p - 1
+    p = 2
+    while p < n:
+        if p1 == p - 2 and not violation[p - 1]:
+            # no pop happens before the scan reaches the next violation
+            stop = next_violation(1, p)
+            if stop < 0:
+                stop = n - 1
+            hull[top : top + stop - p + 1] = np.arange(p, stop + 1)
+            top += stop - p + 1
+            p1, y1, p2, y2 = stop - 1, val(stop - 1), stop, val(stop)
+            p = stop + 1
+            continue
+        y = val(p)
+        while (y2 - y1) * (p - p1) >= (y - y1) * (p2 - p1):
+            top -= 1
+            p2, y2 = p1, y1
+            if top == 1:
+                break
+            p1 = hull_at(top - 2)
+            y1 = val(p1)
+        hull[top] = p
+        top += 1
+        p1, y1, p2, y2 = p2, y2, p, y
+        p += 1
+    vertices = hull[:top]
+    out = np.interp(np.arange(n, dtype=float), vertices.astype(float), lv[vertices])
     return WeightSequence(out, name)
+
+
+def max_split_deficit(
+    log_total: np.ndarray, log_part: np.ndarray, per_length: bool = False
+) -> float:
+    """max over p + q <= P of log_total[p+q] - log_part[p] - log_part[q].
+
+    With ``per_length`` every deficit is divided by p + q + 1 first.  Rows p
+    are scanned in blocks of about _SPLIT_CHUNK_CELLS cells; each deficit is
+    computed from the same operands in the same order as a per-row loop
+    would, and a maximum does not depend on order, so the result is
+    bit-identical to that loop.
+    """
+    pmax = log_total.size - 1
+    # row p reads log_total[p : p+P+1]; the -inf padding drops p + q > P
+    totals = sliding_window_view(
+        np.concatenate((log_total, np.full(pmax, -np.inf))), pmax + 1
+    )
+    lengths = sliding_window_view(np.arange(1.0, 2 * pmax + 2), pmax + 1)
+    rows = max(1, _SPLIT_CHUNK_CELLS // (pmax + 1))
+    best = -math.inf
+    for start in range(0, pmax + 1, rows):
+        stop, cols = min(start + rows, pmax + 1), pmax + 1 - start
+        deficit = (
+            totals[start:stop, :cols] - log_part[start:stop, None] - log_part[:cols]
+        )
+        if per_length:
+            deficit /= lengths[start:stop, :cols]
+        best = max(best, float(np.max(deficit)))
+    return best
 
 
 def check_moderate_growth(
@@ -253,12 +325,7 @@ def check_moderate_growth(
     Returns (True, C) when C <= exp(log_c_cap), else (False, cap).
     """
     lv = m.log_values
-    pmax = m.p_max
-    log_c = 0.0
-    for p in range(pmax + 1):
-        q = np.arange(0, pmax - p + 1)
-        deficit = lv[p + q] - lv[p] - lv[q]
-        log_c = max(log_c, float(np.max(deficit / (p + q + 1))))
+    log_c = max(0.0, max_split_deficit(lv, lv, per_length=True))
     if log_c <= log_c_cap:
         return True, math.exp(log_c)
     return False, math.exp(log_c_cap)

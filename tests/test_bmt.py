@@ -65,6 +65,12 @@ def test_matrix_doubled_moderate_growth(square_matrix):
     assert square_matrix.diagnostics["doubled_mg_defect"] <= 1e-9
 
 
+def test_doubled_mg_defect_pinned():
+    # rounding-level defect of the matrix of an associated Gevrey weight
+    mat = bmt.associated_matrix(fn.associated(sq.gevrey(0.5, 2000)), p_max=40)
+    assert mat.diagnostics["doubled_mg_defect"] == 5.329070518200751e-15
+
+
 def test_matrix_of_identity_close_to_factorials():
     mat = bmt.associated_matrix(
         fn.identity_weight(), ells=(0.5, 1.0, 2.0), p_max=200

@@ -18,6 +18,17 @@ from weightcalc.grids import GridSpec, TailWindow
 # ---------------------------------------------------------------------------
 
 
+def test_weight_function_name_is_read_only():
+    omega = fn.normalized(fn.power_weight(0.5))
+    with pytest.raises(AttributeError):
+        omega.name = "renamed"
+    renamed = omega.with_name("norm_id^2")
+    assert renamed.name == "norm_id^2" and omega.name != "norm_id^2"
+    assert renamed.kind == omega.kind and renamed.domain_hint == omega.domain_hint
+    ts = np.array([0.0, 0.5, 3.0, 40.0])
+    assert np.array_equal(renamed.evaluate_many(ts), omega.evaluate_many(ts))
+
+
 def test_associated_exact_value_and_zero_region():
     omega = fn.associated(sq.gevrey(1, 400))
     assert omega(3.0) == pytest.approx(math.log(27 / 6), abs=1e-12)

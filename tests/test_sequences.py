@@ -149,9 +149,57 @@ def test_minorant_five_point_example():
 
 
 def test_minorant_fixes_nothing_when_convex():
-    g = sq.gevrey(1, 300)
-    lc = sq.log_convex_minorant(g)
-    assert np.max(np.abs(lc.log_values - g.log_values)) < 1e-9
+    # bit for bit, both endpoints included
+    for g in (sq.gevrey(1, 300), sq.gevrey(0.5, 200_000)):
+        lc = sq.log_convex_minorant(g)
+        assert np.array_equal(lc.log_values, g.log_values)
+
+
+def _reference_minorant(values):
+    # per-element monotone chain; the library must reproduce it bit for bit
+    lv = np.asarray(values, dtype=float)
+    hull_p = []
+    for p in range(lv.size):
+        while len(hull_p) >= 2:
+            p1, p2 = hull_p[-2], hull_p[-1]
+            if (lv[p2] - lv[p1]) * (p - p1) >= (lv[p] - lv[p1]) * (p2 - p1):
+                hull_p.pop()
+            else:
+                break
+        hull_p.append(p)
+    xs = np.array(hull_p, dtype=float)
+    return np.interp(np.arange(lv.size, dtype=float), xs, lv[hull_p])
+
+
+@st.composite
+def hull_inputs(draw):
+    """Inputs whose hull scan pops: ties, collinear runs, concavity, dips, bumps."""
+    p_max = draw(st.integers(min_value=8, max_value=5000))
+    kind = draw(st.sampled_from(["walk", "concave", "dip_head", "dip_tail", "bumps"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    ps = np.arange(p_max + 1, dtype=float)
+    gevrey = rng.uniform(0.2, 2.0) * sq.log_factorials(p_max)
+    if kind == "walk":
+        # integer steps: exact ties and collinear runs
+        values = np.round(np.cumsum(rng.normal(scale=3.0, size=p_max + 1)))
+    elif kind == "concave":
+        values = rng.uniform(0.5, 10.0) * ps ** rng.uniform(0.1, 0.9)
+    elif kind in ("dip_head", "dip_tail"):
+        values = gevrey
+        at = int(rng.integers(0, 3))
+        values[at if kind == "dip_head" else p_max - at] -= rng.uniform(1.0, 1e4)
+    else:
+        values = gevrey
+        bumps = rng.integers(1, p_max, size=int(rng.integers(1, 6)))
+        values[bumps] += rng.uniform(0.5, 2.0, size=bumps.size)
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(hull_inputs())
+def test_minorant_matches_reference_scan(values):
+    lc = sq.log_convex_minorant(sq.from_log_values(values))
+    assert np.array_equal(lc.log_values, _reference_minorant(values))
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +219,30 @@ def test_exp_p_squared_fails_moderate_growth():
     ok, witness = sq.check_moderate_growth(sq.exp_power(2, 200))
     assert not ok
     assert witness == pytest.approx(math.exp(10.0))
+
+
+def _brute_force_moderate_growth(m):
+    lv = m.log_values
+    log_c = 0.0
+    for p in range(m.p_max + 1):
+        for q in range(m.p_max - p + 1):
+            log_c = max(log_c, float((lv[p + q] - lv[p] - lv[q]) / (p + q + 1)))
+    if log_c <= sq.LOG_C_CAP:
+        return True, math.exp(log_c)
+    return False, math.exp(sq.LOG_C_CAP)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.floats(min_value=-50.0, max_value=50.0, allow_subnormal=False),
+        min_size=9,
+        max_size=60,
+    )
+)
+def test_moderate_growth_matches_double_loop(values):
+    m = sq.from_log_values(values)
+    assert sq.check_moderate_growth(m) == _brute_force_moderate_growth(m)
 
 
 # ---------------------------------------------------------------------------
