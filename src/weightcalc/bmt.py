@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .functions import (
     WeightFunction,
+    _tail_ratio_decays,
     c2_proxy,
     log_o_proxy,
 )
@@ -81,8 +82,8 @@ def phi_star_many(
     wvals = omega.evaluate_many(np.exp(ys))
     inner = omega.evaluate_many
 
-    def scan(x):
-        return x[:, None] * ys[None, :] - wvals[None, :], None
+    def scan(x, j):
+        return x * ys[j] - wvals[j], None
 
     def refine(x, y):
         return x * y - inner(np.exp(y))
@@ -90,7 +91,9 @@ def phi_star_many(
     endpoint = -wvals[0]  # y = 0
     out = np.full_like(xs, endpoint)
     live = ~(xs <= 0)
-    out[live] = grid_sup(xs[live], ys, scan, refine, ("phi_star", "x"), floor=endpoint)
+    out[live] = grid_sup(
+        xs[live], ys, scan, refine, ("phi_star", "x"), floor=endpoint, monotone=True
+    )
     return out
 
 
@@ -325,7 +328,7 @@ def bmt_report(
     om1 = om1_L <= math.exp(LOG_L_CAP) and not rising
 
     om3 = log_o_proxy(omega, win)
-    om5 = _tail_decays(ts, vals / ts, win)
+    om5 = _tail_ratio_decays(ts, vals / ts)
     c2 = c2_proxy(omega, win)
 
     om4 = _midpoint_convex(omega, win)
@@ -370,15 +373,6 @@ def bmt_report(
         c2=c2,
         window=(float(ts[0]), float(ts[-1])),
     )
-
-
-def _tail_decays(ts, ratios, win: TailWindow) -> bool:
-    from .grids import decays_to_zero
-
-    span = float(ts[-1] / ts[0])
-    if span < 10.0:
-        return False
-    return decays_to_zero(ratios, span)
 
 
 def _midpoint_convex(omega: WeightFunction, win: TailWindow, n: int = 256) -> bool:

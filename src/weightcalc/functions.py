@@ -8,18 +8,23 @@ transforms).  All sup/inf transforms mask arguments beyond the operands'
 hints and raise :class:`DomainExhaustedError` when an argmax lands on a
 search boundary, so a silently-extrapolated value can never win a supremum.
 
-Suprema are located by :func:`weightcalc.grids.grid_sup`: a dense
-log-spaced grid scan followed by golden-section refinement of the winning
-cell, which removes the grid bias down to machine precision for unimodal
-objectives.  Each transform supplies only its grid, its objective on the
-grid and at one point per row, and its endpoint or cap values.
+Suprema are located by :func:`weightcalc.grids.grid_sup`: a search for the
+leftmost argmax on a log-spaced grid followed by golden-section refinement
+of the winning cell, which removes the grid bias down to machine precision
+for unimodal objectives.  Each transform supplies its grid, its objective
+at grid cells and at one point per row, its endpoint or cap values, and
+whether the argmax is monotone in the argument: always for the conjugate
+and sequence recovery, and for the envelopes when tau(e^u) is certified
+convex on the range the scan touches, so that the grid search costs
+O((n + k) log k) cells instead of k x n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -65,27 +70,44 @@ H_GRID_SMALL = 2.0 ** (-np.arange(0, 11, dtype=float))
 
 
 class WeightFunction:
-    """Evaluable non-decreasing map [0, inf) -> [0, inf) with omega -> inf."""
+    """Evaluable non-decreasing map [0, inf) -> [0, inf) with omega -> inf.
 
-    __slots__ = ("kind", "_name", "domain_hint", "params", "_fn")
+    Immutable: ``kind``, ``name``, ``domain_hint`` and ``params`` are
+    read-only, and ``params`` is a read-only view of a private copy, so the
+    descriptor always describes what the function evaluates.
+    """
+
+    __slots__ = ("_kind", "_name", "_domain_hint", "_params", "_fn")
 
     def __init__(
         self,
         kind: str,
         fn: Callable[[np.ndarray], np.ndarray],
         domain_hint: float = math.inf,
-        params: Optional[dict] = None,
+        params: Optional[Mapping] = None,
         name: str = "",
     ):
-        self.kind = kind
+        self._kind = kind
         self._fn = fn
-        self.domain_hint = domain_hint
-        self.params = params or {}
+        self._domain_hint = domain_hint
+        self._params = MappingProxyType(dict(params or {}))
         self._name = name
+
+    @property
+    def kind(self) -> str:
+        return self._kind
 
     @property
     def name(self) -> str:
         return self._name
+
+    @property
+    def domain_hint(self) -> float:
+        return self._domain_hint
+
+    @property
+    def params(self) -> Mapping:
+        return self._params
 
     def with_name(self, name: str) -> "WeightFunction":
         return WeightFunction(self.kind, self._fn, self.domain_hint, self.params, name)
@@ -185,8 +207,10 @@ def from_samples(ts, values, name: str = "") -> WeightFunction:
     Below the first sample the first value is returned; above the last the
     final segment is continued and ``domain_hint`` marks the boundary.
     """
-    ts = np.asarray(ts, dtype=float)
-    values = np.asarray(values, dtype=float)
+    ts = np.array(ts, dtype=float)
+    values = np.array(values, dtype=float)
+    ts.setflags(write=False)
+    values.setflags(write=False)
     if ts.ndim != 1 or ts.size < 2 or ts.shape != values.shape:
         raise DomainError("need matching 1-d sample arrays with >= 2 points")
     if not np.all(ts > 0) or not np.all(np.diff(ts) > 0):
@@ -206,7 +230,11 @@ def from_samples(ts, values, name: str = "") -> WeightFunction:
         return out
 
     return WeightFunction(
-        "sampled", fn, domain_hint=float(ts[-1]), name=name
+        "sampled",
+        fn,
+        domain_hint=float(ts[-1]),
+        params={"ts": ts, "values": values},
+        name=name,
     )
 
 
@@ -326,9 +354,17 @@ def _require_log_convex(m: WeightSequence):
 # ---------------------------------------------------------------------------
 
 
-def _tail_ratio_decays(
-    omega: WeightFunction, numer: Callable[[np.ndarray], np.ndarray], window
-) -> bool:
+def _tail_ratio_decays(ts: np.ndarray, ratios: np.ndarray) -> bool:
+    """``decays_to_zero`` of ratios sampled at increasing ``ts``, over the
+    samples' own span; a window narrower than one decade decides nothing."""
+    span = ts[-1] / ts[0]
+    if span < 10.0:
+        return False
+    return decays_to_zero(ratios, span)
+
+
+def c2_proxy(omega: WeightFunction, window: Optional[TailWindow] = None) -> bool:
+    """Finite-window proxy for t = o(omega(t))."""
     # samples where omega has not yet reached one natural unit say nothing
     # about the tail and their near-zero denominators fake a decay
     win = (window or DEFAULT_TAIL).clipped(omega.domain_hint)
@@ -337,16 +373,7 @@ def _tail_ratio_decays(
     pos = w >= 1.0
     if int(pos.sum()) < 32:
         return False
-    ts, w = ts[pos], w[pos]
-    span = ts[-1] / ts[0]
-    if span < 10.0:
-        return False
-    return decays_to_zero(numer(ts) / w, span)
-
-
-def c2_proxy(omega: WeightFunction, window: Optional[TailWindow] = None) -> bool:
-    """Finite-window proxy for t = o(omega(t))."""
-    return _tail_ratio_decays(omega, lambda ts: ts, window)
+    return _tail_ratio_decays(ts[pos], ts[pos] / w[pos])
 
 
 def log_o_proxy(omega: WeightFunction, window: Optional[TailWindow] = None) -> bool:
@@ -415,8 +442,8 @@ def conjugate(
     slope_cap = float(np.max(slopes)) if np.all(np.isfinite(slopes)) else math.inf
     hint = 0.95 * slope_cap if math.isfinite(slope_cap) else math.inf
 
-    def scan(ss):
-        return ss[:, None] * ts[None, :] - wvals[None, :], None
+    def scan(s, j):
+        return s * ts[j] - wvals[j], None
 
     def refine(ss, ys):
         return ss * np.exp(ys) - inner(np.exp(ys))
@@ -426,7 +453,8 @@ def conjugate(
         out = np.full_like(ss, -w0)
         live = ~(ss <= 0)
         out[live] = grid_sup(
-            ss[live], log_ts, scan, refine, ("conjugate", "s"), floor=-w0
+            ss[live], log_ts, scan, refine, ("conjugate", "s"), floor=-w0,
+            monotone=True,
         )
         return out
 
@@ -445,7 +473,8 @@ def biconjugate(
     """Double conjugate omega** = (omega*)*.
 
     The inner conjugate is tabulated on the grid range before the outer
-    transform runs, keeping the evaluation cost one matrix scan per call.
+    transform runs, so an evaluation costs one grid search (the conjugate's
+    sorted-window argmax) and its refinement, with no nested transform.
     """
     star = conjugate(omega, grid, check=check)
     upper = min(grid.t_max, star.domain_hint)
@@ -465,6 +494,81 @@ def biconjugate(
 # ---------------------------------------------------------------------------
 
 
+def _kind_convex_in_log(tau: WeightFunction, u_lo: float, u_hi: float):
+    """Whether g(u) = tau(e^u) is convex on [u_lo, u_hi], decided exactly from
+    the kind of tau: True or False, or None when the kind does not tell.
+
+    Powers, associated functions and their integral form are convex in log t
+    (e^(u/alpha), and suprema of affine functions of u); so is log(1+t)^beta
+    for beta >= 1, a convex increasing power of the convex log(1 + e^u).
+    A sampled function is piecewise linear in u with slope 0 below its first
+    sample: it is convex iff its slope does not fall, up to 1e-12 relative,
+    at a knot inside the range.
+    """
+    # kinds are those of this module's constructors; a function built
+    # directly under such a kind without its parameters decides nothing
+    kind, params = tau.kind, tau.params
+    if kind in ("power", "associated", "integral_form"):
+        return True
+    if kind == "log_power" and params.get("beta", 0.0) >= 1.0:
+        return True
+    if kind == "normalized" and "of" in params:
+        # max(0, g(u) - g(0)) of a convex g is convex
+        return _kind_convex_in_log(params["of"], u_lo, u_hi) or None
+    if kind == "power_substitution" and "of" in params:
+        alpha = params["alpha"]
+        return _kind_convex_in_log(params["of"], u_lo / alpha, u_hi / alpha)
+    if kind == "sampled" and "ts" in params:
+        # slopes[i] and slopes[i + 1] meet at knot i; the last segment is
+        # continued beyond the last knot, which therefore is no kink
+        knots = np.log(params["ts"])
+        slopes = np.concatenate(([0.0], np.diff(params["values"]) / np.diff(knots)))
+        inside = ((knots > u_lo) & (knots < u_hi))[:-1]
+        left, right = slopes[:-1][inside], slopes[1:][inside]
+        tol = 1e-12 * np.maximum(np.abs(left), np.abs(right))
+        return bool(np.all(right >= left - tol))
+    return None
+
+
+def _convex_in_log(tau: WeightFunction, us, log_ss, budget: int) -> bool:
+    """Certificate that g(u) = tau(e^u) is convex where an envelope scan over
+    the grid ``log_ss`` touches it, so that the scan's leftmost argmax is
+    monotone in log t.
+
+    ``us`` holds the extreme arguments of g of every row; their range is
+    clipped at log tau.domain_hint (the scan masks the cells beyond it).
+    Where the kind of tau decides convexity (``_kind_convex_in_log``) that
+    answer is exact.  Otherwise g is sampled on a uniform lattice covering
+    the range with at most the grid's step, and certified when every second
+    difference g0 - 2 g1 + g2 is >= -1e-12 max(1, |g0| + 2|g1| + |g2|): a
+    check on the lattice only, which a kink narrower than one step can
+    escape.  A range shorter than two steps, or a lattice of more than
+    ``budget`` points (the dense-scan cells the windowed route saves),
+    certifies nothing.
+    """
+    if np.all(np.isnan(us)):
+        return False
+    hint = tau.domain_hint
+    u_lo = float(np.nanmin(us))
+    u_hi = min(float(np.nanmax(us)), math.log(hint) if hint > 0 else -math.inf)
+    step = float(log_ss[1] - log_ss[0])
+    if not u_hi - u_lo >= 2.0 * step:
+        return False
+    known = _kind_convex_in_log(tau, u_lo, u_hi)
+    if known is not None:
+        return known
+    points = math.ceil((u_hi - u_lo) / step) + 1
+    if points > budget:
+        return False
+    try:
+        g = tau.evaluate_many(np.exp(np.linspace(u_lo, u_hi, points)))
+    except DomainExhaustedError:
+        return False
+    second = g[2:] - 2.0 * g[1:-1] + g[:-2]
+    scale = np.abs(g[2:]) + 2.0 * np.abs(g[1:-1]) + np.abs(g[:-2])
+    return bool(np.all(second >= -1e-12 * np.maximum(1.0, scale)))
+
+
 def envelope_lower(
     sigma: WeightFunction,
     tau: WeightFunction,
@@ -482,9 +586,9 @@ def envelope_lower(
     # sigma(s) >= sigma(0) and tau(t/s) >= tau(0), -value_at_0 is an exact
     # cap, and a row reaching it sits on a flat plateau whose boundary
     # argmax is legitimate
-    def scan(ts):
-        args = ts[:, None] / ss[None, :]
-        obj = sig_vals[None, :] + tau_fn(args.ravel()).reshape(args.shape)
+    def scan(t, j):
+        args = t / ss[j]
+        obj = sig_vals[j] + tau_fn(args.ravel()).reshape(args.shape)
         return -obj, args > tau_hint
 
     def refine(ts, ys):
@@ -495,6 +599,8 @@ def envelope_lower(
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out = np.full_like(ts, value_at_0)
         live = ~(ts <= 0)
+        # the scan touches g(u) = tau(e^u) at u = log t - y
+        us = np.log(ts[live])[:, None] - log_ss[[0, -1]]
         out[live] = -grid_sup(
             ts[live],
             log_ss,
@@ -503,6 +609,7 @@ def envelope_lower(
             ("envelope_lower", "t"),
             cap=-value_at_0,
             both_ends=True,
+            monotone=lambda budget: _convex_in_log(tau, us, log_ss, budget),
         )
         return out
 
@@ -544,9 +651,9 @@ def envelope_upper(
     tau_hint = tau.domain_hint
     sig_fn, tau_fn = sigma.evaluate_many, tau.evaluate_many
 
-    def scan(ts):
-        args = ss[None, :] / ts[:, None]
-        obj = sig_vals[None, :] - tau_fn(args.ravel()).reshape(args.shape)
+    def scan(t, j):
+        args = ss[j] / t
+        obj = sig_vals[j] - tau_fn(args.ravel()).reshape(args.shape)
         return obj, args > tau_hint
 
     def refine(ts, ys):
@@ -560,8 +667,16 @@ def envelope_upper(
         # grid lies beyond tau's coverage
         with np.errstate(divide="ignore"):
             live = ~(ts <= 0) & ~(ss[0] / ts > tau_hint)
+        # the scan touches g(u) = tau(e^u) at u = y - log t
+        us = log_ss[[0, -1]] - np.log(ts[live])[:, None]
         out[live] = grid_sup(
-            ts[live], log_ss, scan, refine, ("envelope_upper", "t"), floor=value_at_0
+            ts[live],
+            log_ss,
+            scan,
+            refine,
+            ("envelope_upper", "t"),
+            floor=value_at_0,
+            monotone=lambda budget: _convex_in_log(tau, us, log_ss, budget),
         )
         return out
 
@@ -1040,8 +1155,8 @@ def recover_sequence(
     wvals = omega.evaluate_many(ts)
     inner = omega.evaluate_many
 
-    def scan(ps):
-        return ps[:, None] * log_ts[None, :] - wvals[None, :], None
+    def scan(p, j):
+        return p * log_ts[j] - wvals[j], None
 
     def refine(ps, ys):
         return ps * ys - inner(np.exp(ys))
@@ -1050,6 +1165,8 @@ def recover_sequence(
     # endpoint is -inf and only the grid supremum counts
     best = np.full(p_count + 1, -omega(0.0))
     ps = np.arange(1, p_count + 1, dtype=float)
-    best[1:] = grid_sup(ps, log_ts, scan, refine, ("recover_sequence", "p"))
+    best[1:] = grid_sup(
+        ps, log_ts, scan, refine, ("recover_sequence", "p"), monotone=True
+    )
     values = math.log(m0) + best
     return WeightSequence(values, name=f"recovered({omega.name})")

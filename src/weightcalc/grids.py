@@ -3,9 +3,27 @@ trend heuristics.
 
 Every sup/inf transform of the package (conjugate, the two Legendre
 envelopes, sequence recovery and the Young conjugate phi*) is one call of
-``grid_sup``: a dense scan of the objective on a log grid, an edge test that
-refuses an optimum outside the searched range, and golden-section refinement
-of the winning cell.
+``grid_sup``: a search for each argument's leftmost grid argmax on a log
+grid, an edge test that refuses an optimum outside the searched range, and
+golden-section refinement of the winning cell.
+
+The argmax search has two routes.  The dense scan evaluates all k x n
+cells and is correct for any objective.  The sorted-window divide and
+conquer (the monotone-matrix search of Aggarwal et al., 1987) scans about
+(n + k) log2(k) cells and, in exact arithmetic, finds the same cell when
+the leftmost argmax is non-decreasing in the argument x (rounding is
+handled in ``grid_sup``).  By Topkis's monotone comparative statics
+that holds when the objective has increasing differences in (x, y):
+
+* x * phi(y) - psi(y) with phi increasing, whatever psi is: the conjugate,
+  sequence recovery and phi* take the windowed route whenever it saves
+  cells;
+* -g(x - y) and -g(y - x) with g convex: the envelopes, whose g(u) =
+  tau(e^u) is certified convex over the u-range each call touches
+  (``functions._convex_in_log``), exactly where the kind of tau decides it
+  and on a lattice of the grid step otherwise.  A tau that fails, or whose
+  lattice would cost more than the windowed route saves, takes the dense
+  scan.
 
 Asymptotic statements (limits, O/o relations) are undecidable from finite
 data.  Every detector here is an estimator over a declared window and the
@@ -183,58 +201,220 @@ def golden_max_vec(f, lo, hi, iters=60):
     return x, y
 
 
+def _dense_argmax(xs, n, scan):
+    """Leftmost grid argmax and grid maximum of every row, scanning all
+    len(xs) x n cells in chunks of about ``_SCAN_CHUNK_CELLS``."""
+    j = np.empty(xs.size, dtype=np.intp)
+    top = np.empty(xs.size)
+    cols = np.arange(n)[None, :]
+    chunk = max(1, _SCAN_CHUNK_CELLS // n)
+    for start in range(0, xs.size, chunk):
+        stop = start + chunk
+        obj, masked = scan(xs[start:stop, None], cols)
+        if masked is not None:
+            obj[masked] = -np.inf
+        j[start:stop] = np.argmax(obj, axis=1)
+        top[start:stop] = obj[np.arange(obj.shape[0]), j[start:stop]]
+    return j, top
+
+
+def _sorted_window_argmax(xs, n, scan):
+    """Leftmost grid argmax and grid maximum of every row, for objectives
+    whose leftmost argmax is non-decreasing in x.
+
+    Divide and conquer over the rows sorted by x (Aggarwal et al. 1987):
+    the middle row of each run is scanned over the run's column window, the
+    rows below it keep the columns up to its argmax and the rows above keep
+    the columns from it.  One level of the recursion is one flat scan of
+    (row, column) cells, about n + k cells, and there are about log2(k)
+    levels.  A row whose whole window is masked, or a NaN row, narrows
+    nothing and reports column 0, as the dense scan does.
+    """
+    j = np.zeros(xs.size, dtype=np.intp)
+    top = np.full(xs.size, np.nan)
+    order = np.argsort(xs, kind="stable")
+    order = order[~np.isnan(xs[order])]
+    # one column per run [a, b) of ``order``, with its column window [lo, hi]
+    runs = np.array([[0], [order.size], [0], [n - 1]])
+    runs = runs[:, runs[0] < runs[1]]
+    while runs.shape[1]:
+        a, b, lo, hi = runs
+        mid = (a + b) // 2
+        rows = order[mid]
+        width = hi - lo + 1
+        ends = np.cumsum(width)
+        starts = ends - width
+        cols = np.arange(ends[-1]) + np.repeat(lo - starts, width)
+        obj, masked = scan(np.repeat(xs[rows], width), cols)
+        if masked is not None:
+            obj[masked] = -np.inf
+        best = np.maximum.reduceat(obj, starts)
+        hit = obj == np.repeat(best, width)
+        if np.isnan(best).any():
+            hit |= np.isnan(obj)  # a NaN cell wins, as in np.argmax
+        hits = np.flatnonzero(hit)
+        first = hits[np.searchsorted(hits, starts)]
+        dead = best == -np.inf
+        jm = np.where(dead, 0, first - starts + lo)
+        j[rows], top[rows] = jm, best
+        split_lo, split_hi = np.where(dead, lo, jm), np.where(dead, hi, jm)
+        runs = np.concatenate(
+            (np.stack((a, mid, lo, split_hi)), np.stack((mid + 1, b, split_lo, hi))),
+            axis=1,
+        )
+        runs = runs[:, runs[0] < runs[1]]
+    return j, top
+
+
+def _run_end(xs, j, scan, end):
+    """Last column from the unmasked column ``j`` towards the grid end
+    ``end`` (n - 1 or 0) of each row's run of unmasked cells: the grid end
+    when it is unmasked, else found by bisection on the mask."""
+    beyond = np.full_like(j, end)
+    masked = scan(xs, beyond)[1]
+    if masked is None:
+        return beyond
+    inside = np.where(masked, j, beyond)
+    while np.any(np.abs(beyond - inside) > 1):
+        mid = np.where(np.abs(beyond - inside) > 1, (inside + beyond) // 2, inside)
+        masked = scan(xs, mid)[1]
+        inside, beyond = np.where(masked, inside, mid), np.where(masked, mid, beyond)
+    return inside
+
+
+def _with_edge_cells(xs, n, scan, both_ends, j, top):
+    """Compare each row's windowed argmax with the cells the edge test of
+    ``grid_sup`` refuses, and keep the leftmost best.
+
+    Those cells are the right end of the row's run of unmasked cells (the
+    grid end, or the cell before a masked suffix) and, with ``both_ends``,
+    its left end.  Increasing differences hold only up to rounding, so a
+    near tie can leave such a cell outside a row's window; whenever the
+    dense scan's argmax is one of them, this finds the same cell and the
+    kernel refuses the same row.
+    """
+    live = np.flatnonzero(np.isfinite(top))
+    if live.size == 0:
+        return j, top
+    x, jl = xs[live], j[live]
+    ends = [jl, _run_end(x, jl, scan, n - 1)]
+    if both_ends:
+        ends.append(_run_end(x, jl, scan, 0))
+    cols = np.stack(ends, axis=1)
+    obj, masked = scan(x[:, None], cols)
+    if masked is not None:
+        obj[masked] = -np.inf
+    best = obj.max(axis=1)
+    first = np.where(obj == best[:, None], cols, n).min(axis=1)
+    keep = first < n  # a NaN cell keeps the windowed answer
+    j[live[keep]], top[live[keep]] = first[keep], best[keep]
+    return j, top
+
+
+def _edge_rows(xs, n, scan, j, top, cap, both_ends):
+    """Rows whose grid argmax ``j`` may hide the supremum outside the
+    searched range, and rows answered by the cap (see ``grid_sup``)."""
+    at_cap = (top >= cap - _CAP_TOL) & math.isfinite(cap)
+    edge = j == n - 1
+    if both_ends:
+        edge |= j == 0
+    prev, nxt = np.maximum(j - 1, 0), np.minimum(j + 1, n - 1)
+    _, masked = scan(xs[:, None], np.stack((prev, nxt), axis=1))
+    if masked is not None:
+        edge |= masked[:, 1]
+        if both_ends:
+            edge |= masked[:, 0]
+    return edge & ~at_cap & ~np.isnan(xs), at_cap
+
+
 def grid_sup(
-    xs, ys, scan, refine, where, floor=-math.inf, cap=math.inf, both_ends=False
+    xs,
+    ys,
+    scan,
+    refine,
+    where,
+    floor=-math.inf,
+    cap=math.inf,
+    both_ends=False,
+    monotone=False,
 ):
     """Row-wise supremum over the log grid ``ys``, one row per entry of ``xs``.
 
-    ``scan(chunk)`` returns the objective of the arguments ``chunk`` on the
-    whole grid, shape (len(chunk), len(ys)), together with the mask of cells
-    beyond the operands' coverage (or None); ``refine(chunk, y)`` evaluates
-    the objective at one point ``y`` per row.  The best grid cell j of each
-    row is refined by golden section on [ys[j-1], ys[j+1]], which assumes the
+    ``scan(x, j)`` returns the objective at the cells (x, ys[j]) of
+    broadcastable arrays ``x`` and ``j``, together with the mask of cells
+    beyond the operands' coverage (or None); ``refine(xs, y)`` evaluates the
+    objective at one point ``y`` per row.  The best grid cell j of each row
+    is refined by golden section on [ys[j-1], ys[j+1]], which assumes the
     objective unimodal near its maximum.
+
+    The best cell is the leftmost grid argmax.  ``monotone`` states that it
+    is non-decreasing in x, which holds (Topkis) when the objective has
+    increasing differences in (x, y) and the unmasked cells of a row form a
+    prefix or suffix that moves right with x: for x * phi(y) - psi(y) with
+    phi increasing, and for -g(x - y) or -g(y - x) with g convex.  Callers
+    set it from the form of their objective, or pass a convexity
+    certificate: a function of the number of dense cells it may spend,
+    which runs only when the windowed route saves that many.  The argmax is
+    then found by the sorted-window divide and conquer in O((n + k) log k)
+    cells; otherwise, and for every objective not known to be monotone, by
+    the dense scan.  In exact arithmetic both find the same cell.  In
+    floating point increasing differences hold up to rounding, so the two
+    may pick different near-tied cells, whose values differ by a few ulps;
+    the windowed route therefore also compares the cells the edge test
+    refuses (``_with_edge_cells``) and re-scans densely, in input order,
+    the rows it would refuse until one is confirmed, so that both routes
+    refuse the same first row.
 
     ``floor`` is the value of a competing endpoint outside the grid and
     ``cap`` an exact upper bound of the supremum; a row whose grid maximum
     comes within 1e-12 of the cap sits on a plateau and is answered by the
     cap.  Any other argmax on the right end of the grid (also the left
     end with ``both_ends``) or next to a masked cell may hide the supremum
-    outside the searched range and raises :class:`DomainExhaustedError`;
-    ``where`` = (transform, argument name) labels the message and
-    ``details``.  NaN arguments give NaN.
+    outside the searched range and raises :class:`DomainExhaustedError`
+    naming the first such row of ``xs``; ``where`` = (transform, argument
+    name) labels the message and ``details``.  NaN arguments give NaN.
     """
     xs = np.asarray(xs, dtype=float)
+    if xs.size == 0:
+        return xs.copy()
     n = ys.size
-    out = np.empty_like(xs)
-    chunk = max(1, _SCAN_CHUNK_CELLS // n)
-    for start in range(0, xs.size, chunk):
-        sub = xs[start : start + chunk]
-        rows = np.arange(sub.size)
-        obj, masked = scan(sub)
-        if masked is not None:
-            obj[masked] = -np.inf
-        j = np.argmax(obj, axis=1)
-        prev, nxt = np.maximum(j - 1, 0), np.minimum(j + 1, n - 1)
-        at_cap = (obj[rows, j] >= cap - _CAP_TOL) & math.isfinite(cap)
-        edge = j == n - 1
-        if both_ends:
-            edge |= j == 0
-        if masked is not None:
-            edge |= masked[rows, nxt]
-            if both_ends:
-                edge |= masked[rows, prev]
-        edge &= ~at_cap & ~np.isnan(sub)
-        if np.any(edge):
-            name, arg = where
-            bad = float(sub[np.argmax(edge)])
-            raise DomainExhaustedError(
-                f"{name}: optimum at the edge of the searched range for "
-                f"{arg}={bad:g}; enlarge the grid or the operands' coverage",
-                **{arg: bad},
+    # a cell of the windowed route costs about four of the dense scan (one
+    # level makes about four times its array passes); the route runs when it
+    # saves cells, and a certificate may spend at most the saving
+    saving = xs.size * n - 4 * (n + xs.size) * xs.size.bit_length()
+    windowed = saving >= 0 and (
+        monotone(saving) if callable(monotone) else monotone
+    )
+    if windowed:
+        j, top = _with_edge_cells(
+            xs, n, scan, both_ends, *_sorted_window_argmax(xs, n, scan)
+        )
+    else:
+        j, top = _dense_argmax(xs, n, scan)
+    edge, at_cap = _edge_rows(xs, n, scan, j, top, cap, both_ends)
+    if windowed:
+        # a refusal stands on the dense scan of its row: rounding can break a
+        # tie towards an edge cell where the dense scan finds an inner one.
+        # Rows are re-scanned in input order up to the first one confirmed.
+        for row in np.flatnonzero(edge):
+            one = slice(row, row + 1)
+            j[one], top[one] = _dense_argmax(xs[one], n, scan)
+            edge[one], at_cap[one] = _edge_rows(
+                xs[one], n, scan, j[one], top[one], cap, both_ends
             )
-        _, best = golden_max_vec(lambda y: refine(sub, y), ys[prev], ys[nxt])
-        best = np.minimum(np.maximum(best, floor), cap)
-        out[start : start + chunk] = np.where(at_cap, cap, best)
+            if edge[row]:
+                break
+    if np.any(edge):
+        name, arg = where
+        bad = float(xs[np.argmax(edge)])
+        raise DomainExhaustedError(
+            f"{name}: optimum at the edge of the searched range for "
+            f"{arg}={bad:g}; enlarge the grid or the operands' coverage",
+            **{arg: bad},
+        )
+    prev, nxt = np.maximum(j - 1, 0), np.minimum(j + 1, n - 1)
+    _, best = golden_max_vec(lambda y: refine(xs, y), ys[prev], ys[nxt])
+    best = np.minimum(np.maximum(best, floor), cap)
+    out = np.where(at_cap, cap, best)
     out[np.isnan(xs)] = np.nan
     return out

@@ -29,6 +29,25 @@ def test_weight_function_name_is_read_only():
     assert np.array_equal(renamed.evaluate_many(ts), omega.evaluate_many(ts))
 
 
+def test_weight_function_is_immutable():
+    omega = fn.power_weight(0.5)
+    with pytest.raises(AttributeError):
+        omega.kind = "log_power"
+    with pytest.raises(AttributeError):
+        omega.domain_hint = 1.0
+    with pytest.raises(TypeError):
+        omega.params["alpha"] = 3.0
+    assert omega.kind == "power" and math.isinf(omega.domain_hint)
+    assert omega.params["alpha"] == 0.5 and omega(3.0) == 9.0
+
+
+def test_weight_function_params_are_a_private_copy():
+    params = {"alpha": 0.5}
+    omega = fn.WeightFunction("power", lambda ts: ts**2.0, params=params)
+    params["alpha"] = 3.0
+    assert omega.params["alpha"] == 0.5
+
+
 def test_associated_exact_value_and_zero_region():
     omega = fn.associated(sq.gevrey(1, 400))
     assert omega(3.0) == pytest.approx(math.log(27 / 6), abs=1e-12)

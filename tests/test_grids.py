@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from weightcalc import bmt, functions as fn
+from weightcalc import bmt, functions as fn, grids, sequences as sq
 from weightcalc.errors import DomainExhaustedError
 from weightcalc.grids import GridSpec, grid_sup
 
@@ -11,7 +13,7 @@ YS = np.linspace(0.0, 5.0, 256)
 
 
 def _scan_of(objective):
-    return lambda xs: (objective(xs[:, None], YS[None, :]), None)
+    return lambda x, j: (objective(x, YS[j]), None)
 
 
 @pytest.mark.parametrize(
@@ -119,3 +121,271 @@ def test_nan_argument_gives_nan():
     for omega in transforms:
         vals = omega.evaluate_many([math.nan, 2.0])
         assert math.isnan(vals[0]) and math.isfinite(vals[1])
+
+
+# ---------------------------------------------------------------------------
+# sorted-window argmax against the dense scan
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def monotone_problems(draw, min_n=3, min_k=1):
+    """x * phi(y) - psi(y) on the integer grid with phi non-decreasing, psi
+    arbitrary (plateaus, ties, no convexity), quarter-integer x and small
+    integer values, so every grid cell is computed exactly and the leftmost
+    argmax is non-decreasing in x (increasing differences)."""
+    n = draw(st.integers(min_n, 160))
+    ints = lambda lo, hi: st.lists(st.integers(lo, hi), min_size=n, max_size=n)
+    phi = np.cumsum(draw(ints(0, 3))).astype(float)
+    psi = np.asarray(draw(ints(-6, 6)), dtype=float)
+    arg = st.one_of(st.integers(-40, 40).map(lambda m: m / 4), st.just(math.nan))
+    xs = np.asarray(draw(st.lists(arg, min_size=min_k, max_size=100)))
+    # unmasked cells of a row: a prefix, a suffix or a window moving right
+    # with x, cut by thresholds a x + c0 and a x + c1 with a >= 0
+    kind = draw(st.sampled_from(["none", "prefix", "suffix", "both"]))
+    cuts = (
+        draw(st.integers(0, 4)), draw(st.integers(-n, n)), draw(st.integers(0, 2 * n))
+    )
+    cap = draw(st.one_of(st.just(math.inf), st.integers(-4, 60).map(lambda m: m / 4)))
+    return phi, psi, xs, kind, cuts, cap, draw(st.booleans())
+
+
+def _scan_and_refine(problem):
+    phi, psi, _, kind, (a, c0, c1), _, _ = problem
+    ys = np.arange(phi.size, dtype=float)
+
+    def scan(x, j):
+        if kind == "none":
+            return x * phi[j] - psi[j], None
+        masked = np.zeros(np.broadcast(x, j).shape, dtype=bool)
+        if kind in ("suffix", "both"):
+            masked |= j < a * x + c0
+        if kind in ("prefix", "both"):
+            masked |= j > a * x + c1
+        return x * phi[j] - psi[j], masked
+
+    def refine(x, y):
+        return x * np.interp(y, ys, phi) - np.interp(y, ys, psi)
+
+    return ys, scan, refine
+
+
+def _sup_or_refusal(problem, monotone):
+    ys, scan, refine = _scan_and_refine(problem)
+    _, _, xs, _, _, cap, both_ends = problem
+    try:
+        return grid_sup(
+            xs, ys, scan, refine, ("test", "x"), cap=cap, both_ends=both_ends,
+            monotone=monotone,
+        )
+    except DomainExhaustedError as err:
+        return err
+
+
+@settings(max_examples=300, deadline=None)
+@given(monotone_problems())
+# rows x = 0.5 and 1.5 are masked on the whole grid; the row x = -0.5 below
+# them peaks inside, so the first refusal names x = 0.5
+@example(
+    (
+        np.array([1.0, 2.0, 3.0, 4.0]),
+        np.array([1.0, 1.0, 2.0, 2.0]),
+        np.array([-0.5, 0.5, 1.5]),
+        "suffix",
+        (4, 4, 7),
+        math.inf,
+        False,
+    )
+)
+def test_sorted_window_argmax_matches_dense_scan(problem):
+    # every cell is exact, so both searches find the same cell and value
+    ys, scan, _ = _scan_and_refine(problem)
+    xs = problem[2]
+    windowed = grids._sorted_window_argmax(xs, ys.size, scan)
+    for got, want in zip(windowed, grids._dense_argmax(xs, ys.size, scan)):
+        np.testing.assert_array_equal(got, want)
+
+
+# at n >= 64 and k >= 40 the kernel takes the windowed path
+@settings(max_examples=100, deadline=None)
+@given(monotone_problems(min_n=64, min_k=40))
+def test_grid_sup_monotone_matches_dense_scan(problem):
+    dense = _sup_or_refusal(problem, monotone=False)
+    windowed = _sup_or_refusal(problem, monotone=True)
+    if isinstance(dense, DomainExhaustedError):
+        assert isinstance(windowed, DomainExhaustedError)
+        assert windowed.details == dense.details
+    else:
+        np.testing.assert_allclose(windowed, dense, rtol=1e-12, atol=0.0)
+
+
+_T97 = np.exp(np.linspace(math.log(1e-2), math.log(1e6), 97))
+_G512 = GridSpec(1e-2, 1e6, 512)
+
+
+def _envelope_outcome(envelope, ts):
+    try:
+        return envelope.evaluate_many(ts)
+    except DomainExhaustedError as err:
+        return err.details
+
+
+def _zigzag_samples():
+    # slopes in log t alternate between 0.05 and 3 every six samples, so
+    # tau(e^u) has concave kinks every few e-folds
+    ts = np.exp(np.linspace(math.log(1e-2), math.log(1e7), 60))
+    steps = np.where(np.arange(60) % 12 < 6, 0.05, 3.0)
+    return fn.from_samples(ts, np.cumsum(steps))
+
+
+@pytest.mark.parametrize(
+    "sigma, tau",
+    [
+        (fn.power_weight(1.0), _zigzag_samples()),
+        (fn.power_weight(0.5), fn.log_power_weight(0.5)),
+    ],
+    ids=["from_samples", "log_power"],
+)
+def test_envelope_of_non_convex_tau_takes_the_dense_scan(sigma, tau, monkeypatch):
+    got = fn.envelope_lower(sigma, tau, _G512).evaluate_many(_T97)
+    monkeypatch.setattr(fn, "_convex_in_log", lambda *args: False)
+    dense = fn.envelope_lower(sigma, tau, _G512).evaluate_many(_T97)
+    assert np.array_equal(got, dense)
+    # the case is a real trap: an uncertified sorted-window scan misses the
+    # optimum, since tau(e^u) is not convex
+    monkeypatch.setattr(fn, "_convex_in_log", lambda *args: True)
+    forced = fn.envelope_lower(sigma, tau, _G512).evaluate_many(_T97)
+    assert np.max(np.abs(forced - dense) / dense) > 1e-3
+
+
+@pytest.mark.parametrize("s", [0.4, 1.5, 2.0])
+def test_envelope_with_all_masked_rows_keeps_the_dense_outcome(s, monkeypatch):
+    # rows with t / s_max beyond tau's coverage are masked on the whole grid;
+    # they must not narrow the windows of the rows below them
+    sigma = fn.associated(sq.gevrey(0.4, 4000))
+    tau = fn.associated(sq.gevrey(s, 4000))
+    got = _envelope_outcome(fn.envelope_lower(sigma, tau), _T97)
+    monkeypatch.setattr(fn, "_convex_in_log", lambda *args: False)
+    dense = _envelope_outcome(fn.envelope_lower(sigma, tau), _T97)
+    if s == 0.4:
+        assert got == dense == {"t": pytest.approx(825.4041852680176, rel=1e-15)}
+    else:
+        np.testing.assert_allclose(got, dense, rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def rounded_problems(draw):
+    """x * phi(y) - psi(y) in non-dyadic floats, so increasing differences
+    hold only up to rounding, with rows x ulps apart around a row x0 that is
+    tied, up to rounding, between its two best cells at the right end."""
+    n = draw(st.integers(64, 160))
+    reals = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_subnormal=False)
+    phi = np.cumsum(draw(st.lists(reals(0.0, 3.0), min_size=n, max_size=n)))
+    psi = np.asarray(draw(st.lists(reals(-6.0, 6.0), min_size=n, max_size=n)))
+    xs = draw(st.lists(reals(-10.0, 10.0), min_size=40, max_size=80))
+    x0 = draw(st.sampled_from(xs))
+    psi[-2] = x0 * phi[-2] - np.max(x0 * phi[:-2] - psi[:-2]) - draw(reals(0.0, 1.0))
+    psi[-1] = psi[-2] + x0 * (phi[-1] - phi[-2])
+    near = np.nextafter(x0, np.inf)
+    for _ in range(draw(st.integers(1, 12))):
+        xs.append(near)
+        near = np.nextafter(near, -np.inf)
+    xs = np.asarray(draw(st.permutations(xs)))
+    kind = draw(st.sampled_from(["none", "suffix", "prefix"]))
+    cuts = (
+        draw(st.integers(0, 4)), draw(st.integers(-n, n)), draw(st.integers(0, 2 * n))
+    )
+    return phi, psi, xs, kind, cuts, math.inf, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(rounded_problems())
+def test_grid_sup_monotone_matches_dense_scan_under_rounding(problem):
+    # rounding may move a row's argmax between near-tied cells, which moves
+    # its value by a few ulps of the objective's terms, but the edge cells
+    # are compared on every row: both routes refuse the same first row
+    dense = _sup_or_refusal(problem, monotone=False)
+    windowed = _sup_or_refusal(problem, monotone=True)
+    if isinstance(dense, DomainExhaustedError):
+        assert isinstance(windowed, DomainExhaustedError)
+        assert windowed.details == dense.details
+    else:
+        assert not isinstance(windowed, DomainExhaustedError), windowed.details
+        phi, psi, xs = problem[:3]
+        scale = np.nanmax(np.abs(xs)) * np.max(np.abs(phi)) + np.max(np.abs(psi))
+        np.testing.assert_allclose(windowed, dense, rtol=1e-12, atol=1e-12 * scale)
+
+
+def _wrapped(omega):
+    # a kind the certificate cannot decide, so g is checked on its lattice
+    return fn.WeightFunction("wrapped", omega.evaluate_many, omega.domain_hint)
+
+
+def _zigzag_with_far_sample():
+    # a huge value far to the right must not hide the zigzag's concave kinks
+    zig = _zigzag_samples()
+    ts, values = zig.params["ts"], zig.params["values"]
+    return fn.from_samples(np.append(ts, 1e8), np.append(values, 1e14))
+
+
+@pytest.mark.parametrize("wrap", [False, True], ids=["sampled", "lattice"])
+def test_certificate_tolerance_is_local_to_each_second_difference(wrap, monkeypatch):
+    tau = _zigzag_with_far_sample()
+    tau = _wrapped(tau) if wrap else tau
+    sigma = fn.power_weight(1.0)
+    us = np.log(_T97)[:, None] - _G512.log_points()[[0, -1]]
+    assert not fn._convex_in_log(tau, us, _G512.log_points(), 10**6)
+    got = _envelope_outcome(fn.envelope_lower(sigma, tau, _G512), _T97)
+    monkeypatch.setattr(fn, "_convex_in_log", lambda *args: False)
+    dense = _envelope_outcome(fn.envelope_lower(sigma, tau, _G512), _T97)
+    assert np.array_equal(got, dense)
+
+
+def test_sampled_tau_with_kinks_finer_than_the_lattice_takes_the_dense_scan(
+    monkeypatch,
+):
+    # knots every half lattice step with alternating slopes, in phase with
+    # the certificate's lattice: tau(e^u) is linear on the lattice, which
+    # therefore passes it, yet concave at every other knot, which the knot
+    # slopes of a sampled tau show exactly
+    log_ss = _G512.log_points()
+    us = np.log(_T97)[:, None] - log_ss[[0, -1]]
+    u_lo, u_hi = us.min(), us.max()
+    points = math.ceil((u_hi - u_lo) / (log_ss[1] - log_ss[0])) + 1
+    half = (u_hi - u_lo) / (points - 1) / 2
+    knots = u_lo + half * np.arange(-2, 2 * points + 2)
+    slopes = np.where(np.arange(knots.size - 1) % 2 == 0, 3.0, 0.05)
+    tau = fn.from_samples(
+        np.exp(knots), np.concatenate(([0.0], np.cumsum(slopes * half)))
+    )
+    assert fn._convex_in_log(_wrapped(tau), us, log_ss, 10**6)
+    assert not fn._convex_in_log(tau, us, log_ss, 10**6)
+    sigma = fn.power_weight(1.0)
+    got = _envelope_outcome(fn.envelope_lower(sigma, tau, _G512), _T97)
+    monkeypatch.setattr(fn, "_convex_in_log", lambda *args: False)
+    dense = _envelope_outcome(fn.envelope_lower(sigma, tau, _G512), _T97)
+    assert np.array_equal(got, dense)
+
+
+_CONCAVE_KINK = fn.from_samples([1.0, 2.0, 4.0], [0.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "tau, convex",
+    [
+        (fn.power_weight(0.5), True),
+        (fn.associated(sq.gevrey(1.0, 400)), True),
+        (fn.integral_form(sq.gevrey(1.0, 400)), True),
+        (fn.log_power_weight(2.0), True),
+        (fn.normalized(fn.power_weight(2.0)), True),
+        (fn.power_substitution(fn.power_weight(1.0), 2.0), True),
+        (fn.from_samples([1.0, 2.0, 4.0], [0.0, 1.0, 3.0]), True),
+        (_CONCAVE_KINK, False),
+        (fn.power_substitution(_CONCAVE_KINK, 2.0), False),
+        (fn.log_power_weight(0.5), None),
+        (fn.normalized(fn.log_power_weight(0.5)), None),
+        (fn.WeightFunction("sampled", np.log1p, domain_hint=10.0), None),
+    ],
+)
+def test_kind_decides_convexity_in_log(tau, convex):
+    assert fn._kind_convex_in_log(tau, -5.0, 5.0) is convex
