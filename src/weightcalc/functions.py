@@ -65,7 +65,9 @@ _EXPENSIVE_KINDS = frozenset(
     {"conjugate", "biconjugate", "envelope_lower", "envelope_upper"}
 )
 
+#: Dilations h searched by ``relation_fn``.
 H_GRID = 2.0 ** np.arange(-10, 11)
+#: The dilations h <= 1 of ``H_GRID`` that the little-o relation must accept.
 H_GRID_SMALL = 2.0 ** (-np.arange(0, 11, dtype=float))
 
 
@@ -292,8 +294,9 @@ def associated(m: WeightSequence, p0: int = 8) -> WeightFunction:
     def fn(ts):
         with np.errstate(divide="ignore"):
             lts = np.log(ts)
-        out = associated_log_eval(mlc, np.where(ts > 0, lts, 0.0))
-        return np.where(ts > 0, out, 0.0)
+        # NaN arguments stay NaN
+        out = associated_log_eval(mlc, np.where(ts <= 0, 0.0, lts))
+        return np.where(ts <= 0, 0.0, out)
 
     top = float(logmu[-1])
     hint = math.exp(top) if top < 700.0 else math.inf
@@ -326,7 +329,7 @@ def integral_form(m: WeightSequence) -> WeightFunction:
 
     def fn(ts):
         out = np.zeros_like(ts)
-        pos = ts > 0
+        pos = ~(ts <= 0)  # NaN arguments stay NaN
         lts = np.log(ts[pos])
         idx = np.searchsorted(logmu[1:], lts, side="right")
         out[pos] = idx * lts - prefix[idx]
@@ -762,37 +765,36 @@ def _dilation_scan(
     tau_vals: np.ndarray,
     sigma: WeightFunction,
     hs: np.ndarray,
-) -> tuple[Optional[float], Optional[float], bool]:
-    """Search h with tau(t) <= sigma(ht) + C bounded; returns (h, C, all_h).
+) -> tuple[Optional[float], Optional[float], np.ndarray]:
+    """Search h with tau(t) <= sigma(ht) + C bounded; returns (h, C, accepted)
+    with ``accepted[i]`` telling whether ``hs[i]`` was accepted, and h = C =
+    None when none was.
 
     Dilations whose arguments escape the coverage of ``sigma`` (either by
     the domain hint or by an exhausted search grid) cannot be certified and
     are skipped.
     """
     best: Optional[tuple[float, float]] = None
-    accepted_all = True
-    for h in hs:
+    accepted = np.zeros(hs.size, dtype=bool)
+    for i, h in enumerate(hs):
         args = h * ts
         valid = args <= sigma.domain_hint
         if int(valid.sum()) < max(8, ts.size // 2):
-            accepted_all = False
             continue
         try:
             shifted = sigma.evaluate_many(args[valid])
         except DomainExhaustedError:
-            accepted_all = False
             continue
         deficit = tau_vals[valid] - shifted
         ratio = tau_vals[valid] / np.maximum(shifted, 1e-300)
         if _deficit_accepted(deficit, ratio):
+            accepted[i] = True
             c = max(0.0, float(np.max(deficit)))
             if best is None or c < best[1]:
                 best = (float(h), c)
-        else:
-            accepted_all = False
     if best is None:
-        return None, None, False
-    return best[0], best[1], accepted_all
+        return None, None, accepted
+    return best[0], best[1], accepted
 
 
 def relation_fn(
@@ -835,10 +837,9 @@ def relation_fn(
     )
     sim = preceq and preceq_rev
 
-    h_fwd, c_fwd, _ = _dilation_scan(ts, tvals, sigma, H_GRID)
+    h_fwd, c_fwd, accepted = _dilation_scan(ts, tvals, sigma, H_GRID)
     preceq_c = h_fwd is not None
-    _, _, all_small_h = _dilation_scan(ts, tvals, sigma, H_GRID_SMALL)
-    triangle_c = all_small_h
+    triangle_c = bool(np.all(accepted[np.isin(H_GRID, H_GRID_SMALL)]))
     h_rev, c_rev, _ = _dilation_scan(ts, svals, tau, H_GRID)
     preceq_c_rev = h_rev is not None
     sim_c = preceq_c and preceq_c_rev

@@ -62,6 +62,11 @@ DIVERGENCE_RISE = 0.05
 _SCAN_CHUNK_CELLS = 4_000_000
 #: A row whose grid maximum comes this close to the exact cap is answered by it.
 _CAP_TOL = 1e-12
+#: Golden-section iterations run before the convergence test may stop the loop.
+_GOLDEN_MIN_ITERS = 20
+#: Relative spread of the values on a golden-section bracket at which the
+#: row stops.
+_GOLDEN_RTOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -173,32 +178,57 @@ def diverges(log_values):
 
 
 def golden_max_vec(f, lo, hi, iters=60):
-    """Vectorised golden-section maximisation.
+    """Vectorised golden-section maximisation (Kiefer 1953).
 
     ``lo``/``hi`` are arrays of per-problem brackets and ``f`` maps an array
     of points to an array of values (applied elementwise).  Returns
-    (argmax array, max array).  Spends two evaluations per iteration to keep
-    the bracket update branch-free.
+    (argmax array, max array).  Each iteration keeps the interior point
+    that survives the bracket update, with its value, and evaluates one new
+    point per row, so a call costs at most ``iters + 2`` points per row.
+
+    A row stops once the values at both ends of its bracket have come
+    within 1e-15 of its best interior value (relative to max(1, |value|));
+    the value at an end is known once an interior point has replaced it.
+    For an objective unimodal on the bracket every value inside lies
+    between, so the row has converged to rounding.  The two interior values
+    alone are no test: they tie while the bracket is still wide, by
+    symmetry when a peak or a kink sits at its centre, and on a flat
+    stretch beside the peak.  The test starts after ``_GOLDEN_MIN_ITERS``
+    iterations, and the loop ends when every row has stopped or after
+    ``iters`` iterations.  A stopped row keeps its bracket, so its result
+    does not depend on the other rows of the call (``f`` still sees every
+    row).  NaN rows stop at the first test.
     """
-    a = np.asarray(lo, dtype=float).copy()
-    b = np.asarray(hi, dtype=float).copy()
+    a = np.asarray(lo, dtype=float)
+    b = np.asarray(hi, dtype=float)
     h = b - a
     c = a + INV_PHI_SQ * h
     d = a + INV_PHI * h
     yc, yd = f(c), f(d)
-    for _ in range(iters):
+    ya = np.full(a.shape, -np.inf)  # the ends are not evaluated
+    yb = ya.copy()
+    move = True  # the rows whose bracket still shrinks
+    for i in range(iters):
+        if i >= _GOLDEN_MIN_ITERS:
+            top = np.maximum(yc, yd)
+            spread = top - np.minimum(ya, yb)
+            move = spread > _GOLDEN_RTOL * np.maximum(1.0, np.abs(top))
+            if not move.any():
+                break
+        # keep [a, d] when c wins, else [c, b]; the surviving interior point
+        # becomes d or c of the new bracket, and the other one is new
         left = yc > yd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        h = b - a
-        c = a + INV_PHI_SQ * h
-        d = a + INV_PHI * h
-        yc = f(c)
-        yd = f(d)
+        to_left, to_right = move & left, move & ~left
+        a, ya = np.where(to_right, c, a), np.where(to_right, yc, ya)
+        b, yb = np.where(to_left, d, b), np.where(to_left, yd, yb)
+        new = a + np.where(left, INV_PHI_SQ, INV_PHI) * (b - a)
+        y_new = f(new)
+        c, d = np.where(to_left, new, c), np.where(to_left, c, d)
+        c, d = np.where(to_right, d, c), np.where(to_right, new, d)
+        yc, yd = np.where(to_left, y_new, yc), np.where(to_left, yc, yd)
+        yc, yd = np.where(to_right, yd, yc), np.where(to_right, y_new, yd)
     best_c = yc >= yd
-    x = np.where(best_c, c, d)
-    y = np.where(best_c, yc, yd)
-    return x, y
+    return np.where(best_c, c, d), np.where(best_c, yc, yd)
 
 
 def _dense_argmax(xs, n, scan):
@@ -344,8 +374,10 @@ def grid_sup(
     broadcastable arrays ``x`` and ``j``, together with the mask of cells
     beyond the operands' coverage (or None); ``refine(xs, y)`` evaluates the
     objective at one point ``y`` per row.  The best grid cell j of each row
-    is refined by golden section on [ys[j-1], ys[j+1]], which assumes the
-    objective unimodal near its maximum.
+    is refined by golden section on [ys[j-1], ys[j+1]] (``golden_max_vec``:
+    one ``refine`` call per iteration, until every row's bracket values
+    agree to rounding or 60 iterations), which assumes the objective
+    unimodal near its maximum.
 
     The best cell is the leftmost grid argmax.  ``monotone`` states that it
     is non-decreasing in x, which holds (Topkis) when the objective has

@@ -113,14 +113,115 @@ def test_operand_coverage_below_grid_start_is_refused():
 
 def test_nan_argument_gives_nan():
     square, root = fn.power_weight(0.5), fn.power_weight(2.0)
+    gevrey = sq.gevrey(0.5, 400)
     transforms = (
         fn.conjugate(square),
         fn.envelope_lower(square, root),
         fn.envelope_upper(root, fn.identity_weight()),
+        fn.associated(gevrey),
+        fn.integral_form(gevrey),
     )
     for omega in transforms:
         vals = omega.evaluate_many([math.nan, 2.0])
         assert math.isnan(vals[0]) and math.isfinite(vals[1])
+
+
+# ---------------------------------------------------------------------------
+# golden-section refinement
+# ---------------------------------------------------------------------------
+
+
+def _golden_two_evaluations(f, lo, hi, iters=60):
+    """Reference: golden section that evaluates both interior points of
+    every bracket, for a fixed number of iterations."""
+    a = np.asarray(lo, dtype=float).copy()
+    b = np.asarray(hi, dtype=float).copy()
+    h = b - a
+    c, d = a + grids.INV_PHI_SQ * h, a + grids.INV_PHI * h
+    yc, yd = f(c), f(d)
+    for _ in range(iters):
+        left = yc > yd
+        b, a = np.where(left, d, b), np.where(left, a, c)
+        h = b - a
+        c, d = a + grids.INV_PHI_SQ * h, a + grids.INV_PHI * h
+        yc, yd = f(c), f(d)
+    return np.where(yc >= yd, c, d), np.maximum(yc, yd)
+
+
+@st.composite
+def refinement_problems(draw):
+    """Rows of a concave quadratic or of a phi*-shaped objective
+    x y - max_p (p y - c_p), with brackets that contain the maximum."""
+    k = draw(st.integers(1, 12))
+    real = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):
+        peak = np.array(draw(st.lists(real(-5.0, 5.0), min_size=k, max_size=k)))
+        curv = np.array(draw(st.lists(real(1e-3, 1e3), min_size=k, max_size=k)))
+        top = np.array(draw(st.lists(real(-1e3, 1e3), min_size=k, max_size=k)))
+        objective = lambda y: top - curv * (y - peak) ** 2
+    else:
+        # log M_p - log M_0 of a log-convex sequence: convex in p, so phi* is
+        # its linear interpolation and the objective is concave in y
+        steps = np.sort(draw(st.lists(real(-2.0, 6.0), min_size=2, max_size=30)))
+        cs = np.concatenate(([0.0], np.cumsum(steps)))
+        ps = np.arange(cs.size, dtype=float)
+        xs = np.array(draw(st.lists(real(0.1, cs.size - 1.1), min_size=k, max_size=k)))
+        peak = steps[np.floor(xs).astype(int)]
+        objective = lambda y: xs * y - np.max(ps[:, None] * y - cs[:, None], axis=0)
+    offset = np.array(draw(st.lists(real(0.05, 0.95), min_size=k, max_size=k)))
+    width = np.array(draw(st.lists(real(1e-3, 4.0), min_size=k, max_size=k)))
+    lo = peak - offset * width
+    return objective, lo, lo + width
+
+
+@settings(max_examples=200, deadline=None)
+@given(refinement_problems())
+def test_golden_section_matches_the_two_evaluation_loop(problem):
+    objective, lo, hi = problem
+    _, got = grids.golden_max_vec(objective, lo, hi)
+    _, ref = _golden_two_evaluations(objective, lo, hi)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("iters", [0, 5, 20, 60])
+def test_golden_section_spends_at_most_iters_plus_two_points_per_row(iters):
+    # kinked rows converge slowly, so they run to the iteration limit
+    kinks = np.linspace(0.1, 0.9, 7)
+    rows = []
+
+    def counted(y):
+        assert y.shape == kinks.shape
+        rows.append(y.size)
+        return -np.abs(y - kinks)
+
+    grids.golden_max_vec(counted, np.zeros(7), np.ones(7), iters=iters)
+    assert sum(rows) <= (iters + 2) * kinks.size
+
+
+@pytest.mark.parametrize("min_iters", [None, 0])
+def test_golden_section_finds_a_kink_at_the_centre_of_the_bracket(min_iters, monkeypatch):
+    # both interior points of the first bracket tie; the refinement must not
+    # stop on the tie, with or without the minimum iteration count
+    if min_iters is not None:
+        monkeypatch.setattr(grids, "_GOLDEN_MIN_ITERS", min_iters)
+    centre = np.array([0.5, 3.0, -1.25])
+    x, y = grids.golden_max_vec(lambda y: 7.0 - np.abs(y - centre), centre - 1, centre + 1)
+    assert np.all(np.abs(x - centre) <= 1e-12)
+    assert np.all(np.abs(y - 7.0) <= 1e-12)
+
+
+def test_golden_section_row_does_not_depend_on_its_batch():
+    # a smooth row stops before a kinked one; alone or next to it, it must
+    # give the same bits
+    peaks = np.array([0.3, 0.6])
+
+    def objective(y):
+        return np.where(peaks < 0.5, -((y - peaks) ** 2), -np.abs(y - peaks))
+
+    both = grids.golden_max_vec(objective, np.zeros(2), np.ones(2))
+    peaks = peaks[:1]
+    alone = grids.golden_max_vec(objective, np.zeros(1), np.ones(1))
+    assert both[0][0] == alone[0][0] and both[1][0] == alone[1][0]
 
 
 # ---------------------------------------------------------------------------
