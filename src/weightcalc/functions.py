@@ -4,9 +4,11 @@ function-level growth relations and growth indices.
 A :class:`WeightFunction` wraps a vectorised evaluator t >= 0 -> omega(t)
 together with a ``domain_hint``: the argument beyond which values are
 extrapolation (piecewise-from-sequence functions) or untrusted (tabulated
-transforms).  All sup/inf transforms mask arguments beyond the operands'
-hints and raise :class:`DomainExhaustedError` when an argmax lands on a
-search boundary, so a silently-extrapolated value can never win a supremum.
+transforms).  Every constructor's evaluator returns omega(0) for t < 0 and
+NaN for a NaN argument.  All sup/inf transforms mask arguments beyond the
+operands' hints and raise :class:`DomainExhaustedError` when an argmax lands
+on a search boundary, so a silently-extrapolated value can never win a
+supremum.
 
 Suprema are located by :func:`weightcalc.grids.grid_sup`: a search for the
 leftmost argmax on a log-spaced grid followed by golden-section refinement
@@ -142,7 +144,8 @@ def power_weight(alpha: float) -> WeightFunction:
     expo = 1.0 / alpha
 
     def fn(ts):
-        return np.power(ts, expo)
+        out = np.maximum(ts, 0.0)  # t < 0 gives omega(0); NaN stays NaN
+        return np.power(out, expo, out=out)
 
     return WeightFunction(
         "power", fn, params={"alpha": alpha}, name=f"id^(1/{alpha:g})"
@@ -159,7 +162,8 @@ def log_power_weight(beta: float) -> WeightFunction:
         raise DomainError(f"log power exponent must be > 0, got {beta}")
 
     def fn(ts):
-        return np.log1p(ts) ** beta
+        out = np.log1p(np.maximum(ts, 0.0))
+        return np.power(out, beta, out=out)
 
     return WeightFunction(
         "log_power", fn, params={"beta": beta}, name=f"log^{beta:g}"
@@ -175,7 +179,8 @@ def power_substitution(omega: WeightFunction, alpha: float) -> WeightFunction:
     hint = omega.domain_hint**alpha if math.isfinite(omega.domain_hint) else math.inf
 
     def fn(ts):
-        return inner(np.power(ts, expo))
+        args = np.maximum(ts, 0.0)
+        return inner(np.power(args, expo, out=args))
 
     return WeightFunction(
         "power_substitution",
@@ -292,10 +297,8 @@ def associated(m: WeightSequence, p0: int = 8) -> WeightFunction:
     logmu = mlc.log_quotients
 
     def fn(ts):
-        with np.errstate(divide="ignore"):
-            lts = np.log(ts)
         # NaN arguments stay NaN
-        out = associated_log_eval(mlc, np.where(ts <= 0, 0.0, lts))
+        out = associated_log_eval(mlc, np.log(np.where(ts <= 0, 1.0, ts)))
         return np.where(ts <= 0, 0.0, out)
 
     top = float(logmu[-1])
@@ -540,6 +543,9 @@ def _convex_in_log(tau: WeightFunction, us, log_ss, budget: int) -> bool:
 
     ``us`` holds the extreme arguments of g of every row; their range is
     clipped at log tau.domain_hint (the scan masks the cells beyond it).
+    When the clipped range is empty, every cell the scan touches is masked:
+    the argmax is vacuously monotone, so the call is certified and takes
+    the windowed route, which refuses such rows without scanning them.
     Where the kind of tau decides convexity (``_kind_convex_in_log``) that
     answer is exact.  Otherwise g is sampled on a uniform lattice covering
     the range with at most the grid's step, and certified when every second
@@ -554,6 +560,8 @@ def _convex_in_log(tau: WeightFunction, us, log_ss, budget: int) -> bool:
     hint = tau.domain_hint
     u_lo = float(np.nanmin(us))
     u_hi = min(float(np.nanmax(us)), math.log(hint) if hint > 0 else -math.inf)
+    if u_hi < u_lo:
+        return True
     step = float(log_ss[1] - log_ss[0])
     if not u_hi - u_lo >= 2.0 * step:
         return False
@@ -760,6 +768,45 @@ def _deficit_accepted(deficit: np.ndarray, ratio: np.ndarray) -> bool:
     return bool(np.all(np.diff(rqm) < 0))
 
 
+def _evaluate_dilations(
+    sigma: WeightFunction, groups: list[np.ndarray]
+) -> list[Optional[np.ndarray]]:
+    """sigma at each group of arguments, or None for a group it refuses, in
+    one ``evaluate_many`` call on their concatenation when none is refused.
+
+    The grid search of a transform sigma (``grid_sup``) names the first
+    refused argument x of its call in input order, and whether an argument
+    is refused depends on that argument alone, since the windowed route
+    confirms each refusal by the argument's own dense scan.  So the groups
+    holding x are refused, the groups before the first of them are
+    evaluated again as one call, and each group after it by its own call.
+    A refusal of any other kind of sigma, or one that names no argument of
+    the call, falls back to one call per group: a wrapper such as
+    ``power_substitution`` transforms its arguments, and the transformed x
+    can equal an argument of another group (the square root of a
+    log-spaced sample is often another sample).
+    """
+    if not groups:
+        return []
+    try:
+        values = sigma.evaluate_many(np.concatenate(groups))
+    except DomainExhaustedError as err:
+        if len(groups) == 1:
+            return [None]
+        named = list(err.details.values())
+        own = sigma.is_expensive and len(named) == 1
+        hit = [own and bool(np.any(g == named[0])) for g in groups]
+        if not any(hit):
+            return [_evaluate_dilations(sigma, [g])[0] for g in groups]
+        first = hit.index(True)
+        after = [
+            None if refused else _evaluate_dilations(sigma, [g])[0]
+            for g, refused in zip(groups[first + 1 :], hit[first + 1 :])
+        ]
+        return _evaluate_dilations(sigma, groups[:first]) + [None] + after
+    return np.split(values, np.cumsum([g.size for g in groups[:-1]]))
+
+
 def _dilation_scan(
     ts: np.ndarray,
     tau_vals: np.ndarray,
@@ -770,20 +817,26 @@ def _dilation_scan(
     with ``accepted[i]`` telling whether ``hs[i]`` was accepted, and h = C =
     None when none was.
 
-    Dilations whose arguments escape the coverage of ``sigma`` (either by
-    the domain hint or by an exhausted search grid) cannot be certified and
-    are skipped.
+    A dilation is tested when at least half of its arguments h t (and at
+    least 8) lie inside the coverage of ``sigma``.  The arguments of all
+    tested dilations go to sigma in one evaluation (``_evaluate_dilations``),
+    so a transform sigma runs one grid search for the whole scan.
+    Dilations whose arguments escape the coverage of ``sigma`` (by the
+    domain hint, or by an exhausted search grid, which refuses exactly the
+    dilations that a call of their own would refuse) cannot be certified
+    and are skipped.
     """
     best: Optional[tuple[float, float]] = None
     accepted = np.zeros(hs.size, dtype=bool)
+    tested, groups = [], []
     for i, h in enumerate(hs):
         args = h * ts
         valid = args <= sigma.domain_hint
-        if int(valid.sum()) < max(8, ts.size // 2):
-            continue
-        try:
-            shifted = sigma.evaluate_many(args[valid])
-        except DomainExhaustedError:
+        if int(valid.sum()) >= max(8, ts.size // 2):
+            tested.append((i, valid))
+            groups.append(args[valid])
+    for (i, valid), shifted in zip(tested, _evaluate_dilations(sigma, groups)):
+        if shifted is None:
             continue
         deficit = tau_vals[valid] - shifted
         ratio = tau_vals[valid] / np.maximum(shifted, 1e-300)
@@ -791,7 +844,7 @@ def _dilation_scan(
             accepted[i] = True
             c = max(0.0, float(np.max(deficit)))
             if best is None or c < best[1]:
-                best = (float(h), c)
+                best = (float(hs[i]), c)
     if best is None:
         return None, None, accepted
     return best[0], best[1], accepted

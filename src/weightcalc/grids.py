@@ -250,15 +250,22 @@ def _dense_argmax(xs, n, scan):
 
 def _sorted_window_argmax(xs, n, scan):
     """Leftmost grid argmax and grid maximum of every row, for objectives
-    whose leftmost argmax is non-decreasing in x.
+    whose leftmost argmax is non-decreasing in x, and the first fully
+    masked row found (None when there is none).
 
     Divide and conquer over the rows sorted by x (Aggarwal et al. 1987):
     the middle row of each run is scanned over the run's column window, the
     rows below it keep the columns up to its argmax and the rows above keep
     the columns from it.  One level of the recursion is one flat scan of
     (row, column) cells, about n + k cells, and there are about log2(k)
-    levels.  A row whose whole window is masked, or a NaN row, narrows
-    nothing and reports column 0, as the dense scan does.
+    levels.  A NaN row reports column 0 and narrows nothing.
+
+    The search stops at the first level that meets a row whose whole window
+    is masked and returns the smallest input index of such a row, with j
+    and top incomplete.  Under the mask contract of ``grid_sup`` that row is
+    masked on the whole grid: its window lies between the argmaxes of a
+    smaller-x and a larger-x row, both unmasked for those rows, and the run
+    of unmasked cells of a row in between must reach into the window.
     """
     j = np.zeros(xs.size, dtype=np.intp)
     top = np.full(xs.size, np.nan)
@@ -279,21 +286,20 @@ def _sorted_window_argmax(xs, n, scan):
         if masked is not None:
             obj[masked] = -np.inf
         best = np.maximum.reduceat(obj, starts)
+        dead = best == -np.inf
+        if dead.any():
+            return j, top, int(rows[dead].min())
         hit = obj == np.repeat(best, width)
         if np.isnan(best).any():
             hit |= np.isnan(obj)  # a NaN cell wins, as in np.argmax
         hits = np.flatnonzero(hit)
-        first = hits[np.searchsorted(hits, starts)]
-        dead = best == -np.inf
-        jm = np.where(dead, 0, first - starts + lo)
+        jm = hits[np.searchsorted(hits, starts)] - starts + lo
         j[rows], top[rows] = jm, best
-        split_lo, split_hi = np.where(dead, lo, jm), np.where(dead, hi, jm)
         runs = np.concatenate(
-            (np.stack((a, mid, lo, split_hi)), np.stack((mid + 1, b, split_lo, hi))),
-            axis=1,
+            (np.stack((a, mid, lo, jm)), np.stack((mid + 1, b, jm, hi))), axis=1
         )
         runs = runs[:, runs[0] < runs[1]]
-    return j, top
+    return j, top, None
 
 
 def _run_end(xs, j, scan, end):
@@ -357,6 +363,46 @@ def _edge_rows(xs, n, scan, j, top, cap, both_ends):
     return edge & ~at_cap & ~np.isnan(xs), at_cap
 
 
+def _saving(k, n):
+    """Dense-scan cells the windowed route saves on k rows of n cells: one
+    of its cells costs about four of the dense scan (one level makes about
+    four times its array passes)."""
+    return k * n - 4 * (n + k) * k.bit_length()
+
+
+def _search(xs, n, scan, cap, both_ends, windowed):
+    """Grid argmax ``j`` and cap rows ``at_cap`` of every row of ``xs``, and
+    the index of the first row the edge test refuses, None when there is
+    none (``j`` and ``at_cap`` are None when a row is refused early)."""
+    if windowed:
+        j, top, dead = _sorted_window_argmax(xs, n, scan)
+        if dead is not None:
+            # that row is masked on the whole grid, hence refused: only a row
+            # before it can be refused first
+            first = None
+            if dead:
+                windowed = _saving(dead, n) >= 0
+                first = _search(xs[:dead], n, scan, cap, both_ends, windowed)[2]
+            return None, None, dead if first is None else first
+        j, top = _with_edge_cells(xs, n, scan, both_ends, j, top)
+    else:
+        j, top = _dense_argmax(xs, n, scan)
+    edge, at_cap = _edge_rows(xs, n, scan, j, top, cap, both_ends)
+    if windowed:
+        # a refusal stands on the dense scan of its row: rounding can break a
+        # tie towards an edge cell where the dense scan finds an inner one.
+        # Rows are re-scanned in input order up to the first one confirmed.
+        for row in np.flatnonzero(edge):
+            one = slice(row, row + 1)
+            j[one], top[one] = _dense_argmax(xs[one], n, scan)
+            edge[one], at_cap[one] = _edge_rows(
+                xs[one], n, scan, j[one], top[one], cap, both_ends
+            )
+            if edge[row]:
+                break
+    return j, at_cap, int(np.argmax(edge)) if edge.any() else None
+
+
 def grid_sup(
     xs,
     ys,
@@ -373,72 +419,58 @@ def grid_sup(
     ``scan(x, j)`` returns the objective at the cells (x, ys[j]) of
     broadcastable arrays ``x`` and ``j``, together with the mask of cells
     beyond the operands' coverage (or None); ``refine(xs, y)`` evaluates the
-    objective at one point ``y`` per row.  The best grid cell j of each row
-    is refined by golden section on [ys[j-1], ys[j+1]] (``golden_max_vec``:
+    objective at one point ``y`` per row.  The mask contract: the unmasked
+    cells of each row form one run (possibly empty), and both ends of the
+    run are non-decreasing in x.  The best grid cell j of each row is
+    refined by golden section on [ys[j-1], ys[j+1]] (``golden_max_vec``:
     one ``refine`` call per iteration, until every row's bracket values
     agree to rounding or 60 iterations), which assumes the objective
     unimodal near its maximum.
 
     The best cell is the leftmost grid argmax.  ``monotone`` states that it
     is non-decreasing in x, which holds (Topkis) when the objective has
-    increasing differences in (x, y) and the unmasked cells of a row form a
-    prefix or suffix that moves right with x: for x * phi(y) - psi(y) with
-    phi increasing, and for -g(x - y) or -g(y - x) with g convex.  Callers
-    set it from the form of their objective, or pass a convexity
-    certificate: a function of the number of dense cells it may spend,
-    which runs only when the windowed route saves that many.  The argmax is
-    then found by the sorted-window divide and conquer in O((n + k) log k)
-    cells; otherwise, and for every objective not known to be monotone, by
-    the dense scan.  In exact arithmetic both find the same cell.  In
-    floating point increasing differences hold up to rounding, so the two
-    may pick different near-tied cells, whose values differ by a few ulps;
-    the windowed route therefore also compares the cells the edge test
-    refuses (``_with_edge_cells``) and re-scans densely, in input order,
-    the rows it would refuse until one is confirmed, so that both routes
-    refuse the same first row.
+    increasing differences in (x, y): for x * phi(y) - psi(y) with phi
+    increasing, and for -g(x - y) or -g(y - x) with g convex.  Callers set
+    it from the form of their objective, or pass a convexity certificate: a
+    function of the number of dense cells it may spend, which runs only
+    when the windowed route saves that many.  The argmax is then found by
+    the sorted-window divide and conquer in O((n + k) log k) cells;
+    otherwise, and for every objective not known to be monotone, by the
+    dense scan.  In exact arithmetic both find the same cell.  In floating
+    point increasing differences hold up to rounding, so the two may pick
+    different near-tied cells, whose values differ by a few ulps; the
+    windowed route therefore also compares the cells the edge test refuses
+    (``_with_edge_cells``) and re-scans densely, in input order, the rows
+    it would refuse until one is confirmed, so that both routes refuse the
+    same first row.  Once the windowed route meets a row whose whole window
+    is masked, that row is masked on the whole grid and certainly refused,
+    so the search stops there and only the rows before it in input order
+    are searched for an earlier refusal.
 
     ``floor`` is the value of a competing endpoint outside the grid and
     ``cap`` an exact upper bound of the supremum; a row whose grid maximum
     comes within 1e-12 of the cap sits on a plateau and is answered by the
     cap.  Any other argmax on the right end of the grid (also the left
-    end with ``both_ends``) or next to a masked cell may hide the supremum
-    outside the searched range and raises :class:`DomainExhaustedError`
-    naming the first such row of ``xs``; ``where`` = (transform, argument
-    name) labels the message and ``details``.  NaN arguments give NaN.
+    end with ``both_ends``) or next to a masked cell, and so every row
+    masked on the whole grid, may hide the supremum outside the searched
+    range and raises :class:`DomainExhaustedError` naming the first such
+    row of ``xs``; ``where`` = (transform, argument name) labels the
+    message and ``details``.  NaN arguments give NaN.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         return xs.copy()
     n = ys.size
-    # a cell of the windowed route costs about four of the dense scan (one
-    # level makes about four times its array passes); the route runs when it
-    # saves cells, and a certificate may spend at most the saving
-    saving = xs.size * n - 4 * (n + xs.size) * xs.size.bit_length()
+    # the windowed route runs when it saves cells, and a certificate may
+    # spend at most the saving
+    saving = _saving(xs.size, n)
     windowed = saving >= 0 and (
         monotone(saving) if callable(monotone) else monotone
     )
-    if windowed:
-        j, top = _with_edge_cells(
-            xs, n, scan, both_ends, *_sorted_window_argmax(xs, n, scan)
-        )
-    else:
-        j, top = _dense_argmax(xs, n, scan)
-    edge, at_cap = _edge_rows(xs, n, scan, j, top, cap, both_ends)
-    if windowed:
-        # a refusal stands on the dense scan of its row: rounding can break a
-        # tie towards an edge cell where the dense scan finds an inner one.
-        # Rows are re-scanned in input order up to the first one confirmed.
-        for row in np.flatnonzero(edge):
-            one = slice(row, row + 1)
-            j[one], top[one] = _dense_argmax(xs[one], n, scan)
-            edge[one], at_cap[one] = _edge_rows(
-                xs[one], n, scan, j[one], top[one], cap, both_ends
-            )
-            if edge[row]:
-                break
-    if np.any(edge):
+    j, at_cap, refused = _search(xs, n, scan, cap, both_ends, windowed)
+    if refused is not None:
         name, arg = where
-        bad = float(xs[np.argmax(edge)])
+        bad = float(xs[refused])
         raise DomainExhaustedError(
             f"{name}: optimum at the edge of the searched range for "
             f"{arg}={bad:g}; enlarge the grid or the operands' coverage",

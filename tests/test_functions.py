@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from weightcalc import functions as fn
+from weightcalc import grids
 from weightcalc import sequences as sq
 from weightcalc.errors import (
     DomainExhaustedError,
@@ -46,6 +48,42 @@ def test_weight_function_params_are_a_private_copy():
     omega = fn.WeightFunction("power", lambda ts: ts**2.0, params=params)
     params["alpha"] = 3.0
     assert omega.params["alpha"] == 0.5
+
+
+_NEGATIVE_T_SEQ = sq.gevrey(0.5, 400)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fn.power_weight(0.5),
+        lambda: fn.power_weight(2.0),
+        lambda: fn.identity_weight(),
+        lambda: fn.log_power_weight(2.0),
+        lambda: fn.power_substitution(fn.power_weight(0.5), 3.0),
+        lambda: fn.normalized(fn.power_weight(0.5)),
+        lambda: fn.from_samples([1.0, 2.0, 4.0], [1.0, 2.0, 5.0]),
+        lambda: fn.tabulate(fn.power_weight(0.5), 1e-2, 1e2, 256),
+        lambda: fn.associated(_NEGATIVE_T_SEQ),
+        lambda: fn.integral_form(_NEGATIVE_T_SEQ),
+        lambda: fn.conjugate(fn.power_weight(0.5)),
+        lambda: fn.biconjugate(fn.power_weight(0.5)),
+        lambda: fn.envelope_lower(fn.power_weight(0.5), fn.power_weight(2.0)),
+        lambda: fn.envelope_upper(fn.power_weight(2.0), fn.identity_weight()),
+    ],
+    ids=[
+        "power", "root", "identity", "log_power", "power_substitution",
+        "normalized", "sampled", "tabulated", "associated", "integral_form",
+        "conjugate", "biconjugate", "envelope_lower", "envelope_upper",
+    ],
+)
+def test_negative_argument_gives_the_value_at_zero(build):
+    omega = build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = omega.evaluate_many([-1.0, -1e-300, 0.0, math.nan])
+    assert vals[0] == vals[1] == vals[2] == omega(0.0)
+    assert math.isnan(vals[3])
 
 
 def test_associated_exact_value_and_zero_region():
@@ -251,6 +289,166 @@ def test_relation_fn_slowly_varying_self_triangle_c():
     omega = fn.associated(sq.exp_power(2.0, 400))
     verdict = fn.relation_fn(omega, omega)
     assert verdict.triangle_c
+
+
+def _dilation_scan_per_h(ts, tau_vals, sigma, hs):
+    """Reference: the dilation scan with one evaluation of sigma per h."""
+    best = None
+    accepted = np.zeros(hs.size, dtype=bool)
+    for i, h in enumerate(hs):
+        args = h * ts
+        valid = args <= sigma.domain_hint
+        if int(valid.sum()) < max(8, ts.size // 2):
+            continue
+        try:
+            shifted = sigma.evaluate_many(args[valid])
+        except DomainExhaustedError:
+            continue
+        deficit = tau_vals[valid] - shifted
+        ratio = tau_vals[valid] / np.maximum(shifted, 1e-300)
+        if fn._deficit_accepted(deficit, ratio):
+            accepted[i] = True
+            c = max(0.0, float(np.max(deficit)))
+            if best is None or c < best[1]:
+                best = (float(h), c)
+    if best is None:
+        return None, None, accepted
+    return best[0], best[1], accepted
+
+
+class _Recorder:
+    """A weight function that records each ``evaluate_many`` call: the number
+    of arguments and the refusal details (None when it returned)."""
+
+    def __init__(self, omega):
+        self.omega, self.calls = omega, []
+
+    def __getattr__(self, name):
+        return getattr(self.omega, name)
+
+    def evaluate_many(self, ts):
+        try:
+            out = self.omega.evaluate_many(ts)
+        except DomainExhaustedError as err:
+            self.calls.append((ts.size, err.details))
+            raise
+        self.calls.append((ts.size, None))
+        return out
+
+
+def _batched_and_per_h_scans(sigma, tau, window):
+    ts = window.samples()
+    tau_vals = tau.evaluate_many(ts)
+    recorder = _Recorder(sigma)
+    got = fn._dilation_scan(ts, tau_vals, recorder, fn.H_GRID)
+    want = _dilation_scan_per_h(ts, tau_vals, sigma, fn.H_GRID)
+    return got, want, recorder.calls
+
+
+def _assert_same_scan(got, want):
+    (h, c, accepted), (h_ref, c_ref, accepted_ref) = got, want
+    np.testing.assert_array_equal(accepted, accepted_ref)
+    assert h == h_ref
+    if c_ref is None:
+        assert c is None
+    else:
+        assert abs(c - c_ref) <= 1e-12 * max(1.0, abs(c_ref))
+
+
+def _tested_dilations(sigma, window):
+    ts = window.samples()
+    return sum(
+        int(np.sum(h * ts <= sigma.domain_hint)) >= max(8, ts.size // 2)
+        for h in fn.H_GRID
+    )
+
+
+@pytest.mark.parametrize(
+    "sigma, tau",
+    [
+        (fn.associated(sq.gevrey(0.5, 2000)), fn.power_weight(0.5)),
+        (fn.power_weight(0.5), fn.associated(sq.gevrey(0.5, 2000))),
+        (fn.log_power_weight(2.0), fn.power_weight(2.0)),
+    ],
+    ids=["associated", "power", "log_power"],
+)
+def test_batched_dilation_scan_of_cheap_operands_is_bit_identical(sigma, tau):
+    got, want, calls = _batched_and_per_h_scans(sigma, tau, TailWindow(10.0, 1e3, 256))
+    assert got[:2] == want[:2]
+    np.testing.assert_array_equal(got[2], want[2])
+    assert len(calls) == 1 and calls[0][1] is None
+
+
+def test_batched_dilation_scan_of_an_envelope_with_fully_masked_rows(monkeypatch):
+    # ENVELOPE_ID clause (i): at h = 1024 every t h / s of the search grid lies
+    # beyond the coverage of the conjugate's associated function
+    m = sq.gevrey(1 / 3, 8000)
+    tau = fn.associated(sq.conjugate_sequence(m))
+    sigma = fn.envelope_lower(fn.associated(m), tau)
+    window = TailWindow(10.0, 1e3, 256)
+    s_max = fn.DEFAULT_GRID.points(sigma.params["sigma"].domain_hint)[-1]
+    assert fn.H_GRID[-1] * window.t_lo / s_max > tau.domain_hint
+    dead = []
+    search = grids._sorted_window_argmax
+
+    def recording(*args):
+        out = search(*args)
+        dead.append(out[2])
+        return out
+
+    monkeypatch.setattr(grids, "_sorted_window_argmax", recording)
+    got, want, _ = _batched_and_per_h_scans(sigma, fn.identity_weight(), window)
+    assert any(d is not None for d in dead)
+    _assert_same_scan(got, want)
+    assert got[2].any() and not got[2].all()
+
+
+def test_batched_dilation_scan_of_an_envelope_refusing_in_the_middle():
+    # ENVELOPE_ID clause (ii): the batch refuses at a dilation with accepted
+    # dilations before it; those are evaluated again as one call
+    m = sq.gevrey(2.0, 4000)
+    sigma = fn.envelope_upper(fn.associated(m), fn.associated(sq.small_sequence(m)))
+    window = TailWindow(10.0, 300.0, 256)
+    got, want, calls = _batched_and_per_h_scans(sigma, fn.identity_weight(), window)
+    _assert_same_scan(got, want)
+    (batch, refusal), rest = calls[0], calls[1:]
+    assert batch == _tested_dilations(sigma, window) * window.n
+    (x,) = refusal.values()
+    ts = window.samples()
+    first = next(i for i, h in enumerate(fn.H_GRID) if np.any(h * ts == x))
+    assert got[2][:first].all() and not got[2][first]
+    again = [size for size, details in rest if details is None]
+    assert again == [first * window.n]
+
+
+def test_batched_dilation_scan_gives_each_dilation_after_a_refusal_its_own_call():
+    # inf_s (s + t / s) sits at s = sqrt(t), below the search grid [1e-2, 1e2]
+    # for t < 1e-4: the smallest dilations are refused, larger ones accepted
+    grid = GridSpec(1e-2, 1e2, 256)
+    sigma = fn.envelope_lower(fn.identity_weight(), fn.identity_weight(), grid)
+    window = TailWindow(1e-3, 1e-1, 256)
+    got, want, calls = _batched_and_per_h_scans(sigma, fn.identity_weight(), window)
+    _assert_same_scan(got, want)
+    assert calls[0][1] is not None and not got[2][0] and got[2].any()
+    after = [size for size, _ in calls[1:]]
+    assert after == [window.n] * (_tested_dilations(sigma, window) - 1)
+
+
+def test_batched_dilation_scan_falls_back_when_a_wrapper_changes_the_argument():
+    # the conjugate of a weight whose slope drops from 20 to 5 at t = 10
+    # refuses every s in (5, 20) at the grid's right end; the substitution
+    # hands it the square roots of the dilated arguments, so its refusal
+    # names no argument of the batch and every dilation gets its own call
+    kinked = fn.WeightFunction(
+        "kinked", lambda t: np.where(t <= 10.0, t**2, 100.0 + 5.0 * (t - 10.0))
+    )
+    sigma = fn.power_substitution(fn.conjugate(kinked, check=False), 2.0)
+    window = TailWindow(1.0, 50.0, 256)
+    got, want, calls = _batched_and_per_h_scans(sigma, fn.power_weight(1.0), window)
+    _assert_same_scan(got, want)
+    assert calls[0][1] is not None
+    assert len(calls) == 1 + _tested_dilations(sigma, window)
+    assert got[2].any() and any(details is not None for _, details in calls[1:])
 
 
 # ---------------------------------------------------------------------------

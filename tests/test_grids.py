@@ -299,12 +299,19 @@ def _sup_or_refusal(problem, monotone):
     )
 )
 def test_sorted_window_argmax_matches_dense_scan(problem):
-    # every cell is exact, so both searches find the same cell and value
+    # every cell is exact, so both searches find the same cell and value;
+    # the windowed search stops at a row masked on its whole window, which
+    # the mask contract makes masked on the whole grid
     ys, scan, _ = _scan_and_refine(problem)
     xs = problem[2]
-    windowed = grids._sorted_window_argmax(xs, ys.size, scan)
-    for got, want in zip(windowed, grids._dense_argmax(xs, ys.size, scan)):
-        np.testing.assert_array_equal(got, want)
+    j, top, dead = grids._sorted_window_argmax(xs, ys.size, scan)
+    dense_j, dense_top = grids._dense_argmax(xs, ys.size, scan)
+    assert (dead is None) == (not np.any(dense_top == -np.inf))
+    if dead is None:
+        np.testing.assert_array_equal(j, dense_j)
+        np.testing.assert_array_equal(top, dense_top)
+    else:
+        assert dense_top[dead] == -np.inf
 
 
 # at n >= 64 and k >= 40 the kernel takes the windowed path
@@ -372,6 +379,101 @@ def test_envelope_with_all_masked_rows_keeps_the_dense_outcome(s, monkeypatch):
         assert got == dense == {"t": pytest.approx(825.4041852680176, rel=1e-15)}
     else:
         np.testing.assert_allclose(got, dense, rtol=1e-12, atol=0.0)
+
+
+def _quadratic_rows(masked):
+    """Rows x j - j^2 / 2 on the integer grid 0..255, peaking at j = x, with
+    the cells ``masked(x, j)`` masked; dyadic, so every cell is exact."""
+    ys = np.arange(256, dtype=float)
+
+    def scan(x, j):
+        return x * ys[j] - ys[j] ** 2 / 2, masked(x, ys[j])
+
+    def refine(x, y):
+        return x * y - y * y / 2
+
+    return ys, scan, refine
+
+
+def _record_stops(monkeypatch):
+    """The fully masked rows (or None) at which each windowed search stops."""
+    stops = []
+    search = grids._sorted_window_argmax
+
+    def recording(*args):
+        out = search(*args)
+        stops.append(out[2])
+        return out
+
+    monkeypatch.setattr(grids, "_sorted_window_argmax", recording)
+    return stops
+
+
+def _windowed_and_dense(xs, problem, monkeypatch):
+    """grid_sup on both routes, and the fully masked rows at which the
+    windowed route stopped."""
+    ys, scan, refine = problem
+    stops = _record_stops(monkeypatch)
+    outcomes = []
+    for monotone in (True, False):
+        try:
+            outcomes.append(
+                grid_sup(xs, ys, scan, refine, ("test", "x"), monotone=monotone)
+            )
+        except DomainExhaustedError as err:
+            outcomes.append(err.details)
+    return outcomes, stops
+
+
+@pytest.mark.parametrize(
+    "first, second, want",
+    [(300.0, 257.0, 300.0), (257.0, 300.0, 257.0), (257.0, 257.5, 257.0)],
+    ids=["masked_before_edge", "masked_after_edge", "masked_after_two_edges"],
+)
+def test_fully_masked_row_is_refused_like_the_dense_scan(
+    first, second, want, monkeypatch
+):
+    # cells j < x - 4 are masked: rows x > 259 are masked on the whole grid,
+    # rows 255 < x <= 259 peak beyond the right end and are refused there
+    problem = _quadratic_rows(lambda x, y: y < x - 4)
+    live = list(np.linspace(10.0, 240.0, 40))
+    xs = np.array(live[:20] + [first] + live[20:30] + [second] + live[30:] + [400.0])
+    (windowed, dense), stops = _windowed_and_dense(xs, problem, monkeypatch)
+    assert windowed == dense == {"x": want}
+    # the windowed route stops at a fully masked row, and searches the rows
+    # before it for an earlier refusal
+    assert stops[0] is not None and xs[stops[0]] > 259.0
+
+
+def test_live_middle_between_masked_grid_ends_is_not_refused_early(monkeypatch):
+    # only the cells within 20 of the peak are unmasked: both grid ends are
+    # masked on every row, but every row's run reaches into its window
+    problem = _quadratic_rows(lambda x, y: np.abs(y - x) > 20)
+    xs = np.linspace(30.0, 220.0, 48)[np.random.default_rng(5).permutation(48)]
+    (windowed, dense), stops = _windowed_and_dense(xs, problem, monkeypatch)
+    assert stops == [None]
+    np.testing.assert_array_equal(windowed, dense)
+    np.testing.assert_allclose(windowed, xs**2 / 2, rtol=1e-15)
+
+
+def test_envelope_masked_on_every_cell_is_certified_and_refused_like_the_dense_scan(
+    monkeypatch,
+):
+    # tau's coverage ends at t = 4 and t / s > 4 on the whole grid: the
+    # certificate holds vacuously, and the windowed route refuses the first
+    # row in input order without scanning the rows
+    tau = fn.from_samples([1.0, 2.0, 4.0], [0.0, 1.0, 3.0])
+    grid = GridSpec(1e-2, 1e2, 256)
+    ts = np.exp(np.linspace(math.log(1e3), math.log(1e5), 40))
+    ts = ts[np.random.default_rng(7).permutation(40)]
+    log_ss = grid.log_points()
+    assert fn._convex_in_log(tau, np.log(ts)[:, None] - log_ss[[0, -1]], log_ss, 0)
+    stops = _record_stops(monkeypatch)
+    got = _envelope_outcome(fn.envelope_lower(fn.identity_weight(), tau, grid), ts)
+    assert stops and stops[0] is not None
+    monkeypatch.setattr(fn, "_convex_in_log", lambda *args: False)
+    dense = _envelope_outcome(fn.envelope_lower(fn.identity_weight(), tau, grid), ts)
+    assert got == dense == {"t": ts[0]}
 
 
 @st.composite
