@@ -7,8 +7,8 @@ extrapolation (piecewise-from-sequence functions) or untrusted (tabulated
 transforms).  Every constructor's evaluator returns omega(0) for t < 0 and
 NaN for a NaN argument.  All sup/inf transforms mask arguments beyond the
 operands' hints and raise :class:`DomainExhaustedError` when an argmax lands
-on a search boundary, so a silently-extrapolated value can never win a
-supremum.
+on a search boundary (or, given group labels, report the refused groups),
+so a silently-extrapolated value can never win a supremum.
 
 Suprema are located by :func:`weightcalc.grids.grid_sup`: a search for the
 leftmost argmax on a log-spaced grid followed by golden-section refinement
@@ -116,14 +116,32 @@ class WeightFunction:
     def with_name(self, name: str) -> "WeightFunction":
         return WeightFunction(self.kind, self._fn, self.domain_hint, self.params, name)
 
-    def evaluate_many(self, ts) -> np.ndarray:
-        return self._fn(np.asarray(ts, dtype=float))
+    def evaluate_many(self, ts, *, groups=None):
+        """omega at every entry of ``ts``.
+
+        A grid transform raises :class:`DomainExhaustedError` naming the
+        first argument whose optimum escapes its searched range.  With
+        ``groups``, one integer label in [0, G) per argument, it refuses the
+        arguments by group in one grid search instead
+        (``grids.grid_sup``): it returns (values, refused), where
+        ``refused[g]`` tells whether group g was refused, as a call on that
+        group's arguments alone would be, and the values of a refused group
+        are NaN.  Only grid transforms (``is_expensive``) take labels.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if groups is None:
+            return self._fn(ts)
+        if not self.is_expensive:
+            raise TypeError(f"a {self.kind} function takes no group labels")
+        return self._fn(ts, groups=np.asarray(groups, dtype=np.intp))
 
     def __call__(self, t: float) -> float:
         return float(self._fn(np.asarray([t], dtype=float))[0])
 
     @property
     def is_expensive(self) -> bool:
+        """Whether this is a grid transform: each evaluation is a grid
+        search, and ``evaluate_many`` takes ``groups``."""
         return self.kind in _EXPENSIVE_KINDS
 
     def __repr__(self):
@@ -416,6 +434,23 @@ def c1_holds(omega: WeightFunction, tol: float = 1e-12) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _transform_values(xs, live, fill, groups, *kernel, sign=1.0, **options):
+    """A grid transform's values: ``fill`` at the arguments that are not
+    ``live`` and ``sign * grid_sup(xs[live], *kernel, **options)`` at the
+    others.  With ``groups`` the live arguments are refused by group, and
+    the result is (values, refused) with one entry of ``refused`` per label
+    up to the largest."""
+    out = np.full_like(xs, fill)
+    if groups is None:
+        out[live] = sign * grid_sup(xs[live], *kernel, **options)
+        return out
+    found, gone = grid_sup(xs[live], *kernel, groups=groups[live], **options)
+    out[live] = sign * found
+    refused = np.zeros(int(groups.max(initial=-1)) + 1, dtype=bool)
+    refused[: gone.size] = gone
+    return out, refused
+
+
 def conjugate(
     omega: WeightFunction,
     grid: GridSpec = DEFAULT_GRID,
@@ -454,15 +489,13 @@ def conjugate(
     def refine(ss, ys):
         return ss * np.exp(ys) - inner(np.exp(ys))
 
-    def fn(ss):
+    def fn(ss, groups=None):
         ss = np.atleast_1d(np.asarray(ss, dtype=float))
-        out = np.full_like(ss, -w0)
         live = ~(ss <= 0)
-        out[live] = grid_sup(
-            ss[live], log_ts, scan, refine, ("conjugate", "s"), floor=-w0,
-            monotone=True,
+        return _transform_values(
+            ss, live, -w0, groups, log_ts, scan, refine, ("conjugate", "s"),
+            floor=-w0, monotone=True,
         )
-        return out
 
     return WeightFunction(
         "conjugate",
@@ -606,23 +639,19 @@ def envelope_lower(
         s = np.exp(ys)
         return -(sig_fn(s) + tau_fn(ts / s))
 
-    def fn(ts):
+    def fn(ts, groups=None):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.full_like(ts, value_at_0)
         live = ~(ts <= 0)
         # the scan touches g(u) = tau(e^u) at u = log t - y
         us = np.log(ts[live])[:, None] - log_ss[[0, -1]]
-        out[live] = -grid_sup(
-            ts[live],
-            log_ss,
-            scan,
-            refine,
+        return _transform_values(
+            ts, live, value_at_0, groups, log_ss, scan, refine,
             ("envelope_lower", "t"),
+            sign=-1.0,
             cap=-value_at_0,
             both_ends=True,
             monotone=lambda budget: _convex_in_log(tau, us, log_ss, budget),
         )
-        return out
 
     return WeightFunction(
         "envelope_lower",
@@ -671,25 +700,20 @@ def envelope_upper(
         s = np.exp(ys)
         return sig_fn(s) - tau_fn(s / ts)
 
-    def fn(ts):
+    def fn(ts, groups=None):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.full_like(ts, value_at_0)
         # the s = 0 endpoint competes, and alone answers the rows whose whole
         # grid lies beyond tau's coverage
         with np.errstate(divide="ignore"):
             live = ~(ts <= 0) & ~(ss[0] / ts > tau_hint)
         # the scan touches g(u) = tau(e^u) at u = y - log t
         us = log_ss[[0, -1]] - np.log(ts[live])[:, None]
-        out[live] = grid_sup(
-            ts[live],
-            log_ss,
-            scan,
-            refine,
+        return _transform_values(
+            ts, live, value_at_0, groups, log_ss, scan, refine,
             ("envelope_upper", "t"),
             floor=value_at_0,
             monotone=lambda budget: _convex_in_log(tau, us, log_ss, budget),
         )
-        return out
 
     return WeightFunction(
         "envelope_upper",
@@ -769,42 +793,42 @@ def _deficit_accepted(deficit: np.ndarray, ratio: np.ndarray) -> bool:
 
 
 def _evaluate_dilations(
-    sigma: WeightFunction, groups: list[np.ndarray]
+    sigma: WeightFunction, dilations: list[np.ndarray]
 ) -> list[Optional[np.ndarray]]:
-    """sigma at each group of arguments, or None for a group it refuses, in
-    one ``evaluate_many`` call on their concatenation when none is refused.
+    """sigma at each dilation's arguments, or None for a dilation it refuses.
 
-    The grid search of a transform sigma (``grid_sup``) names the first
-    refused argument x of its call in input order, and whether an argument
-    is refused depends on that argument alone, since the windowed route
-    confirms each refusal by the argument's own dense scan.  So the groups
-    holding x are refused, the groups before the first of them are
-    evaluated again as one call, and each group after it by its own call.
-    A refusal of any other kind of sigma, or one that names no argument of
-    the call, falls back to one call per group: a wrapper such as
-    ``power_substitution`` transforms its arguments, and the transformed x
-    can equal an argument of another group (the square root of a
-    log-spaced sample is often another sample).
+    A grid transform sigma (``is_expensive``) makes one call on the
+    concatenated arguments, labelled by dilation, and refuses dilations by
+    group: each refused dilation is one that a call of its own would refuse.
+    Any other kind makes one call and, after a refusal, one call per
+    dilation: its refusal names no dilation, since a wrapper such as
+    ``power_substitution`` transforms its arguments before a transform
+    refuses one.
     """
-    if not groups:
+    if not dilations:
         return []
-    try:
-        values = sigma.evaluate_many(np.concatenate(groups))
-    except DomainExhaustedError as err:
-        if len(groups) == 1:
-            return [None]
-        named = list(err.details.values())
-        own = sigma.is_expensive and len(named) == 1
-        hit = [own and bool(np.any(g == named[0])) for g in groups]
-        if not any(hit):
-            return [_evaluate_dilations(sigma, [g])[0] for g in groups]
-        first = hit.index(True)
-        after = [
-            None if refused else _evaluate_dilations(sigma, [g])[0]
-            for g, refused in zip(groups[first + 1 :], hit[first + 1 :])
+    sizes = [d.size for d in dilations]
+    args = np.concatenate(dilations)
+    splits = np.cumsum(sizes[:-1])
+    if sigma.is_expensive:
+        labels = np.repeat(np.arange(len(dilations)), sizes)
+        values, refused = sigma.evaluate_many(args, groups=labels)
+        return [
+            None if gone else part
+            for part, gone in zip(np.split(values, splits), refused)
         ]
-        return _evaluate_dilations(sigma, groups[:first]) + [None] + after
-    return np.split(values, np.cumsum([g.size for g in groups[:-1]]))
+    try:
+        return np.split(sigma.evaluate_many(args), splits)
+    except DomainExhaustedError:
+        if len(dilations) == 1:
+            return [None]
+    outcomes = []
+    for d in dilations:
+        try:
+            outcomes.append(sigma.evaluate_many(d))
+        except DomainExhaustedError:
+            outcomes.append(None)
+    return outcomes
 
 
 def _dilation_scan(
@@ -820,11 +844,11 @@ def _dilation_scan(
     A dilation is tested when at least half of its arguments h t (and at
     least 8) lie inside the coverage of ``sigma``.  The arguments of all
     tested dilations go to sigma in one evaluation (``_evaluate_dilations``),
-    so a transform sigma runs one grid search for the whole scan.
-    Dilations whose arguments escape the coverage of ``sigma`` (by the
-    domain hint, or by an exhausted search grid, which refuses exactly the
-    dilations that a call of their own would refuse) cannot be certified
-    and are skipped.
+    so a transform sigma runs one grid search and one refinement for the
+    whole scan, refusals included.  Dilations whose arguments escape the
+    coverage of ``sigma`` (by the domain hint, or by an exhausted search
+    grid, which refuses exactly the dilations that a call of their own
+    would refuse) cannot be certified and are skipped.
     """
     best: Optional[tuple[float, float]] = None
     accepted = np.zeros(hs.size, dtype=bool)

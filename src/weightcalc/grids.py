@@ -248,10 +248,10 @@ def _dense_argmax(xs, n, scan):
     return j, top
 
 
-def _sorted_window_argmax(xs, n, scan):
+def _sorted_window_argmax(xs, n, scan, groups):
     """Leftmost grid argmax and grid maximum of every row, for objectives
-    whose leftmost argmax is non-decreasing in x, and the first fully
-    masked row found (None when there is none).
+    whose leftmost argmax is non-decreasing in x, and the mask of the rows
+    found masked on their whole window.
 
     Divide and conquer over the rows sorted by x (Aggarwal et al. 1987):
     the middle row of each run is scanned over the run's column window, the
@@ -260,15 +260,20 @@ def _sorted_window_argmax(xs, n, scan):
     (row, column) cells, about n + k cells, and there are about log2(k)
     levels.  A NaN row reports column 0 and narrows nothing.
 
-    The search stops at the first level that meets a row whose whole window
-    is masked and returns the smallest input index of such a row, with j
-    and top incomplete.  Under the mask contract of ``grid_sup`` that row is
-    masked on the whole grid: its window lies between the argmaxes of a
-    smaller-x and a larger-x row, both unmasked for those rows, and the run
-    of unmasked cells of a row in between must reach into the window.
+    Under the mask contract of ``grid_sup`` a row whose whole window is
+    masked is masked on the whole grid: its window lies between the
+    argmaxes of a smaller-x and a larger-x row, both unmasked for those
+    rows, and the run of unmasked cells of a row in between must reach into
+    the window.  Such a row refuses its group (``groups`` holds one label in
+    [0, G) per row): every row of the group leaves the search, with j and
+    top incomplete, and the row's run is searched again without it over the
+    same window.  With a single group the search stops at the first level
+    that meets such a row.
     """
     j = np.zeros(xs.size, dtype=np.intp)
     top = np.full(xs.size, np.nan)
+    dead = np.zeros(xs.size, dtype=bool)
+    refused = np.zeros(int(groups.max()) + 1, dtype=bool)
     order = np.argsort(xs, kind="stable")
     order = order[~np.isnan(xs[order])]
     # one column per run [a, b) of ``order``, with its column window [lo, hi]
@@ -286,20 +291,32 @@ def _sorted_window_argmax(xs, n, scan):
         if masked is not None:
             obj[masked] = -np.inf
         best = np.maximum.reduceat(obj, starts)
-        dead = best == -np.inf
-        if dead.any():
-            return j, top, int(rows[dead].min())
         hit = obj == np.repeat(best, width)
         if np.isnan(best).any():
             hit |= np.isnan(obj)  # a NaN cell wins, as in np.argmax
         hits = np.flatnonzero(hit)
         jm = hits[np.searchsorted(hits, starts)] - starts + lo
         j[rows], top[rows] = jm, best
+        live = best != -np.inf
         runs = np.concatenate(
-            (np.stack((a, mid, lo, jm)), np.stack((mid + 1, b, jm, hi))), axis=1
+            (
+                np.stack((a, mid, lo, jm))[:, live],
+                np.stack((mid + 1, b, jm, hi))[:, live],
+                runs[:, ~live],
+            ),
+            axis=1,
         )
+        if not live.all():
+            dead[rows[~live]] = True
+            refused[groups[rows[~live]]] = True
+            # drop the rows of refused groups from ``order`` and renumber
+            # the runs over what is left
+            keep = ~refused[groups[order]]
+            pos = np.concatenate(([0], np.cumsum(keep)))
+            runs[:2] = pos[runs[:2]]
+            order = order[keep]
         runs = runs[:, runs[0] < runs[1]]
-    return j, top, None
+    return j, top, dead
 
 
 def _run_end(xs, j, scan, end):
@@ -370,37 +387,77 @@ def _saving(k, n):
     return k * n - 4 * (n + k) * k.bit_length()
 
 
-def _search(xs, n, scan, cap, both_ends, windowed):
+def _name_refusals(refused_by, groups, rows):
+    """Record the first row of ``rows`` (a mask) in each group of its rows."""
+    rows = np.flatnonzero(rows)
+    named, first = np.unique(groups[rows], return_index=True)
+    refused_by[named] = rows[first]
+
+
+def _search(xs, n, scan, cap, both_ends, windowed, groups=None):
     """Grid argmax ``j`` and cap rows ``at_cap`` of every row of ``xs``, and
-    the index of the first row the edge test refuses, None when there is
-    none (``j`` and ``at_cap`` are None when a row is refused early)."""
+    for each group of rows (``groups``: one label in [0, G) per row) the
+    index of a row that refuses it, -1 when none does.  The rows of a
+    refused group may keep an incomplete ``j``.
+
+    Without ``groups`` every row is in one group and the refusing row is
+    the first one in input order.
+    """
+    labels = np.zeros(xs.size, dtype=np.intp) if groups is None else groups
+    refused_by = np.full(int(labels.max()) + 1, -1)
+    at_cap = np.zeros(xs.size, dtype=bool)
+    rows = slice(None)
     if windowed:
-        j, top, dead = _sorted_window_argmax(xs, n, scan)
-        if dead is not None:
-            # that row is masked on the whole grid, hence refused: only a row
-            # before it can be refused first
-            first = None
-            if dead:
-                windowed = _saving(dead, n) >= 0
-                first = _search(xs[:dead], n, scan, cap, both_ends, windowed)[2]
-            return None, None, dead if first is None else first
-        j, top = _with_edge_cells(xs, n, scan, both_ends, j, top)
+        j, top, dead = _sorted_window_argmax(xs, n, scan, labels)
+        if dead.any():
+            _name_refusals(refused_by, labels, dead)
+            if groups is None:
+                # that row is masked on the whole grid, hence refused: only a
+                # row before it can be refused first
+                first = int(refused_by[0])
+                if first:
+                    windowed = _saving(first, n) >= 0
+                    head = _search(xs[:first], n, scan, cap, both_ends, windowed)[2]
+                    refused_by = head if head[0] >= 0 else refused_by
+                return j, at_cap, refused_by
+            rows = np.flatnonzero(refused_by[labels] < 0)
+        j[rows], top[rows] = _with_edge_cells(
+            xs[rows], n, scan, both_ends, j[rows], top[rows]
+        )
     else:
         j, top = _dense_argmax(xs, n, scan)
-    edge, at_cap = _edge_rows(xs, n, scan, j, top, cap, both_ends)
-    if windowed:
-        # a refusal stands on the dense scan of its row: rounding can break a
-        # tie towards an edge cell where the dense scan finds an inner one.
-        # Rows are re-scanned in input order up to the first one confirmed.
-        for row in np.flatnonzero(edge):
-            one = slice(row, row + 1)
-            j[one], top[one] = _dense_argmax(xs[one], n, scan)
-            edge[one], at_cap[one] = _edge_rows(
-                xs[one], n, scan, j[one], top[one], cap, both_ends
-            )
-            if edge[row]:
-                break
-    return j, at_cap, int(np.argmax(edge)) if edge.any() else None
+    edge = np.zeros(xs.size, dtype=bool)
+    edge[rows], at_cap[rows] = _edge_rows(
+        xs[rows], n, scan, j[rows], top[rows], cap, both_ends
+    )
+    if not windowed:
+        _name_refusals(refused_by, labels, edge)
+        return j, at_cap, refused_by
+    # a refusal stands on the dense scan of its row: rounding can break a tie
+    # towards an edge cell where the dense scan finds an inner one.  Rows are
+    # re-scanned in input order, skipping the groups already refused.
+    for row in np.flatnonzero(edge):
+        if refused_by[labels[row]] >= 0:
+            continue
+        one = slice(row, row + 1)
+        j[one], top[one] = _dense_argmax(xs[one], n, scan)
+        edge[one], at_cap[one] = _edge_rows(
+            xs[one], n, scan, j[one], top[one], cap, both_ends
+        )
+        if edge[row]:
+            refused_by[labels[row]] = row
+    return j, at_cap, refused_by
+
+
+def _refined(xs, ys, j, at_cap, refine, floor, cap):
+    """Golden-section refinement of the grid argmax ``j`` of every row."""
+    n = ys.size
+    prev, nxt = np.maximum(j - 1, 0), np.minimum(j + 1, n - 1)
+    _, best = golden_max_vec(lambda y: refine(xs, y), ys[prev], ys[nxt])
+    best = np.minimum(np.maximum(best, floor), cap)
+    out = np.where(at_cap, cap, best)
+    out[np.isnan(xs)] = np.nan
+    return out
 
 
 def grid_sup(
@@ -413,6 +470,7 @@ def grid_sup(
     cap=math.inf,
     both_ends=False,
     monotone=False,
+    groups=None,
 ):
     """Row-wise supremum over the log grid ``ys``, one row per entry of ``xs``.
 
@@ -440,12 +498,10 @@ def grid_sup(
     point increasing differences hold up to rounding, so the two may pick
     different near-tied cells, whose values differ by a few ulps; the
     windowed route therefore also compares the cells the edge test refuses
-    (``_with_edge_cells``) and re-scans densely, in input order, the rows
-    it would refuse until one is confirmed, so that both routes refuse the
-    same first row.  Once the windowed route meets a row whose whole window
-    is masked, that row is masked on the whole grid and certainly refused,
-    so the search stops there and only the rows before it in input order
-    are searched for an earlier refusal.
+    (``_with_edge_cells``) and confirms each row it would refuse by the
+    row's own dense scan, so that both routes refuse the same rows.  A row
+    whose whole window is masked is masked on the whole grid and certainly
+    refused, so the windowed route refuses it without a dense scan.
 
     ``floor`` is the value of a competing endpoint outside the grid and
     ``cap`` an exact upper bound of the supremum; a row whose grid maximum
@@ -453,13 +509,32 @@ def grid_sup(
     cap.  Any other argmax on the right end of the grid (also the left
     end with ``both_ends``) or next to a masked cell, and so every row
     masked on the whole grid, may hide the supremum outside the searched
-    range and raises :class:`DomainExhaustedError` naming the first such
-    row of ``xs``; ``where`` = (transform, argument name) labels the
-    message and ``details``.  NaN arguments give NaN.
+    range: such a row is refused.  NaN arguments give NaN.
+
+    Without ``groups`` the first refused row of ``xs`` raises
+    :class:`DomainExhaustedError`; ``where`` = (transform, argument name)
+    labels the message and ``details``.  The windowed route stops at the
+    first fully masked row it meets and searches only the rows before it
+    for an earlier refusal, and re-scans the rows it would refuse in input
+    order up to the first one confirmed.
+
+    ``groups`` holds one integer label in [0, G) per row, and rows that
+    share a label are refused together: the call returns (values, refused)
+    instead of raising, where ``refused`` has one entry per label up to the
+    largest and the values of a refused group are NaN.  The search goes on
+    for the other groups: a fully masked row refuses its group at once, the
+    rows to confirm are re-scanned in input order skipping the groups
+    already refused, and only the rows of accepted groups are refined.  A
+    group is refused exactly when a call on its rows alone would raise,
+    since both routes refuse the same rows; its accepted values agree with
+    that call's up to the rounding of near-tied cells (bit-identical when
+    both calls find the same cells).
     """
     xs = np.asarray(xs, dtype=float)
+    if groups is not None:
+        groups = np.asarray(groups, dtype=np.intp)
     if xs.size == 0:
-        return xs.copy()
+        return xs.copy() if groups is None else (xs.copy(), np.zeros(0, dtype=bool))
     n = ys.size
     # the windowed route runs when it saves cells, and a certificate may
     # spend at most the saving
@@ -467,18 +542,19 @@ def grid_sup(
     windowed = saving >= 0 and (
         monotone(saving) if callable(monotone) else monotone
     )
-    j, at_cap, refused = _search(xs, n, scan, cap, both_ends, windowed)
-    if refused is not None:
-        name, arg = where
-        bad = float(xs[refused])
-        raise DomainExhaustedError(
-            f"{name}: optimum at the edge of the searched range for "
-            f"{arg}={bad:g}; enlarge the grid or the operands' coverage",
-            **{arg: bad},
-        )
-    prev, nxt = np.maximum(j - 1, 0), np.minimum(j + 1, n - 1)
-    _, best = golden_max_vec(lambda y: refine(xs, y), ys[prev], ys[nxt])
-    best = np.minimum(np.maximum(best, floor), cap)
-    out = np.where(at_cap, cap, best)
-    out[np.isnan(xs)] = np.nan
-    return out
+    j, at_cap, refused_by = _search(xs, n, scan, cap, both_ends, windowed, groups)
+    if groups is None:
+        if refused_by[0] >= 0:
+            name, arg = where
+            bad = float(xs[refused_by[0]])
+            raise DomainExhaustedError(
+                f"{name}: optimum at the edge of the searched range for "
+                f"{arg}={bad:g}; enlarge the grid or the operands' coverage",
+                **{arg: bad},
+            )
+        return _refined(xs, ys, j, at_cap, refine, floor, cap)
+    refused = refused_by >= 0
+    keep = ~refused[groups]
+    out = np.full(xs.size, np.nan)
+    out[keep] = _refined(xs[keep], ys, j[keep], at_cap[keep], refine, floor, cap)
+    return out, refused

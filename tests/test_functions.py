@@ -318,7 +318,9 @@ def _dilation_scan_per_h(ts, tau_vals, sigma, hs):
 
 class _Recorder:
     """A weight function that records each ``evaluate_many`` call: the number
-    of arguments and the refusal details (None when it returned)."""
+    of arguments and the outcome, which is the refusal details when it
+    raised, the refused-group mask of a call with ``groups``, and None
+    otherwise."""
 
     def __init__(self, omega):
         self.omega, self.calls = omega, []
@@ -326,13 +328,13 @@ class _Recorder:
     def __getattr__(self, name):
         return getattr(self.omega, name)
 
-    def evaluate_many(self, ts):
+    def evaluate_many(self, ts, *, groups=None):
         try:
-            out = self.omega.evaluate_many(ts)
+            out = self.omega.evaluate_many(ts, groups=groups)
         except DomainExhaustedError as err:
             self.calls.append((ts.size, err.details))
             raise
-        self.calls.append((ts.size, None))
+        self.calls.append((ts.size, None if groups is None else out[1]))
         return out
 
 
@@ -393,35 +395,53 @@ def test_batched_dilation_scan_of_an_envelope_with_fully_masked_rows(monkeypatch
 
     def recording(*args):
         out = search(*args)
-        dead.append(out[2])
+        dead.append(out[2].any())
         return out
 
     monkeypatch.setattr(grids, "_sorted_window_argmax", recording)
-    got, want, _ = _batched_and_per_h_scans(sigma, fn.identity_weight(), window)
-    assert any(d is not None for d in dead)
+    got, want, calls = _batched_and_per_h_scans(sigma, fn.identity_weight(), window)
+    assert any(dead)
     _assert_same_scan(got, want)
     assert got[2].any() and not got[2].all()
+    # one call, which refuses the dilation h = 1024 among others
+    ((size, refused),) = calls
+    assert size == _tested_dilations(sigma, window) * window.n and refused[-1]
+
+
+def _refused_alone(sigma, window):
+    """For each dilation of ``H_GRID`` tested by the scan, whether a call of
+    sigma on its arguments alone refuses."""
+    ts = window.samples()
+    refused = []
+    for h in fn.H_GRID:
+        args = h * ts
+        valid = args <= sigma.domain_hint
+        if int(valid.sum()) < max(8, ts.size // 2):
+            continue
+        try:
+            sigma.evaluate_many(args[valid])
+            refused.append(False)
+        except DomainExhaustedError:
+            refused.append(True)
+    return np.array(refused)
 
 
 def test_batched_dilation_scan_of_an_envelope_refusing_in_the_middle():
-    # ENVELOPE_ID clause (ii): the batch refuses at a dilation with accepted
-    # dilations before it; those are evaluated again as one call
+    # ENVELOPE_ID clause (ii): the batch refuses dilations with accepted
+    # dilations before them, all in the one call
     m = sq.gevrey(2.0, 4000)
     sigma = fn.envelope_upper(fn.associated(m), fn.associated(sq.small_sequence(m)))
     window = TailWindow(10.0, 300.0, 256)
     got, want, calls = _batched_and_per_h_scans(sigma, fn.identity_weight(), window)
     _assert_same_scan(got, want)
-    (batch, refusal), rest = calls[0], calls[1:]
-    assert batch == _tested_dilations(sigma, window) * window.n
-    (x,) = refusal.values()
-    ts = window.samples()
-    first = next(i for i, h in enumerate(fn.H_GRID) if np.any(h * ts == x))
-    assert got[2][:first].all() and not got[2][first]
-    again = [size for size, details in rest if details is None]
-    assert again == [first * window.n]
+    ((size, refused),) = calls
+    assert size == _tested_dilations(sigma, window) * window.n == fn.H_GRID.size * window.n
+    np.testing.assert_array_equal(refused, _refused_alone(sigma, window))
+    first = int(np.argmax(refused))
+    assert first > 0 and got[2][:first].all() and not got[2][first]
 
 
-def test_batched_dilation_scan_gives_each_dilation_after_a_refusal_its_own_call():
+def test_batched_dilation_scan_refusing_the_smallest_dilations_makes_one_call():
     # inf_s (s + t / s) sits at s = sqrt(t), below the search grid [1e-2, 1e2]
     # for t < 1e-4: the smallest dilations are refused, larger ones accepted
     grid = GridSpec(1e-2, 1e2, 256)
@@ -429,9 +449,49 @@ def test_batched_dilation_scan_gives_each_dilation_after_a_refusal_its_own_call(
     window = TailWindow(1e-3, 1e-1, 256)
     got, want, calls = _batched_and_per_h_scans(sigma, fn.identity_weight(), window)
     _assert_same_scan(got, want)
-    assert calls[0][1] is not None and not got[2][0] and got[2].any()
-    after = [size for size, _ in calls[1:]]
-    assert after == [window.n] * (_tested_dilations(sigma, window) - 1)
+    ((size, refused),) = calls
+    assert size == _tested_dilations(sigma, window) * window.n
+    np.testing.assert_array_equal(refused, _refused_alone(sigma, window))
+    assert refused[0] and not got[2][0] and got[2].any()
+
+
+def _kinked_conjugate():
+    # the conjugate of a weight whose slope drops from 20 to 5 at t = 10
+    # refuses every s in (5, 20) at the grid's right end
+    kinked = fn.WeightFunction(
+        "kinked", lambda t: np.where(t <= 10.0, t**2, 100.0 + 5.0 * (t - 10.0))
+    )
+    return fn.conjugate(kinked, check=False)
+
+
+@pytest.mark.parametrize(
+    "sigma, window",
+    [
+        (_kinked_conjugate(), TailWindow(1.0, 50.0, 256)),
+        (fn.biconjugate(fn.associated(sq.gevrey(0.5, 2000))), TailWindow(1.0, 50.0, 256)),
+    ],
+    ids=["conjugate", "biconjugate"],
+)
+def test_dilation_scan_of_a_transform_makes_one_call(sigma, window):
+    # one evaluate_many per scan, refusals included, with the per-h outcome
+    # (the envelope tests above assert the same for both envelopes)
+    assert sigma.is_expensive
+    got, want, calls = _batched_and_per_h_scans(sigma, fn.identity_weight(), window)
+    _assert_same_scan(got, want)
+    ((_, refused),) = calls
+    np.testing.assert_array_equal(refused, _refused_alone(sigma, window))
+    if sigma.kind != "biconjugate":
+        assert refused.any() and not refused.all()
+
+
+def test_grouped_evaluation_only_for_grid_transforms():
+    labels = np.zeros(3, dtype=np.intp)
+    with pytest.raises(TypeError):
+        fn.power_weight(1.0).evaluate_many([1.0, 2.0, 3.0], groups=labels)
+    star = _kinked_conjugate()
+    values, refused = star.evaluate_many([1.0, 2.0, 3.0], groups=labels)
+    assert star.is_expensive and refused.tolist() == [False]
+    np.testing.assert_array_equal(values, star.evaluate_many([1.0, 2.0, 3.0]))
 
 
 def test_batched_dilation_scan_falls_back_when_a_wrapper_changes_the_argument():

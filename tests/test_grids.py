@@ -304,14 +304,38 @@ def test_sorted_window_argmax_matches_dense_scan(problem):
     # the mask contract makes masked on the whole grid
     ys, scan, _ = _scan_and_refine(problem)
     xs = problem[2]
-    j, top, dead = grids._sorted_window_argmax(xs, ys.size, scan)
+    j, top, dead = grids._sorted_window_argmax(
+        xs, ys.size, scan, np.zeros(xs.size, dtype=np.intp)
+    )
     dense_j, dense_top = grids._dense_argmax(xs, ys.size, scan)
-    assert (dead is None) == (not np.any(dense_top == -np.inf))
-    if dead is None:
+    assert dead.any() == np.any(dense_top == -np.inf)
+    if not dead.any():
         np.testing.assert_array_equal(j, dense_j)
         np.testing.assert_array_equal(top, dense_top)
     else:
-        assert dense_top[dead] == -np.inf
+        assert np.all(dense_top[dead] == -np.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monotone_problems(), st.data())
+def test_sorted_window_argmax_refuses_exactly_the_groups_with_a_fully_masked_row(
+    problem, data
+):
+    # a group is refused when one of its rows is masked on the whole grid;
+    # the rows of every other group keep the dense scan's cell and value
+    ys, scan, _ = _scan_and_refine(problem)
+    xs = problem[2]
+    labels = np.asarray(
+        data.draw(st.lists(st.integers(0, 4), min_size=xs.size, max_size=xs.size)),
+        dtype=np.intp,
+    )
+    j, top, dead = grids._sorted_window_argmax(xs, ys.size, scan, labels)
+    dense_j, dense_top = grids._dense_argmax(xs, ys.size, scan)
+    assert np.all(dense_top[dead] == -np.inf)
+    assert set(labels[dead]) == set(labels[dense_top == -np.inf])
+    kept = ~np.isin(labels, labels[dead])
+    np.testing.assert_array_equal(j[kept], dense_j[kept])
+    np.testing.assert_array_equal(top[kept], dense_top[kept])
 
 
 # at n >= 64 and k >= 40 the kernel takes the windowed path
@@ -396,13 +420,14 @@ def _quadratic_rows(masked):
 
 
 def _record_stops(monkeypatch):
-    """The fully masked rows (or None) at which each windowed search stops."""
+    """The first fully masked row (or None) that each windowed search met."""
     stops = []
     search = grids._sorted_window_argmax
 
     def recording(*args):
         out = search(*args)
-        stops.append(out[2])
+        dead = out[2]
+        stops.append(int(np.argmax(dead)) if dead.any() else None)
         return out
 
     monkeypatch.setattr(grids, "_sorted_window_argmax", recording)
@@ -517,6 +542,143 @@ def test_grid_sup_monotone_matches_dense_scan_under_rounding(problem):
         phi, psi, xs = problem[:3]
         scale = np.nanmax(np.abs(xs)) * np.max(np.abs(phi)) + np.max(np.abs(psi))
         np.testing.assert_allclose(windowed, dense, rtol=1e-12, atol=1e-12 * scale)
+
+
+# ---------------------------------------------------------------------------
+# refusal by group against one call per group
+# ---------------------------------------------------------------------------
+
+
+def _grouped_and_alone(xs, labels, problem, monotone, **options):
+    """grid_sup of all rows refusing by group, and one ungrouped call per
+    label (its values, or its refusal's details)."""
+    ys, scan, refine = problem
+    grouped = grid_sup(
+        xs, ys, scan, refine, ("test", "x"), monotone=monotone, groups=labels,
+        **options,
+    )
+    alone = []
+    for g in range(int(labels.max()) + 1):
+        try:
+            alone.append(
+                grid_sup(
+                    xs[labels == g], ys, scan, refine, ("test", "x"),
+                    monotone=monotone, **options,
+                )
+            )
+        except DomainExhaustedError as err:
+            alone.append(err.details)
+    return grouped, alone
+
+
+def _assert_refused_like_alone(grouped, alone, labels, atol=None):
+    """Same refused groups; accepted values bit-identical, or within 1e-12
+    relative (plus ``atol``) when ``atol`` is given."""
+    values, refused = grouped
+    assert refused.size == len(alone)
+    for g, want in enumerate(alone):
+        got = values[labels == g]
+        assert refused[g] == isinstance(want, dict), (g, want)
+        if refused[g]:
+            assert np.all(np.isnan(got))
+        elif atol is None:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
+
+
+def _labels(data, size):
+    return np.asarray(
+        data.draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)),
+        dtype=np.intp,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(monotone_problems(min_n=64, min_k=40), st.data(), st.booleans())
+def test_grouped_grid_sup_refuses_like_one_call_per_group(problem, data, monotone):
+    # every cell is exact, so every call finds the same cells, and golden
+    # section refines a row alike in any batch
+    xs, cap, both_ends = problem[2], problem[5], problem[6]
+    labels = _labels(data, xs.size)
+    grouped, alone = _grouped_and_alone(
+        xs, labels, _scan_and_refine(problem), monotone, cap=cap,
+        both_ends=both_ends,
+    )
+    _assert_refused_like_alone(grouped, alone, labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rounded_problems(), st.data(), st.booleans())
+def test_grouped_grid_sup_refuses_like_one_call_per_group_under_rounding(
+    problem, data, monotone
+):
+    # a call per group may take the other route, or break a near tie the
+    # other way; it refuses the same rows all the same
+    phi, psi, xs = problem[:3]
+    labels = _labels(data, xs.size)
+    grouped, alone = _grouped_and_alone(
+        xs, labels, _scan_and_refine(problem), monotone, both_ends=problem[6]
+    )
+    scale = np.nanmax(np.abs(xs)) * np.max(np.abs(phi)) + np.max(np.abs(psi))
+    _assert_refused_like_alone(grouped, alone, labels, atol=1e-12 * scale)
+
+
+def _layout_of_refusals():
+    """Five groups of 40 rows of ``_quadratic_rows`` with cells j < x - 4
+    masked, interleaved in input order: rows x > 259 are masked on the whole
+    grid, rows 255 < x <= 259 peak beyond the right end.  In input order,
+    group 0 holds a fully masked row before a live edge row, group 2 a live
+    edge row before a fully masked row, group 4 a live edge row only;
+    groups 1 and 3 are accepted."""
+    xs = np.linspace(10.0, 240.0, 200)[np.random.default_rng(3).permutation(200)]
+    labels = np.repeat(np.arange(5), 40)
+    bad = {(0, 5): 300.0, (0, 30): 257.0, (2, 10): 257.5, (2, 35): 400.0, (4, 20): 258.0}
+    for (g, i), x in bad.items():
+        xs[40 * g + i] = x
+    # one row of each group in turn, each group keeping its order
+    order = np.arange(200).reshape(5, 40).T.ravel()
+    return xs[order], labels[order]
+
+
+@pytest.mark.parametrize("monotone", [True, False], ids=["windowed", "dense"])
+def test_grouped_refusals_in_the_first_middle_and_last_group(monotone, monkeypatch):
+    xs, labels = _layout_of_refusals()
+    problem = _quadratic_rows(lambda x, y: y < x - 4)
+    stops = _record_stops(monkeypatch)
+    grouped, alone = _grouped_and_alone(xs, labels, problem, monotone)
+    np.testing.assert_array_equal(grouped[1], [True, False, True, False, True])
+    # groups of 40 rows take the windowed route alone too, so every accepted
+    # value is bit-identical
+    _assert_refused_like_alone(grouped, alone, labels)
+    assert alone[0] == {"x": 300.0} and alone[2] == {"x": 257.5}
+    assert alone[4] == {"x": 258.0}
+    if monotone:
+        # the grouped search refused a group by a fully masked row
+        assert stops[0] is not None and xs[stops[0]] > 259.0
+    # only the 80 rows of the accepted groups are refined
+    ys, scan, refine = problem
+    refined = []
+
+    def recording(x, y):
+        refined.append(x.size)
+        return refine(x, y)
+
+    grid_sup(xs, ys, scan, recording, ("test", "x"), monotone=monotone, groups=labels)
+    assert set(refined) == {80}
+
+
+def test_grouped_grid_sup_without_refusal_equals_the_ungrouped_call():
+    problem = _quadratic_rows(lambda x, y: y < x - 4)
+    ys, scan, refine = problem
+    xs = np.linspace(10.0, 240.0, 100)
+    labels = np.arange(100) % 3
+    values, refused = grid_sup(
+        xs, ys, scan, refine, ("test", "x"), monotone=True, groups=labels
+    )
+    assert not refused.any() and refused.size == 3
+    ungrouped = grid_sup(xs, ys, scan, refine, ("test", "x"), monotone=True)
+    np.testing.assert_array_equal(values, ungrouped)
 
 
 def _wrapped(omega):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weightcalc import functions as fn
 from weightcalc import sequences as sq
 from weightcalc.errors import (
     CapacityError,
@@ -61,6 +62,25 @@ def test_from_log_values_rejects_nan_and_short():
         sq.from_log_values([0.0, 1.0, float("nan")] + [2.0] * 8)
     with pytest.raises(FormatError):
         sq.from_log_values([0.0] * 5)
+
+
+_SMALLEST = [(sq.gevrey, 1.0), (sq.exp_power, 2.0), (sq.qgevrey, 2.0)]
+
+
+@pytest.mark.parametrize("build, param", _SMALLEST, ids=["gevrey", "exp_power", "qgevrey"])
+def test_smallest_sequence_has_p_max_8(build, param):
+    m = build(param, 8)
+    assert m.p_max == 8
+    values = fn.associated(m).evaluate_many([0.0, 0.5, 1.0, 10.0, 1e3, 1e6])
+    assert np.all(np.isfinite(values)) and np.all(np.diff(values) >= 0.0)
+    star = sq.conjugate_sequence(m)
+    assert star.p_max == 8 and np.all(np.isfinite(star.log_values))
+
+
+@pytest.mark.parametrize("build, param", _SMALLEST, ids=["gevrey", "exp_power", "qgevrey"])
+def test_p_max_7_is_refused(build, param):
+    with pytest.raises(FormatError, match="need at least 9 entries"):
+        build(param, 7)
 
 
 def test_p_power_grid_equivalent_to_gevrey2():
