@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .functions import (
     WeightFunction,
+    _fixed_kinks,
     _tail_ratio_decays,
     c2_proxy,
     log_o_proxy,
@@ -92,7 +93,8 @@ def phi_star_many(
     out = np.full_like(xs, endpoint)
     live = ~(xs <= 0)
     out[live] = grid_sup(
-        xs[live], ys, scan, refine, ("phi_star", "x"), floor=endpoint, monotone=True
+        xs[live], ys, scan, refine, ("phi_star", "x"), floor=endpoint,
+        monotone=True, kinks=_fixed_kinks(omega),
     )
     return out
 

@@ -11,14 +11,24 @@ on a search boundary (or, given group labels, report the refused groups),
 so a silently-extrapolated value can never win a supremum.
 
 Suprema are located by :func:`weightcalc.grids.grid_sup`: a search for the
-leftmost argmax on a log-spaced grid followed by golden-section refinement
-of the winning cell, which removes the grid bias down to machine precision
-for unimodal objectives.  Each transform supplies its grid, its objective
-at grid cells and at one point per row, its endpoint or cap values, and
-whether the argmax is monotone in the argument: always for the conjugate
-and sequence recovery, and for the envelopes when tau(e^u) is certified
-convex on the range the scan touches, so that the grid search costs
-O((n + k) log k) cells instead of k x n.
+leftmost argmax on a log-spaced grid followed by refinement of the winning
+cell.  Each transform supplies its grid, its objective at grid cells and
+at points of each row, its endpoint or cap values, and whether the argmax
+is monotone in the argument: always for the conjugate and sequence
+recovery, and for the envelopes when tau(e^u) is certified convex on the
+range the scan touches, so that the grid search costs O((n + k) log k)
+cells instead of k x n.
+
+Associated functions, their integral form and sampled functions are
+piecewise linear in log t (``log_kinks``).  A transform of such operands
+(both of them, for the envelopes) passes their kinks to the refinement,
+and between two kinks its objective is convex in y = log t: s e^y minus a
+linear function for the conjugate, linear for the envelopes, sequence
+recovery and phi*.  A bracket's maximum then sits at one of its ends or
+kinks, and a row whose bracket holds at most 60 kinks is answered exactly
+by evaluating them all at once.  Other rows and operands are refined by
+golden section, which removes the grid bias down to machine precision for
+unimodal objectives.
 """
 
 from __future__ import annotations
@@ -373,6 +383,39 @@ def _require_log_convex(m: WeightSequence):
         )
 
 
+def log_kinks(omega: WeightFunction) -> Optional[np.ndarray]:
+    """Sorted log t at which omega may change slope, for the kinds that are
+    piecewise linear in log t, and None for every other kind.
+
+    An associated function and its integral form have slope p in log t
+    between log mu_p and log mu_(p+1), so their kinks are log mu_p, p >= 1
+    (of the log-convex minorant for ``associated``); a sampled function is
+    linear in log t between its samples, so its kinks are log t_i.
+    """
+    # kinds are those of this module's constructors; a function built
+    # directly under such a kind without its parameters has none
+    kind, params = omega.kind, omega.params
+    if kind == "sampled" and "ts" in params:
+        return np.log(params["ts"])
+    if kind == "associated" and "minorant" in params:
+        knots = params["minorant"].log_quotients[1:]
+    elif kind == "integral_form" and "sequence" in params:
+        knots = params["sequence"].log_quotients[1:]
+    else:
+        return None
+    # rounding can leave near-equal quotients a few ulps out of order
+    if np.any(knots[1:] < knots[:-1]):
+        knots = np.maximum.accumulate(knots)
+    return knots
+
+
+def _fixed_kinks(omega: WeightFunction):
+    """The ``kinks`` argument of ``grid_sup`` for an objective that kinks
+    where omega does, at y = log t, or None when omega has no kinks."""
+    knots = log_kinks(omega)
+    return None if knots is None else [(knots, False)]
+
+
 # ---------------------------------------------------------------------------
 # tail proxies
 # ---------------------------------------------------------------------------
@@ -461,10 +504,11 @@ def conjugate(
 
     Well-definedness needs t = o(omega(t)); the finite proxy is checked up
     front unless ``check`` is disabled.  Each evaluation scans the log grid
-    and refines the winning cell by golden section; the t = 0 endpoint
-    (value -omega(0)) always competes.  The result's ``domain_hint`` is the
-    slope coverage of the grid: beyond it the supremum would escape the
-    grid, and such evaluations raise :class:`DomainExhaustedError`.
+    and refines the winning cell, at omega's kinks when it has them; the
+    t = 0 endpoint (value -omega(0)) always competes.  The result's
+    ``domain_hint`` is the slope coverage of the grid: beyond it the
+    supremum would escape the grid, and such evaluations raise
+    :class:`DomainExhaustedError`.
     """
     if check and not c2_proxy(omega, window):
         raise WellDefinednessError(
@@ -482,6 +526,7 @@ def conjugate(
     slopes = np.diff(wvals) / np.diff(ts)
     slope_cap = float(np.max(slopes)) if np.all(np.isfinite(slopes)) else math.inf
     hint = 0.95 * slope_cap if math.isfinite(slope_cap) else math.inf
+    kinks = _fixed_kinks(omega)
 
     def scan(s, j):
         return s * ts[j] - wvals[j], None
@@ -494,7 +539,7 @@ def conjugate(
         live = ~(ss <= 0)
         return _transform_values(
             ss, live, -w0, groups, log_ts, scan, refine, ("conjugate", "s"),
-            floor=-w0, monotone=True,
+            floor=-w0, monotone=True, kinks=kinks,
         )
 
     return WeightFunction(
@@ -560,7 +605,7 @@ def _kind_convex_in_log(tau: WeightFunction, u_lo: float, u_hi: float):
     if kind == "sampled" and "ts" in params:
         # slopes[i] and slopes[i + 1] meet at knot i; the last segment is
         # continued beyond the last knot, which therefore is no kink
-        knots = np.log(params["ts"])
+        knots = log_kinks(tau)
         slopes = np.concatenate(([0.0], np.diff(params["values"]) / np.diff(knots)))
         inside = ((knots > u_lo) & (knots < u_hi))[:-1]
         left, right = slopes[:-1][inside], slopes[1:][inside]
@@ -625,6 +670,12 @@ def envelope_lower(
     value_at_0 = sigma(0.0) + tau(0.0)
     tau_hint = tau.domain_hint
     sig_fn, tau_fn = sigma.evaluate_many, tau.evaluate_many
+    # the objective kinks where sigma does, at y, and where tau does, at
+    # log t - y
+    k_sig, k_tau = log_kinks(sigma), log_kinks(tau)
+    kinks = None
+    if k_sig is not None and k_tau is not None:
+        kinks = [(k_sig, False), (-k_tau[::-1], True)]
 
     # the infimum is the negated supremum of -(sigma(s) + tau(t/s)); since
     # sigma(s) >= sigma(0) and tau(t/s) >= tau(0), -value_at_0 is an exact
@@ -651,6 +702,7 @@ def envelope_lower(
             cap=-value_at_0,
             both_ends=True,
             monotone=lambda budget: _convex_in_log(tau, us, log_ss, budget),
+            kinks=kinks,
         )
 
     return WeightFunction(
@@ -690,6 +742,12 @@ def envelope_upper(
     value_at_0 = sigma(0.0) - tau(0.0)
     tau_hint = tau.domain_hint
     sig_fn, tau_fn = sigma.evaluate_many, tau.evaluate_many
+    # the objective kinks where sigma does, at y, and where tau does, at
+    # y - log t
+    k_sig, k_tau = log_kinks(sigma), log_kinks(tau)
+    kinks = None
+    if k_sig is not None and k_tau is not None:
+        kinks = [(k_sig, False), (k_tau, True)]
 
     def scan(t, j):
         args = ss[j] / t
@@ -713,6 +771,7 @@ def envelope_upper(
             ("envelope_upper", "t"),
             floor=value_at_0,
             monotone=lambda budget: _convex_in_log(tau, us, log_ss, budget),
+            kinks=kinks,
         )
 
     return WeightFunction(
@@ -839,7 +898,8 @@ def _dilation_scan(
 ) -> tuple[Optional[float], Optional[float], np.ndarray]:
     """Search h with tau(t) <= sigma(ht) + C bounded; returns (h, C, accepted)
     with ``accepted[i]`` telling whether ``hs[i]`` was accepted, and h = C =
-    None when none was.
+    None when none was.  h is the smallest accepted dilation whose C lies
+    within 1e-12 max(1, C_min) of the least C, C_min.
 
     A dilation is tested when at least half of its arguments h t (and at
     least 8) lie inside the coverage of ``sigma``.  The arguments of all
@@ -850,8 +910,8 @@ def _dilation_scan(
     grid, which refuses exactly the dilations that a call of their own
     would refuse) cannot be certified and are skipped.
     """
-    best: Optional[tuple[float, float]] = None
     accepted = np.zeros(hs.size, dtype=bool)
+    cs = np.full(hs.size, np.inf)
     tested, groups = [], []
     for i, h in enumerate(hs):
         args = h * ts
@@ -866,12 +926,15 @@ def _dilation_scan(
         ratio = tau_vals[valid] / np.maximum(shifted, 1e-300)
         if _deficit_accepted(deficit, ratio):
             accepted[i] = True
-            c = max(0.0, float(np.max(deficit)))
-            if best is None or c < best[1]:
-                best = (float(hs[i]), c)
-    if best is None:
+            cs[i] = max(0.0, float(np.max(deficit)))
+    if not accepted.any():
         return None, None, accepted
-    return best[0], best[1], accepted
+    # C sits at rounding level for near-tied dilations, so "least" is read
+    # to 1e-12: a tie breaks towards the smallest h, whatever the batching
+    c_min = float(cs.min())
+    near = cs <= c_min + 1e-12 * max(1.0, c_min)
+    i = int(np.flatnonzero(near)[np.argmin(hs[near])])
+    return float(hs[i]), float(cs[i]), accepted
 
 
 def relation_fn(
@@ -1244,7 +1307,8 @@ def recover_sequence(
     best = np.full(p_count + 1, -omega(0.0))
     ps = np.arange(1, p_count + 1, dtype=float)
     best[1:] = grid_sup(
-        ps, log_ts, scan, refine, ("recover_sequence", "p"), monotone=True
+        ps, log_ts, scan, refine, ("recover_sequence", "p"), monotone=True,
+        kinks=_fixed_kinks(omega),
     )
     values = math.log(m0) + best
     return WeightSequence(values, name=f"recovered({omega.name})")

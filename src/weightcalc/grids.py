@@ -5,7 +5,11 @@ Every sup/inf transform of the package (conjugate, the two Legendre
 envelopes, sequence recovery and the Young conjugate phi*) is one call of
 ``grid_sup``: a search for each argument's leftmost grid argmax on a log
 grid, an edge test that refuses an optimum outside the searched range, and
-golden-section refinement of the winning cell.
+refinement of the winning cell.  Refinement takes the best of the cell's
+bracket ends and the kinks inside it when the objective is piecewise
+convex with known kinks (operands piecewise linear in log t, such as
+associated functions) and the bracket holds at most 60 of them, the
+breakpoint view of Lucet (1997); otherwise it runs golden section.
 
 The argmax search has two routes.  The dense scan evaluates all k x n
 cells and is correct for any objective.  The sorted-window divide and
@@ -62,6 +66,9 @@ DIVERGENCE_RISE = 0.05
 _SCAN_CHUNK_CELLS = 4_000_000
 #: A row whose grid maximum comes this close to the exact cap is answered by it.
 _CAP_TOL = 1e-12
+#: Golden-section iterations of a refinement in ``grid_sup``, and the most
+#: kinks a row's bracket may hold to be refined at its kinks instead.
+_REFINE_ITERS = 60
 #: Golden-section iterations run before the convergence test may stop the loop.
 _GOLDEN_MIN_ITERS = 20
 #: Relative spread of the values on a golden-section bracket at which the
@@ -177,30 +184,62 @@ def diverges(log_values):
     return bool(qm[3] - qm[2] > DIVERGENCE_RISE)
 
 
-def golden_max_vec(f, lo, hi, iters=60):
-    """Vectorised golden-section maximisation (Kiefer 1953).
+def golden_max_vec(f, lo, hi, iters=60, *, kinks=None):
+    """Vectorised bracket maximisation: at the kinks of a piecewise objective,
+    else by golden section (Kiefer 1953).
 
     ``lo``/``hi`` are arrays of per-problem brackets and ``f`` maps an array
-    of points to an array of values (applied elementwise).  Returns
-    (argmax array, max array).  Each iteration keeps the interior point
-    that survives the bracket update, with its value, and evaluates one new
-    point per row, so a call costs at most ``iters + 2`` points per row.
+    of points to an array of values (applied elementwise, whatever the
+    array's shape, with the rows on the last axis).  Returns (argmax array,
+    max array).  No row costs more than ``iters + 2`` points.
 
-    A row stops once the values at both ends of its bracket have come
-    within 1e-15 of its best interior value (relative to max(1, |value|));
-    the value at an end is known once an interior point has replaced it.
-    For an objective unimodal on the bracket every value inside lies
-    between, so the row has converged to rounding.  The two interior values
-    alone are no test: they tie while the bracket is still wide, by
-    symmetry when a peak or a kink sits at its centre, and on a flat
-    stretch beside the peak.  The test starts after ``_GOLDEN_MIN_ITERS``
-    iterations, and the loop ends when every row has stopped or after
-    ``iters`` iterations.  A stopped row keeps its bracket, so its result
-    does not depend on the other rows of the call (``f`` still sees every
-    row).  NaN rows stop at the first test.
+    ``kinks`` is an (m, k) array whose column i lists the points inside row
+    i's bracket where its objective may change slope, padded at the end
+    with NaN.  A row with at most ``iters`` kinks is answered by the best of
+    its two ends and its kinks, all evaluated in one call of ``f`` on a
+    (2 + m, k) array (ties go to the earlier candidate).  That is its exact
+    maximum when the objective is convex between consecutive kinks: for a
+    convex function on a segment the maximum sits at an end.  Rows with
+    more kinks, and every row when ``kinks`` is None, take golden section.
+
+    Golden section keeps the interior point that survives each bracket
+    update, with its value, and evaluates one new point per row per
+    iteration.  A row stops once the values at both ends of its bracket have
+    come within 1e-15 of its best interior value (relative to
+    max(1, |value|)); the value at an end is known once an interior point
+    has replaced it.  For an objective unimodal on the bracket every value
+    inside lies between, so the row has converged to rounding.  The two
+    interior values alone are no test: they tie while the bracket is still
+    wide, by symmetry when a peak or a kink sits at its centre, and on a
+    flat stretch beside the peak.  The test starts after
+    ``_GOLDEN_MIN_ITERS`` iterations, and the loop ends when every row has
+    stopped or after ``iters`` iterations.  A stopped row keeps its bracket,
+    so its result does not depend on the other rows of the call (``f``
+    still sees every row).  NaN rows stop at the first test.
     """
     a = np.asarray(lo, dtype=float)
     b = np.asarray(hi, dtype=float)
+    if kinks is None:
+        return _golden_section(f, a, b, iters)
+    inside = ~np.isnan(kinks)
+    count = inside.sum(axis=0)
+    exact = count <= iters
+    m = int(count[exact].max(initial=0))
+    # padding repeats the left end, which changes no row's maximum
+    pts = np.concatenate((a[None], b[None], np.where(inside, kinks, a)[:m]))
+    vals = f(pts)
+    pick = np.argmax(vals, axis=0)[None]
+    arg = np.take_along_axis(pts, pick, axis=0)[0]
+    top = np.take_along_axis(vals, pick, axis=0)[0]
+    if exact.all():
+        return arg, top
+    far_arg, far_top = _golden_section(f, a, b, iters)
+    return np.where(exact, arg, far_arg), np.where(exact, top, far_top)
+
+
+def _golden_section(f, a, b, iters):
+    """Golden-section maximisation of every row on [a, b] (see
+    ``golden_max_vec``)."""
     h = b - a
     c = a + INV_PHI_SQ * h
     d = a + INV_PHI * h
@@ -449,11 +488,60 @@ def _search(xs, n, scan, cap, both_ends, windowed, groups=None):
     return j, at_cap, refused_by
 
 
-def _refined(xs, ys, j, at_cap, refine, floor, cap):
-    """Golden-section refinement of the grid argmax ``j`` of every row."""
+def _kink_buckets(xs, lo, hi, kinks, iters):
+    """Split the rows of ``xs`` by the number of kinks inside their brackets
+    (lo, hi): yields (rows, points), where ``points`` is the (m, len(rows))
+    kink array of ``golden_max_vec`` for rows with at most ``iters`` kinks,
+    and None for the other rows and when ``kinks`` is None.
+
+    ``kinks`` is a sequence of (knots, shifted) pairs, each ``knots`` sorted:
+    the objective of row x may kink at y = knot, plus log x when
+    ``shifted``.  Rows are bucketed by their kink count rounded up to a
+    power of two, so a bucket's array pads each row by less than its count.
+    """
+    if kinks is None:
+        yield np.arange(xs.size), None
+        return
+    parts = []
+    count = np.zeros(xs.size, dtype=np.intp)
+    for knots, shifted in kinks:
+        if knots.size == 0:
+            continue
+        shift = np.log(xs) if shifted else np.zeros(xs.size)
+        # a NaN row finds every end past the last knot, so holds no kink
+        first = np.searchsorted(knots, lo - shift, side="right")
+        last = np.searchsorted(knots, hi - shift, side="left")
+        parts.append((knots, shift, first, last))
+        count += last - first
+    width = 2 ** np.ceil(np.log2(np.maximum(count, 1))).astype(np.intp)
+    width[count == 0] = 0
+    width[count > iters] = -1
+    for w in np.unique(width):
+        rows = np.flatnonzero(width == w)
+        if w < 0:
+            yield rows, None
+            continue
+        blocks = [np.empty((0, rows.size))]
+        for knots, shift, first, last in parts:
+            idx = first[rows] + np.arange(w)[:, None]
+            at = knots[np.minimum(idx, knots.size - 1)] + shift[rows]
+            blocks.append(np.where(idx < last[rows], at, np.nan))
+        # NaN sorts last, so each column lists its kinks first
+        yield rows, np.sort(np.concatenate(blocks), axis=0)[:w]
+
+
+def _refined(xs, ys, j, at_cap, refine, floor, cap, kinks=None):
+    """Refinement of the grid argmax ``j`` of every row on [ys[j-1],
+    ys[j+1]]: one ``golden_max_vec`` call per bucket of rows with similar
+    kink counts (``_kink_buckets``)."""
     n = ys.size
-    prev, nxt = np.maximum(j - 1, 0), np.minimum(j + 1, n - 1)
-    _, best = golden_max_vec(lambda y: refine(xs, y), ys[prev], ys[nxt])
+    lo, hi = ys[np.maximum(j - 1, 0)], ys[np.minimum(j + 1, n - 1)]
+    best = np.empty(xs.size)
+    for rows, pts in _kink_buckets(xs, lo, hi, kinks, _REFINE_ITERS):
+        x = xs[rows]
+        _, best[rows] = golden_max_vec(
+            lambda y: refine(x, y), lo[rows], hi[rows], _REFINE_ITERS, kinks=pts
+        )
     best = np.minimum(np.maximum(best, floor), cap)
     out = np.where(at_cap, cap, best)
     out[np.isnan(xs)] = np.nan
@@ -471,19 +559,29 @@ def grid_sup(
     both_ends=False,
     monotone=False,
     groups=None,
+    kinks=None,
 ):
     """Row-wise supremum over the log grid ``ys``, one row per entry of ``xs``.
 
     ``scan(x, j)`` returns the objective at the cells (x, ys[j]) of
     broadcastable arrays ``x`` and ``j``, together with the mask of cells
     beyond the operands' coverage (or None); ``refine(xs, y)`` evaluates the
-    objective at one point ``y`` per row.  The mask contract: the unmasked
-    cells of each row form one run (possibly empty), and both ends of the
-    run are non-decreasing in x.  The best grid cell j of each row is
-    refined by golden section on [ys[j-1], ys[j+1]] (``golden_max_vec``:
-    one ``refine`` call per iteration, until every row's bracket values
-    agree to rounding or 60 iterations), which assumes the objective
-    unimodal near its maximum.
+    objective at the points ``y``, an array whose last axis runs over the
+    rows.  The mask contract: the unmasked cells of each row form one run
+    (possibly empty), and both ends of the run are non-decreasing in x.
+    The best grid cell j of each row is refined on [ys[j-1], ys[j+1]] by
+    ``golden_max_vec``, one call per bucket of rows with similar kink
+    counts.
+
+    ``kinks`` lists where the objective may change slope, as (knots,
+    shifted) pairs of sorted arrays: row x may kink at y = knot, plus log x
+    when ``shifted``.  The caller promises that between consecutive kinks
+    the objective is convex in y.  A row whose bracket holds at most 60
+    kinks is then answered exactly by the best of the bracket's ends and
+    its kinks, in one ``refine`` call for its bucket.  Other rows, and
+    every row without ``kinks``, take golden section (one ``refine`` call
+    per iteration, until the row's bracket values agree to rounding or 60
+    iterations), which assumes the objective unimodal near its maximum.
 
     The best cell is the leftmost grid argmax.  ``monotone`` states that it
     is non-decreasing in x, which holds (Topkis) when the objective has
@@ -552,9 +650,11 @@ def grid_sup(
                 f"{arg}={bad:g}; enlarge the grid or the operands' coverage",
                 **{arg: bad},
             )
-        return _refined(xs, ys, j, at_cap, refine, floor, cap)
+        return _refined(xs, ys, j, at_cap, refine, floor, cap, kinks)
     refused = refused_by >= 0
     keep = ~refused[groups]
     out = np.full(xs.size, np.nan)
-    out[keep] = _refined(xs[keep], ys, j[keep], at_cap[keep], refine, floor, cap)
+    out[keep] = _refined(
+        xs[keep], ys, j[keep], at_cap[keep], refine, floor, cap, kinks
+    )
     return out, refused

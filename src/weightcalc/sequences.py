@@ -75,8 +75,11 @@ class WeightSequence:
         if not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
             raise FormatError(f"non-finite log value at p={bad}")
-        values = values.copy()
-        values.flags.writeable = False
+        if values.flags.writeable or not values.flags.owndata:
+            # a read-only array owning its data is already immutable (the
+            # log values of another sequence): share it, copy anything else
+            values = values.copy()
+            values.flags.writeable = False
         object.__setattr__(self, "log_values", values)
 
     @property
@@ -241,9 +244,9 @@ def log_convex_minorant(m: WeightSequence) -> WeightSequence:
     pop cascades that follow them.  Every pop decision evaluates the
     expression above with the same operands, so the vertex set, and the
     output, are those of the plain per-point scan bit for bit.  Without any
-    violation the input is returned unchanged after the single O(P) pass;
-    sequences with many violations (noise, concave stretches) still cost
-    O(P) interpreted steps.
+    violation the input's log values come back after the single O(P) pass,
+    shared, not copied; sequences with many violations (noise, concave
+    stretches) still cost O(P) interpreted steps.
     """
     lv = m.log_values
     n = lv.size
@@ -284,6 +287,7 @@ def log_convex_minorant(m: WeightSequence) -> WeightSequence:
         p += 1
     vertices = hull[:top]
     out = np.interp(np.arange(n, dtype=float), vertices.astype(float), lv[vertices])
+    out.flags.writeable = False
     return WeightSequence(out, name)
 
 

@@ -66,9 +66,10 @@ def test_matrix_doubled_moderate_growth(square_matrix):
 
 
 def test_doubled_mg_defect_pinned():
-    # rounding-level defect of the matrix of an associated Gevrey weight
+    # rounding-level defect of the matrix of an associated Gevrey weight; the
+    # members' exact phi* (the interpolated log M_p) give the same defect
     mat = bmt.associated_matrix(fn.associated(sq.gevrey(0.5, 2000)), p_max=40)
-    assert mat.diagnostics["doubled_mg_defect"] == 5.329070518200751e-15
+    assert mat.diagnostics["doubled_mg_defect"] == 3.552713678800501e-15
 
 
 def test_matrix_of_identity_close_to_factorials():

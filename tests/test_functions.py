@@ -173,6 +173,32 @@ def test_conjugate_monotone_and_convex_on_samples():
     assert np.all(mid <= chord * (1 + 1e-8) + 1e-8)
 
 
+def test_conjugate_of_associated_is_exact_where_its_grid_cell_is_right():
+    # s t - omega_M(t) is convex in log t between the quotients mu_p, so the
+    # conjugate is max_p (s mu_p - omega_M(mu_p)); brackets holding several
+    # quotients are no longer left below it
+    m = sq.gevrey(0.4, 12000)
+    omega = fn.associated(m)
+    star = fn.conjugate(omega)
+    ss = np.exp(np.linspace(0.0, math.log(star.domain_hint / 2), 200))
+    got = star.evaluate_many(ss)
+    log_mu = np.diff(m.log_values)
+    ps = np.arange(1, m.p_max + 1)
+    log_ts = GridSpec().log_points(omega.domain_hint)
+    inside = log_mu <= log_ts[-1]
+    at_kinks = ss[:, None] * np.exp(log_mu[inside]) - (ps * log_mu - (m.log_values[1:] - m.log_values[0]))[inside]
+    exact = np.maximum(0.0, at_kinks.max(axis=1))
+    right = np.zeros(ss.size, dtype=bool)
+    grid_values = ss[:, None] * np.exp(log_ts) - omega.evaluate_many(np.exp(log_ts))
+    for i, j in enumerate(np.argmax(grid_values, axis=1)):
+        best = log_mu[inside][at_kinks[i] >= exact[i] - 1e-13 * max(1.0, exact[i])]
+        right[i] = np.any((best >= log_ts[j - 1]) & (best <= log_ts[j + 1]))
+    tol = 1e-12 * np.maximum(1.0, exact)
+    assert right.mean() > 0.95
+    assert np.all(np.abs(got - exact)[right] <= tol[right])
+    assert np.all(got <= exact + tol)
+
+
 def test_conjugate_fast_growth_inequality():
     omega = fn.power_weight(0.5)
     star = fn.conjugate(omega, GridSpec(1e-2, 1e10, 4096))
@@ -237,6 +263,71 @@ def test_envelope_lower_commutative():
     assert np.max(np.abs(e1.evaluate_many(ts) - e2.evaluate_many(ts))) < 1e-9
 
 
+def test_envelope_lower_of_associated_functions_is_that_of_the_product():
+    # inf_s omega_M(s) + omega_N(t/s) = omega_MN(t), the infimal convolution
+    # in log t of two conjugates being the conjugate of the sum
+    m, n = sq.gevrey(0.5, 2000), sq.gevrey(0.8, 2000)
+    sigma, tau = fn.associated(m), fn.associated(n)
+    ts = np.exp(np.linspace(math.log(2.0), math.log(5e3), 300))
+    got = fn.envelope_lower(sigma, tau).evaluate_many(ts)
+    lv = m.log_values + n.log_values
+    ps = np.arange(lv.size, dtype=float)
+    exact = np.max(ps * np.log(ts)[:, None] - (lv - lv[0]), axis=1)
+    # the minimisers of the objective in y = log s form an interval between
+    # two kinks; an argument's grid cell is right when [y_(j-1), y_(j+1)]
+    # around its grid argmin j meets that interval
+    log_ss = GridSpec().log_points(sigma.domain_hint)
+    right = np.zeros(ts.size, dtype=bool)
+    for i, t in enumerate(ts):
+        objective = lambda y: sigma.evaluate_many(np.exp(y)) + tau.evaluate_many(t / np.exp(y))
+        masked = t / np.exp(log_ss) > tau.domain_hint
+        j = int(np.argmin(np.where(masked, np.inf, objective(log_ss))))
+        ys = np.concatenate((fn.log_kinks(sigma), math.log(t) - fn.log_kinks(tau)))
+        ys = ys[objective(ys) <= exact[i] + 1e-13 * max(1.0, exact[i])]
+        right[i] = ys.min() <= log_ss[j + 1] and ys.max() >= log_ss[j - 1]
+    tol = 1e-12 * np.maximum(1.0, exact)
+    assert right.mean() > 0.9
+    assert np.all(np.abs(got - exact)[right] <= tol[right])
+    # every value is the objective somewhere, so never below the infimum
+    assert np.all(got >= exact - tol)
+
+
+def _sampled_in_log(log_ts, slopes):
+    """Sampled weight with the given slope in log t between its samples."""
+    return fn.from_samples(np.exp(log_ts), np.concatenate(([0.0], np.cumsum(slopes * np.diff(log_ts)))))
+
+
+@pytest.mark.parametrize("which", ["lower", "upper"])
+def test_envelopes_of_sampled_operands_are_exact_at_their_kinks(which):
+    # sigma(e^y) and tau(e^u) piecewise linear with non-integer slopes; the
+    # objective in y = log s is convex (lower: both slopes rise) or concave
+    # (upper: sigma's fall, tau's rise), so its optimum is one of the kinks
+    # of sigma at y or of tau at log t -+ y, and its grid cell is right
+    rng = np.random.default_rng(5)
+    log_ts = np.linspace(math.log(1e-2), math.log(1e6), 41) + rng.uniform(-0.1, 0.1, 41)
+    tau = _sampled_in_log(log_ts, np.sort(rng.uniform(0.3, 4.0, 40)))
+    slopes = np.sort(rng.uniform(0.3, 4.0, 40))
+    sigma = _sampled_in_log(log_ts, slopes[::-1] if which == "upper" else slopes)
+    ts = np.exp(np.linspace(0.0, math.log(1e3), 50))
+    sign = -1.0 if which == "lower" else 1.0
+    ys = np.concatenate(
+        (np.tile(fn.log_kinks(sigma), (ts.size, 1)), np.log(ts)[:, None] + sign * fn.log_kinks(tau)),
+        axis=1,
+    )
+    ss = np.exp(ys)
+    if which == "lower":
+        got = fn.envelope_lower(sigma, tau).evaluate_many(ts)
+        values = sigma.evaluate_many(ss) + tau.evaluate_many(ts[:, None] / ss)
+        exact = np.min(np.where(ts[:, None] / ss <= tau.domain_hint, values, np.inf), axis=1)
+    else:
+        got = fn.envelope_upper(sigma, tau, check=False).evaluate_many(ts)
+        values = sigma.evaluate_many(ss) - tau.evaluate_many(ss / ts[:, None])
+        inside = (ss / ts[:, None] <= tau.domain_hint) & (ss <= sigma.domain_hint)
+        # the s = 0 endpoint, sigma(0) - tau(0) = 0, competes
+        exact = np.maximum(0.0, np.max(np.where(inside, values, -np.inf), axis=1))
+    np.testing.assert_allclose(got, exact, rtol=1e-12, atol=1e-12)
+
+
 def test_envelope_upper_calculus_oracle():
     # sup_s sqrt(s) - s/t peaks at s = t^2/4 with value t/4
     env = fn.envelope_upper(fn.power_weight(2.0), fn.identity_weight())
@@ -293,7 +384,7 @@ def test_relation_fn_slowly_varying_self_triangle_c():
 
 def _dilation_scan_per_h(ts, tau_vals, sigma, hs):
     """Reference: the dilation scan with one evaluation of sigma per h."""
-    best = None
+    found = []
     accepted = np.zeros(hs.size, dtype=bool)
     for i, h in enumerate(hs):
         args = h * ts
@@ -308,12 +399,12 @@ def _dilation_scan_per_h(ts, tau_vals, sigma, hs):
         ratio = tau_vals[valid] / np.maximum(shifted, 1e-300)
         if fn._deficit_accepted(deficit, ratio):
             accepted[i] = True
-            c = max(0.0, float(np.max(deficit)))
-            if best is None or c < best[1]:
-                best = (float(h), c)
-    if best is None:
+            found.append((float(h), max(0.0, float(np.max(deficit)))))
+    if not found:
         return None, None, accepted
-    return best[0], best[1], accepted
+    c_min = min(c for _, c in found)
+    h, c = min((h, c) for h, c in found if c <= c_min + 1e-12 * max(1.0, c_min))
+    return h, c, accepted
 
 
 class _Recorder:
@@ -379,6 +470,18 @@ def test_batched_dilation_scan_of_cheap_operands_is_bit_identical(sigma, tau):
     assert got[:2] == want[:2]
     np.testing.assert_array_equal(got[2], want[2])
     assert len(calls) == 1 and calls[0][1] is None
+
+
+@pytest.mark.parametrize("ulp_lower_at", [1.0, 2.0])
+def test_dilation_scan_breaks_a_near_tie_towards_the_smallest_h(ulp_lower_at):
+    # sigma is 1 on the arguments of h = 1 and one ulp above or below 1 on
+    # those of h = 2, so the two C differ by one ulp of 2 either way
+    ts = np.linspace(10.0, 15.0, 64)
+    bumped = np.nextafter(1.0, 2.0) if ulp_lower_at == 2.0 else np.nextafter(1.0, 0.0)
+    sigma = fn.WeightFunction("step", lambda t: np.where(t < 18.0, 1.0, bumped))
+    h, c, accepted = fn._dilation_scan(ts, np.full(ts.size, 3.0), sigma, np.array([1.0, 2.0]))
+    assert accepted.all()
+    assert (h, c) == (1.0, 2.0)
 
 
 def test_batched_dilation_scan_of_an_envelope_with_fully_masked_rows(monkeypatch):

@@ -225,6 +225,146 @@ def test_golden_section_row_does_not_depend_on_its_batch():
 
 
 # ---------------------------------------------------------------------------
+# breakpoint refinement
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def sampled_operands(draw, max_samples=30):
+    """A non-decreasing ``from_samples`` function: piecewise linear in log t
+    with at most ``max_samples`` kinks in log t on [-2, 2]."""
+    real = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    knots = np.unique(draw(st.lists(real(-2.0, 2.0), min_size=2, max_size=max_samples)))
+    if knots.size < 2 or np.min(np.diff(knots)) < 1e-6:
+        knots = np.linspace(-2.0, 2.0, knots.size if knots.size >= 2 else 2)
+    rises = draw(st.lists(real(0.0, 5.0), min_size=knots.size, max_size=knots.size))
+    return fn.from_samples(np.exp(knots), np.cumsum(rises))
+
+
+@st.composite
+def kinked_refinements(draw):
+    """Rows of a phi*-shaped objective x y - g(e^y) or of a lower-envelope
+    objective -(g(e^y) + h(x / e^y)) of sampled g and h, with the kinks that
+    ``grid_sup`` is given for them and a bracket [ys[j-1], ys[j+1]] per row."""
+    g = draw(sampled_operands())
+    k = draw(st.integers(1, 8))
+    real = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    ys = np.linspace(-2.5, 2.5, draw(st.integers(3, 40)))
+    j = np.array(draw(st.lists(st.integers(1, ys.size - 2), min_size=k, max_size=k)))
+    xs = np.array(draw(st.lists(real(0.2, 6.0), min_size=k, max_size=k)))
+    k_g = fn.log_kinks(g)
+    if draw(st.booleans()):
+        return xs, ys, j, lambda x, y: x * y - g.evaluate_many(np.exp(y)), [(k_g, False)]
+    h = draw(sampled_operands())
+    k_h = fn.log_kinks(h)
+
+    def objective(x, y):
+        s = np.exp(y)
+        return -(g.evaluate_many(s) + h.evaluate_many(x / s))
+
+    return xs, ys, j, objective, [(k_g, False), (-k_h[::-1], True)]
+
+
+def _candidates(x, lo, hi, kinks):
+    """The two ends of (lo, hi) and every kink strictly inside, one row."""
+    points = [lo, hi]
+    for knots, shifted in kinks:
+        at = knots + (math.log(x) if shifted else 0.0)
+        points.extend(at[(at > lo) & (at < hi)])
+    return np.array(points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kinked_refinements())
+def test_breakpoint_refinement_is_exact_for_piecewise_linear_operands(problem):
+    xs, ys, j, objective, kinks = problem
+    got = grids._refined(xs, ys, j, np.zeros(xs.size, dtype=bool), objective,
+                         -math.inf, math.inf, kinks)
+    for x, value, jj in zip(xs, got, j):
+        lo, hi = ys[jj - 1], ys[jj + 1]
+        tol = 1e-12 * max(1.0, abs(value))
+        best = np.max(objective(x, _candidates(x, lo, hi, kinks)))
+        assert abs(value - best) <= tol
+        dense = np.max(objective(x, np.linspace(lo, hi, 10_000)))
+        assert dense <= value + tol
+
+
+def test_rows_with_more_than_iters_kinks_take_golden_section():
+    # row 0 holds iters + 1 kinks and row 1 three: golden section for the
+    # first, which matches a call without kinks; one call of f for the second
+    iters = 60
+    lo, hi = np.zeros(2), np.ones(2)
+    kinks = np.full((iters + 1, 2), np.nan)
+    kinks[:, 0] = np.linspace(0.01, 0.99, iters + 1)
+    kinks[:3, 1] = [0.2, 0.5, 0.7]
+    centre = np.array([0.37, 0.5])
+    shapes = []
+
+    def objective(y):
+        shapes.append(y.shape)
+        return -np.abs(y - centre)
+
+    x, top = grids.golden_max_vec(objective, lo, hi, iters, kinks=kinks)
+    ref = grids.golden_max_vec(lambda y: -np.abs(y - centre), lo, hi, iters)
+    assert (x[0], top[0]) == (ref[0][0], ref[1][0])
+    assert (x[1], top[1]) == (0.5, 0.0)
+
+    # without the crowded row's kinks both rows take the one call
+    shapes.clear()
+    kinks[:, 0] = np.nan
+    x, top = grids.golden_max_vec(objective, lo, hi, iters, kinks=kinks)
+    assert shapes == [(5, 2)]
+    assert (x[1], top[1]) == (0.5, 0.0)
+    assert top[0] == max(-0.37, -0.63)
+
+
+def test_refinement_routes_each_row_by_its_kink_count():
+    # x y - g(e^y) for a g sampled 500 times per grid step past y = 1 and
+    # about once per step below: the row refined on the dense stretch takes
+    # golden section, the two others one call of the objective each (one
+    # per bucket)
+    log_ts = np.concatenate((np.linspace(-3.0, 0.9, 40), np.linspace(1.0, 3.0, 10_000)))
+    g = fn.from_samples(np.exp(log_ts), np.cumsum(np.linspace(0.0, 0.01, log_ts.size)))
+    ys = np.linspace(-3.0, 3.0, 61)
+    calls = []
+
+    def refine(x, y):
+        calls.append(y.shape)
+        return x * y - g.evaluate_many(np.exp(y))
+
+    grids._refined(np.array([0.01, 1.5, 9.0]), ys, np.array([5, 20, 45]),
+                   np.zeros(3, dtype=bool), refine, -math.inf, math.inf,
+                   [(fn.log_kinks(g), False)])
+    one_call = [c for c in calls if len(c) == 2]
+    golden = [c for c in calls if len(c) == 1]
+    assert sum(c[1] for c in one_call) == 2
+    assert len(golden) > 2 and all(c == (1,) for c in golden)
+
+
+def test_breakpoint_refinement_does_not_depend_on_the_batch():
+    # rows with a few kinks, a dozen and over a hundred (golden section),
+    # refined together and one by one
+    log_ts = np.concatenate(
+        (np.linspace(-3.0, -0.01, 40), np.linspace(0.0, 1.49, 300), np.linspace(1.5, 3.0, 2000))
+    )
+    g = fn.from_samples(np.exp(log_ts), np.exp(0.8 * log_ts))
+    ys = np.linspace(-3.0, 3.0, 128)
+    kinks = [(fn.log_kinks(g), False)]
+
+    def refine(x, y):
+        return x * y - g.evaluate_many(np.exp(y))
+
+    def scan(x, j):
+        return refine(x, ys[j]), None
+
+    xs = np.exp(np.linspace(-2.0, 1.5, 23))
+    both = grid_sup(xs, ys, scan, refine, ("test", "x"), kinks=kinks)
+    alone = [grid_sup(xs[i : i + 1], ys, scan, refine, ("test", "x"), kinks=kinks)[0]
+             for i in range(xs.size)]
+    np.testing.assert_array_equal(both, alone)
+
+
+# ---------------------------------------------------------------------------
 # sorted-window argmax against the dense scan
 # ---------------------------------------------------------------------------
 

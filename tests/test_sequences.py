@@ -175,6 +175,22 @@ def test_minorant_fixes_nothing_when_convex():
         assert np.array_equal(lc.log_values, g.log_values)
 
 
+def test_minorant_and_renaming_share_the_log_values():
+    # a log-convex input and a renamed sequence keep the same array; a
+    # caller's writeable array is still copied
+    g = sq.gevrey(0.5, 1000)
+    assert np.shares_memory(sq.log_convex_minorant(g).log_values, g.log_values)
+    assert np.shares_memory(g.with_name("g").log_values, g.log_values)
+    values = np.array(g.log_values)
+    m = sq.from_log_values(values)
+    assert not np.shares_memory(m.log_values, values)
+    assert not m.log_values.flags.writeable
+    bumped = values.copy()
+    bumped[500] += 1.0
+    lc = sq.log_convex_minorant(sq.from_log_values(bumped))
+    assert not lc.log_values.flags.writeable
+
+
 def _reference_minorant(values):
     # per-element monotone chain; the library must reproduce it bit for bit
     lv = np.asarray(values, dtype=float)
