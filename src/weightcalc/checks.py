@@ -157,14 +157,6 @@ def _log_samples(lo: float, hi: float, n: int) -> np.ndarray:
     return np.exp(np.linspace(math.log(lo), math.log(hi), n))
 
 
-def _assoc_tail_window(m: sq.WeightSequence, shrink: float = 128.0) -> TailWindow:
-    """Tail window inside the quotient coverage of an associated function."""
-    top = float(min(m.log_quotients[-1], 700.0))
-    hi = math.exp(top) / shrink
-    hi = max(hi, math.exp(min(top, 2.0)))
-    return TailWindow(max(hi / 1e3, 1e-2), hi, 512)
-
-
 # ---------------------------------------------------------------------------
 # conjugate and envelope identities
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ leftmost argmax on a log-spaced grid followed by refinement of the winning
 cell.  Each transform supplies its grid, its objective at grid cells and
 at points of each row, its endpoint or cap values, and whether the argmax
 is monotone in the argument: always for the conjugate and sequence
-recovery, and for the envelopes when tau(e^u) is certified convex on the
-range the scan touches, so that the grid search costs O((n + k) log k)
-cells instead of k x n.
+recovery, and for the envelopes when the kind of tau proves tau(e^u)
+convex on the range the scan touches, so that the grid search costs
+O((n + k) log k) cells instead of k x n.  Envelopes whose tau is of
+another kind take the dense scan.
 
 Associated functions, their integral form and sampled functions are
 piecewise linear in log t (``log_kinks``).  A transform of such operands
@@ -578,30 +579,36 @@ def biconjugate(
 # ---------------------------------------------------------------------------
 
 
-def _kind_convex_in_log(tau: WeightFunction, u_lo: float, u_hi: float):
-    """Whether g(u) = tau(e^u) is convex on [u_lo, u_hi], decided exactly from
-    the kind of tau: True or False, or None when the kind does not tell.
+def _convex_in_log(tau: WeightFunction, u_lo: float, u_hi: float) -> bool:
+    """Whether g(u) = tau(e^u) is convex on [u_lo, u_hi], decided from the
+    kind of tau: False when the kind does not prove it.
 
-    Powers, associated functions and their integral form are convex in log t
-    (e^(u/alpha), and suprema of affine functions of u); so is log(1+t)^beta
-    for beta >= 1, a convex increasing power of the convex log(1 + e^u).
-    A sampled function is piecewise linear in u with slope 0 below its first
-    sample: it is convex iff its slope does not fall, up to 1e-12 relative,
-    at a knot inside the range.
+    An envelope scan whose g is convex over the range it touches has a
+    leftmost argmax monotone in log t, so it may take the windowed route.
+    An empty range (u_hi < u_lo) is convex vacuously: every cell of such a
+    scan is masked, and the windowed route refuses its rows without
+    scanning them.  Powers, associated functions and their integral form
+    are convex in log t (e^(u/alpha), and suprema of affine functions of
+    u); so is log(1+t)^beta for beta >= 1, a convex increasing power of the
+    convex log(1 + e^u).  A sampled function is piecewise linear in u with
+    slope 0 below its first sample: it is convex iff its slope does not
+    fall, up to 1e-12 relative, at a knot inside the range.
     """
+    if u_hi < u_lo:
+        return True
     # kinds are those of this module's constructors; a function built
-    # directly under such a kind without its parameters decides nothing
+    # directly under such a kind without its parameters proves nothing
     kind, params = tau.kind, tau.params
     if kind in ("power", "associated", "integral_form"):
         return True
-    if kind == "log_power" and params.get("beta", 0.0) >= 1.0:
-        return True
+    if kind == "log_power":
+        return params.get("beta", 0.0) >= 1.0
     if kind == "normalized" and "of" in params:
         # max(0, g(u) - g(0)) of a convex g is convex
-        return _kind_convex_in_log(params["of"], u_lo, u_hi) or None
+        return _convex_in_log(params["of"], u_lo, u_hi)
     if kind == "power_substitution" and "of" in params:
         alpha = params["alpha"]
-        return _kind_convex_in_log(params["of"], u_lo / alpha, u_hi / alpha)
+        return _convex_in_log(params["of"], u_lo / alpha, u_hi / alpha)
     if kind == "sampled" and "ts" in params:
         # slopes[i] and slopes[i + 1] meet at knot i; the last segment is
         # continued beyond the last knot, which therefore is no kink
@@ -611,51 +618,7 @@ def _kind_convex_in_log(tau: WeightFunction, u_lo: float, u_hi: float):
         left, right = slopes[:-1][inside], slopes[1:][inside]
         tol = 1e-12 * np.maximum(np.abs(left), np.abs(right))
         return bool(np.all(right >= left - tol))
-    return None
-
-
-def _convex_in_log(tau: WeightFunction, us, log_ss, budget: int) -> bool:
-    """Certificate that g(u) = tau(e^u) is convex where an envelope scan over
-    the grid ``log_ss`` touches it, so that the scan's leftmost argmax is
-    monotone in log t.
-
-    ``us`` holds the extreme arguments of g of every row; their range is
-    clipped at log tau.domain_hint (the scan masks the cells beyond it).
-    When the clipped range is empty, every cell the scan touches is masked:
-    the argmax is vacuously monotone, so the call is certified and takes
-    the windowed route, which refuses such rows without scanning them.
-    Where the kind of tau decides convexity (``_kind_convex_in_log``) that
-    answer is exact.  Otherwise g is sampled on a uniform lattice covering
-    the range with at most the grid's step, and certified when every second
-    difference g0 - 2 g1 + g2 is >= -1e-12 max(1, |g0| + 2|g1| + |g2|): a
-    check on the lattice only, which a kink narrower than one step can
-    escape.  A range shorter than two steps, or a lattice of more than
-    ``budget`` points (the dense-scan cells the windowed route saves),
-    certifies nothing.
-    """
-    if np.all(np.isnan(us)):
-        return False
-    hint = tau.domain_hint
-    u_lo = float(np.nanmin(us))
-    u_hi = min(float(np.nanmax(us)), math.log(hint) if hint > 0 else -math.inf)
-    if u_hi < u_lo:
-        return True
-    step = float(log_ss[1] - log_ss[0])
-    if not u_hi - u_lo >= 2.0 * step:
-        return False
-    known = _kind_convex_in_log(tau, u_lo, u_hi)
-    if known is not None:
-        return known
-    points = math.ceil((u_hi - u_lo) / step) + 1
-    if points > budget:
-        return False
-    try:
-        g = tau.evaluate_many(np.exp(np.linspace(u_lo, u_hi, points)))
-    except DomainExhaustedError:
-        return False
-    second = g[2:] - 2.0 * g[1:-1] + g[:-2]
-    scale = np.abs(g[2:]) + 2.0 * np.abs(g[1:-1]) + np.abs(g[:-2])
-    return bool(np.all(second >= -1e-12 * np.maximum(1.0, scale)))
+    return False
 
 
 def envelope_lower(
@@ -669,6 +632,7 @@ def envelope_lower(
     sig_vals = sigma.evaluate_many(ss)
     value_at_0 = sigma(0.0) + tau(0.0)
     tau_hint = tau.domain_hint
+    log_hint = math.log(tau_hint) if tau_hint > 0 else -math.inf
     sig_fn, tau_fn = sigma.evaluate_many, tau.evaluate_many
     # the objective kinks where sigma does, at y, and where tau does, at
     # log t - y
@@ -683,8 +647,11 @@ def envelope_lower(
     # argmax is legitimate
     def scan(t, j):
         args = t / ss[j]
+        masked = args > tau_hint
+        # masked cells are discarded, so tau is evaluated within its coverage
+        np.minimum(args, tau_hint, out=args)
         obj = sig_vals[j] + tau_fn(args.ravel()).reshape(args.shape)
-        return -obj, args > tau_hint
+        return -obj, masked
 
     def refine(ts, ys):
         s = np.exp(ys)
@@ -693,15 +660,17 @@ def envelope_lower(
     def fn(ts, groups=None):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         live = ~(ts <= 0)
-        # the scan touches g(u) = tau(e^u) at u = log t - y
-        us = np.log(ts[live])[:, None] - log_ss[[0, -1]]
+        # the scan touches g(u) = tau(e^u) at u = log t - y, up to log tau_hint
+        log_t = np.log(ts[live])
+        u_lo = np.nanmin(log_t, initial=np.inf) - log_ss[-1]
+        u_hi = min(np.nanmax(log_t, initial=-np.inf) - log_ss[0], log_hint)
         return _transform_values(
             ts, live, value_at_0, groups, log_ss, scan, refine,
             ("envelope_lower", "t"),
             sign=-1.0,
             cap=-value_at_0,
             both_ends=True,
-            monotone=lambda budget: _convex_in_log(tau, us, log_ss, budget),
+            monotone=_convex_in_log(tau, u_lo, u_hi),
             kinks=kinks,
         )
 
@@ -741,6 +710,7 @@ def envelope_upper(
     sig_vals = sigma.evaluate_many(ss)
     value_at_0 = sigma(0.0) - tau(0.0)
     tau_hint = tau.domain_hint
+    log_hint = math.log(tau_hint) if tau_hint > 0 else -math.inf
     sig_fn, tau_fn = sigma.evaluate_many, tau.evaluate_many
     # the objective kinks where sigma does, at y, and where tau does, at
     # y - log t
@@ -751,8 +721,11 @@ def envelope_upper(
 
     def scan(t, j):
         args = ss[j] / t
+        masked = args > tau_hint
+        # masked cells are discarded, so tau is evaluated within its coverage
+        np.minimum(args, tau_hint, out=args)
         obj = sig_vals[j] - tau_fn(args.ravel()).reshape(args.shape)
-        return obj, args > tau_hint
+        return obj, masked
 
     def refine(ts, ys):
         s = np.exp(ys)
@@ -764,13 +737,15 @@ def envelope_upper(
         # grid lies beyond tau's coverage
         with np.errstate(divide="ignore"):
             live = ~(ts <= 0) & ~(ss[0] / ts > tau_hint)
-        # the scan touches g(u) = tau(e^u) at u = y - log t
-        us = log_ss[[0, -1]] - np.log(ts[live])[:, None]
+        # the scan touches g(u) = tau(e^u) at u = y - log t, up to log tau_hint
+        log_t = np.log(ts[live])
+        u_lo = log_ss[0] - np.nanmax(log_t, initial=-np.inf)
+        u_hi = min(log_ss[-1] - np.nanmin(log_t, initial=np.inf), log_hint)
         return _transform_values(
             ts, live, value_at_0, groups, log_ss, scan, refine,
             ("envelope_upper", "t"),
             floor=value_at_0,
-            monotone=lambda budget: _convex_in_log(tau, us, log_ss, budget),
+            monotone=_convex_in_log(tau, u_lo, u_hi),
             kinks=kinks,
         )
 

@@ -22,12 +22,10 @@ that holds when the objective has increasing differences in (x, y):
 * x * phi(y) - psi(y) with phi increasing, whatever psi is: the conjugate,
   sequence recovery and phi* take the windowed route whenever it saves
   cells;
-* -g(x - y) and -g(y - x) with g convex: the envelopes, whose g(u) =
-  tau(e^u) is certified convex over the u-range each call touches
-  (``functions._convex_in_log``), exactly where the kind of tau decides it
-  and on a lattice of the grid step otherwise.  A tau that fails, or whose
-  lattice would cost more than the windowed route saves, takes the dense
-  scan.
+* -g(x - y) and -g(y - x) with g convex: the envelopes, when the kind of
+  tau proves g(u) = tau(e^u) convex over the u-range each call touches
+  (``functions._convex_in_log``).  A tau of any other kind takes the
+  dense scan.
 
 Asymptotic statements (limits, O/o relations) are undecidable from finite
 data.  Every detector here is an estimator over a declared window and the
@@ -587,13 +585,12 @@ def grid_sup(
     is non-decreasing in x, which holds (Topkis) when the objective has
     increasing differences in (x, y): for x * phi(y) - psi(y) with phi
     increasing, and for -g(x - y) or -g(y - x) with g convex.  Callers set
-    it from the form of their objective, or pass a convexity certificate: a
-    function of the number of dense cells it may spend, which runs only
-    when the windowed route saves that many.  The argmax is then found by
-    the sorted-window divide and conquer in O((n + k) log k) cells;
-    otherwise, and for every objective not known to be monotone, by the
-    dense scan.  In exact arithmetic both find the same cell.  In floating
-    point increasing differences hold up to rounding, so the two may pick
+    it from the form of their objective, the envelopes from the kind of
+    tau.  The argmax is then found by the sorted-window divide and conquer
+    in O((n + k) log k) cells whenever that saves cells; otherwise, and
+    for every objective not known to be monotone, by the dense scan.  In
+    exact arithmetic both find the same cell.  In floating point
+    increasing differences hold up to rounding, so the two may pick
     different near-tied cells, whose values differ by a few ulps; the
     windowed route therefore also compares the cells the edge test refuses
     (``_with_edge_cells``) and confirms each row it would refuse by the
@@ -634,12 +631,7 @@ def grid_sup(
     if xs.size == 0:
         return xs.copy() if groups is None else (xs.copy(), np.zeros(0, dtype=bool))
     n = ys.size
-    # the windowed route runs when it saves cells, and a certificate may
-    # spend at most the saving
-    saving = _saving(xs.size, n)
-    windowed = saving >= 0 and (
-        monotone(saving) if callable(monotone) else monotone
-    )
+    windowed = monotone and _saving(xs.size, n) >= 0
     j, at_cap, refused_by = _search(xs, n, scan, cap, both_ends, windowed, groups)
     if groups is None:
         if refused_by[0] >= 0:

@@ -510,16 +510,25 @@ def _zigzag_samples():
     return fn.from_samples(ts, np.cumsum(steps))
 
 
+def _wrapped(omega):
+    # a kind whose convexity in log t the kind test cannot decide
+    return fn.WeightFunction("wrapped", omega.evaluate_many, omega.domain_hint)
+
+
 @pytest.mark.parametrize(
     "sigma, tau",
     [
         (fn.power_weight(1.0), _zigzag_samples()),
         (fn.power_weight(0.5), fn.log_power_weight(0.5)),
+        (fn.power_weight(1.0), _wrapped(_zigzag_samples())),
     ],
-    ids=["from_samples", "log_power"],
+    ids=["from_samples", "log_power", "undecided"],
 )
 def test_envelope_of_non_convex_tau_takes_the_dense_scan(sigma, tau, monkeypatch):
+    stops = _record_stops(monkeypatch)
     got = fn.envelope_lower(sigma, tau, _G512).evaluate_many(_T97)
+    # no sorted-window search ran
+    assert stops == []
     monkeypatch.setattr(fn, "_convex_in_log", lambda *args: False)
     dense = fn.envelope_lower(sigma, tau, _G512).evaluate_many(_T97)
     assert np.array_equal(got, dense)
@@ -632,13 +641,36 @@ def test_envelope_masked_on_every_cell_is_certified_and_refused_like_the_dense_s
     ts = np.exp(np.linspace(math.log(1e3), math.log(1e5), 40))
     ts = ts[np.random.default_rng(7).permutation(40)]
     log_ss = grid.log_points()
-    assert fn._convex_in_log(tau, np.log(ts)[:, None] - log_ss[[0, -1]], log_ss, 0)
+    u_lo = np.log(ts).min() - log_ss[-1]
+    u_hi = min(np.log(ts).max() - log_ss[0], math.log(tau.domain_hint))
+    assert u_hi < u_lo and fn._convex_in_log(tau, u_lo, u_hi)
     stops = _record_stops(monkeypatch)
     got = _envelope_outcome(fn.envelope_lower(fn.identity_weight(), tau, grid), ts)
     assert stops and stops[0] is not None
     monkeypatch.setattr(fn, "_convex_in_log", lambda *args: False)
     dense = _envelope_outcome(fn.envelope_lower(fn.identity_weight(), tau, grid), ts)
     assert got == dense == {"t": ts[0]}
+
+
+@pytest.mark.parametrize("convex", [False, True], ids=["dense", "windowed"])
+def test_envelope_evaluates_tau_only_within_its_coverage(convex, monkeypatch):
+    # a transform tau refuses arguments beyond its coverage (hint 14.06), so
+    # the masked cells of the scan, and the edge tests that read them, must
+    # not evaluate it there; tau(e^u) is convex, so both routes are valid
+    sigma = fn.associated(sq.gevrey(0.6, 4000))
+    tau = fn.conjugate(fn.associated(sq.gevrey(0.7, 8000)), check=False)
+    monkeypatch.setattr(fn, "_convex_in_log", lambda *args: convex)
+    ts = np.exp(np.linspace(0.0, math.log(1e3), 97))
+    got = fn.envelope_lower(sigma, tau).evaluate_many(ts)
+    assert np.all(np.isfinite(got))
+    # no value lies above sigma(s) + tau(t / s) on a fine log grid of the s
+    # both operands cover
+    us = np.exp(np.linspace(math.log(1e-3), math.log(tau.domain_hint), 200_000))
+    tau_us = tau.evaluate_many(us)
+    for t, value in zip(ts, got):
+        ss = t / us
+        covered = ss <= sigma.domain_hint
+        assert value <= np.min(sigma.evaluate_many(ss[covered]) + tau_us[covered])
 
 
 @st.composite
@@ -821,11 +853,6 @@ def test_grouped_grid_sup_without_refusal_equals_the_ungrouped_call():
     np.testing.assert_array_equal(values, ungrouped)
 
 
-def _wrapped(omega):
-    # a kind the certificate cannot decide, so g is checked on its lattice
-    return fn.WeightFunction("wrapped", omega.evaluate_many, omega.domain_hint)
-
-
 def _zigzag_with_far_sample():
     # a huge value far to the right must not hide the zigzag's concave kinks
     zig = _zigzag_samples()
@@ -833,13 +860,13 @@ def _zigzag_with_far_sample():
     return fn.from_samples(np.append(ts, 1e8), np.append(values, 1e14))
 
 
-@pytest.mark.parametrize("wrap", [False, True], ids=["sampled", "lattice"])
-def test_certificate_tolerance_is_local_to_each_second_difference(wrap, monkeypatch):
-    tau = _zigzag_with_far_sample()
-    tau = _wrapped(tau) if wrap else tau
+@pytest.mark.parametrize("tau", [_zigzag_with_far_sample()], ids=["sampled"])
+def test_certificate_tolerance_is_local_to_each_second_difference(tau, monkeypatch):
     sigma = fn.power_weight(1.0)
-    us = np.log(_T97)[:, None] - _G512.log_points()[[0, -1]]
-    assert not fn._convex_in_log(tau, us, _G512.log_points(), 10**6)
+    log_ss = _G512.log_points()
+    u_lo = math.log(_T97[0]) - log_ss[-1]
+    u_hi = min(math.log(_T97[-1]) - log_ss[0], math.log(tau.domain_hint))
+    assert not fn._convex_in_log(tau, u_lo, u_hi)
     got = _envelope_outcome(fn.envelope_lower(sigma, tau, _G512), _T97)
     monkeypatch.setattr(fn, "_convex_in_log", lambda *args: False)
     dense = _envelope_outcome(fn.envelope_lower(sigma, tau, _G512), _T97)
@@ -849,13 +876,13 @@ def test_certificate_tolerance_is_local_to_each_second_difference(wrap, monkeypa
 def test_sampled_tau_with_kinks_finer_than_the_lattice_takes_the_dense_scan(
     monkeypatch,
 ):
-    # knots every half lattice step with alternating slopes, in phase with
-    # the certificate's lattice: tau(e^u) is linear on the lattice, which
-    # therefore passes it, yet concave at every other knot, which the knot
-    # slopes of a sampled tau show exactly
+    # knots every half grid step with alternating slopes: tau(e^u) is linear
+    # on a lattice of the grid step, yet concave at every other knot, which
+    # the knot slopes of a sampled tau show exactly; wrapped in a kind that
+    # proves nothing, tau is not taken for convex either
     log_ss = _G512.log_points()
-    us = np.log(_T97)[:, None] - log_ss[[0, -1]]
-    u_lo, u_hi = us.min(), us.max()
+    u_lo = math.log(_T97[0]) - log_ss[-1]
+    u_hi = math.log(_T97[-1]) - log_ss[0]
     points = math.ceil((u_hi - u_lo) / (log_ss[1] - log_ss[0])) + 1
     half = (u_hi - u_lo) / (points - 1) / 2
     knots = u_lo + half * np.arange(-2, 2 * points + 2)
@@ -863,8 +890,8 @@ def test_sampled_tau_with_kinks_finer_than_the_lattice_takes_the_dense_scan(
     tau = fn.from_samples(
         np.exp(knots), np.concatenate(([0.0], np.cumsum(slopes * half)))
     )
-    assert fn._convex_in_log(_wrapped(tau), us, log_ss, 10**6)
-    assert not fn._convex_in_log(tau, us, log_ss, 10**6)
+    assert not fn._convex_in_log(_wrapped(tau), u_lo, u_hi)
+    assert not fn._convex_in_log(tau, u_lo, u_hi)
     sigma = fn.power_weight(1.0)
     got = _envelope_outcome(fn.envelope_lower(sigma, tau, _G512), _T97)
     monkeypatch.setattr(fn, "_convex_in_log", lambda *args: False)
@@ -887,10 +914,10 @@ _CONCAVE_KINK = fn.from_samples([1.0, 2.0, 4.0], [0.0, 2.0, 3.0])
         (fn.from_samples([1.0, 2.0, 4.0], [0.0, 1.0, 3.0]), True),
         (_CONCAVE_KINK, False),
         (fn.power_substitution(_CONCAVE_KINK, 2.0), False),
-        (fn.log_power_weight(0.5), None),
-        (fn.normalized(fn.log_power_weight(0.5)), None),
-        (fn.WeightFunction("sampled", np.log1p, domain_hint=10.0), None),
+        (fn.log_power_weight(0.5), False),
+        (fn.normalized(fn.log_power_weight(0.5)), False),
+        (fn.WeightFunction("sampled", np.log1p, domain_hint=10.0), False),
     ],
 )
 def test_kind_decides_convexity_in_log(tau, convex):
-    assert fn._kind_convex_in_log(tau, -5.0, 5.0) is convex
+    assert fn._convex_in_log(tau, -5.0, 5.0) is convex
