@@ -84,7 +84,7 @@ def phi_star_many(
     inner = omega.evaluate_many
 
     def scan(x, j):
-        return x * ys[j] - wvals[j], None
+        return x * ys[j] - wvals[j]
 
     def refine(x, y):
         return x * y - inner(np.exp(y))

@@ -5,10 +5,11 @@ A :class:`WeightFunction` wraps a vectorised evaluator t >= 0 -> omega(t)
 together with a ``domain_hint``: the argument beyond which values are
 extrapolation (piecewise-from-sequence functions) or untrusted (tabulated
 transforms).  Every constructor's evaluator returns omega(0) for t < 0 and
-NaN for a NaN argument.  All sup/inf transforms mask arguments beyond the
-operands' hints and raise :class:`DomainExhaustedError` when an argmax lands
-on a search boundary (or, given group labels, report the refused groups),
-so a silently-extrapolated value can never win a supremum.
+NaN for a NaN argument.  All sup/inf transforms search only the grid cells
+within the operands' hints and raise :class:`DomainExhaustedError` when an
+argmax lands on a search boundary (or, given group labels, report the
+refused groups), so a silently-extrapolated value can never win a
+supremum.
 
 Suprema are located by :func:`weightcalc.grids.grid_sup`: a search for the
 leftmost argmax on a log-spaced grid followed by refinement of the winning
@@ -530,7 +531,7 @@ def conjugate(
     kinks = _fixed_kinks(omega)
 
     def scan(s, j):
-        return s * ts[j] - wvals[j], None
+        return s * ts[j] - wvals[j]
 
     def refine(ss, ys):
         return ss * np.exp(ys) - inner(np.exp(ys))
@@ -585,10 +586,10 @@ def _convex_in_log(tau: WeightFunction, u_lo: float, u_hi: float) -> bool:
 
     An envelope scan whose g is convex over the range it touches has a
     leftmost argmax monotone in log t, so it may take the windowed route.
-    An empty range (u_hi < u_lo) is convex vacuously: every cell of such a
-    scan is masked, and the windowed route refuses its rows without
-    scanning them.  Powers, associated functions and their integral form
-    are convex in log t (e^(u/alpha), and suprema of affine functions of
+    An empty range (u_hi < u_lo) is convex vacuously: every row of such a
+    scan has an empty run of columns, and ``grid_sup`` refuses it before
+    either route scans.  Powers, associated functions and their integral
+    form are convex in log t (e^(u/alpha), and suprema of affine functions of
     u); so is log(1+t)^beta for beta >= 1, a convex increasing power of the
     convex log(1 + e^u).  A sampled function is piecewise linear in u with
     slope 0 below its first sample: it is convex iff its slope does not
@@ -621,6 +622,15 @@ def _convex_in_log(tau: WeightFunction, u_lo: float, u_hi: float) -> bool:
     return False
 
 
+def _prefix_length(guess, holds, n):
+    """Number of leading grid columns j whose ``holds(j)`` is true, for a
+    predicate that holds on a prefix of the n columns, from a ``guess`` at
+    most one column off: a search of the grid for the predicate's
+    threshold, rounded differently from the predicate itself."""
+    k = guess + ((guess < n) & holds(np.minimum(guess, n - 1)))
+    return k - ((k > 0) & ~holds(np.maximum(k - 1, 0)))
+
+
 def envelope_lower(
     sigma: WeightFunction,
     tau: WeightFunction,
@@ -647,11 +657,7 @@ def envelope_lower(
     # argmax is legitimate
     def scan(t, j):
         args = t / ss[j]
-        masked = args > tau_hint
-        # masked cells are discarded, so tau is evaluated within its coverage
-        np.minimum(args, tau_hint, out=args)
-        obj = sig_vals[j] + tau_fn(args.ravel()).reshape(args.shape)
-        return -obj, masked
+        return -(sig_vals[j] + tau_fn(args.ravel()).reshape(args.shape))
 
     def refine(ts, ys):
         s = np.exp(ys)
@@ -660,8 +666,14 @@ def envelope_lower(
     def fn(ts, groups=None):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         live = ~(ts <= 0)
+        t = ts[live]
+        # each row's run starts past the cells t / s > tau_hint beyond tau's
+        # coverage; a NaN row runs over the whole grid
+        with np.errstate(all="ignore"):
+            guess = np.searchsorted(ss, np.nan_to_num(t / tau_hint, nan=0.0))
+            lo = _prefix_length(guess, lambda j: t / ss[j] > tau_hint, ss.size)
         # the scan touches g(u) = tau(e^u) at u = log t - y, up to log tau_hint
-        log_t = np.log(ts[live])
+        log_t = np.log(t)
         u_lo = np.nanmin(log_t, initial=np.inf) - log_ss[-1]
         u_hi = min(np.nanmax(log_t, initial=-np.inf) - log_ss[0], log_hint)
         return _transform_values(
@@ -672,6 +684,7 @@ def envelope_lower(
             both_ends=True,
             monotone=_convex_in_log(tau, u_lo, u_hi),
             kinks=kinks,
+            runs=(lo, np.full_like(lo, ss.size - 1)),
         )
 
     return WeightFunction(
@@ -721,11 +734,7 @@ def envelope_upper(
 
     def scan(t, j):
         args = ss[j] / t
-        masked = args > tau_hint
-        # masked cells are discarded, so tau is evaluated within its coverage
-        np.minimum(args, tau_hint, out=args)
-        obj = sig_vals[j] - tau_fn(args.ravel()).reshape(args.shape)
-        return obj, masked
+        return sig_vals[j] - tau_fn(args.ravel()).reshape(args.shape)
 
     def refine(ts, ys):
         s = np.exp(ys)
@@ -733,10 +742,18 @@ def envelope_upper(
 
     def fn(ts, groups=None):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        # the s = 0 endpoint competes, and alone answers the rows whose whole
-        # grid lies beyond tau's coverage
-        with np.errstate(divide="ignore"):
-            live = ~(ts <= 0) & ~(ss[0] / ts > tau_hint)
+        # each row's run ends before the cells s / t > tau_hint beyond tau's
+        # coverage; a NaN row, which the search puts past the grid end, runs
+        # over the whole grid
+        with np.errstate(all="ignore"):
+            guess = np.searchsorted(ss, ts * tau_hint, side="right")
+            covered = _prefix_length(
+                guess, lambda j: ~(ss[j] / ts > tau_hint), ss.size
+            )
+        # the s = 0 endpoint competes, and alone answers the rows whose run
+        # is empty
+        live = ~(ts <= 0) & (covered > 0)
+        hi = covered[live] - 1
         # the scan touches g(u) = tau(e^u) at u = y - log t, up to log tau_hint
         log_t = np.log(ts[live])
         u_lo = log_ss[0] - np.nanmax(log_t, initial=-np.inf)
@@ -747,6 +764,7 @@ def envelope_upper(
             floor=value_at_0,
             monotone=_convex_in_log(tau, u_lo, u_hi),
             kinks=kinks,
+            runs=(np.zeros_like(hi), hi),
         )
 
     return WeightFunction(
@@ -1272,7 +1290,7 @@ def recover_sequence(
     inner = omega.evaluate_many
 
     def scan(p, j):
-        return p * log_ts[j] - wvals[j], None
+        return p * log_ts[j] - wvals[j]
 
     def refine(ps, ys):
         return ps * ys - inner(np.exp(ys))

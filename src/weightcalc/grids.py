@@ -5,14 +5,17 @@ Every sup/inf transform of the package (conjugate, the two Legendre
 envelopes, sequence recovery and the Young conjugate phi*) is one call of
 ``grid_sup``: a search for each argument's leftmost grid argmax on a log
 grid, an edge test that refuses an optimum outside the searched range, and
-refinement of the winning cell.  Refinement takes the best of the cell's
-bracket ends and the kinks inside it when the objective is piecewise
-convex with known kinks (operands piecewise linear in log t, such as
-associated functions) and the bracket holds at most 60 of them, the
-breakpoint view of Lucet (1997); otherwise it runs golden section.
+refinement of the winning cell.  Each argument is searched on its run of
+grid columns, the cells within the operands' coverage, which the caller
+passes in: one run per row, with ends non-decreasing in the argument.  A
+row whose run is empty is refused before any scan.  Refinement takes the
+best of the cell's bracket ends and the kinks inside it when the objective
+is piecewise convex with known kinks (operands piecewise linear in log t,
+such as associated functions) and the bracket holds at most 60 of them,
+the breakpoint view of Lucet (1997); otherwise it runs golden section.
 
-The argmax search has two routes.  The dense scan evaluates all k x n
-cells and is correct for any objective.  The sorted-window divide and
+The argmax search has two routes.  The dense scan evaluates k x n cells
+and is correct for any objective.  The sorted-window divide and
 conquer (the monotone-matrix search of Aggarwal et al., 1987) scans about
 (n + k) log2(k) cells and, in exact arithmetic, finds the same cell when
 the leftmost argmax is non-decreasing in the argument x (rounding is
@@ -268,132 +271,90 @@ def _golden_section(f, a, b, iters):
     return np.where(best_c, c, d), np.where(best_c, yc, yd)
 
 
-def _dense_argmax(xs, n, scan):
-    """Leftmost grid argmax and grid maximum of every row, scanning all
-    len(xs) x n cells in chunks of about ``_SCAN_CHUNK_CELLS``."""
+def _dense_argmax(xs, n, scan, lo, hi):
+    """Leftmost grid argmax and grid maximum of every row within its run of
+    columns [lo, hi], scanning the union of the runs of about
+    ``_SCAN_CHUNK_CELLS // n`` rows at a time.  A cell outside a row's run
+    is scanned at the run's nearest end and then set to -inf, so ``scan``
+    sees only run cells."""
     j = np.empty(xs.size, dtype=np.intp)
     top = np.empty(xs.size)
-    cols = np.arange(n)[None, :]
     chunk = max(1, _SCAN_CHUNK_CELLS // n)
     for start in range(0, xs.size, chunk):
-        stop = start + chunk
-        obj, masked = scan(xs[start:stop, None], cols)
-        if masked is not None:
-            obj[masked] = -np.inf
-        j[start:stop] = np.argmax(obj, axis=1)
-        top[start:stop] = obj[np.arange(obj.shape[0]), j[start:stop]]
+        rows = slice(start, start + chunk)
+        a, b = lo[rows, None], hi[rows, None]
+        cols = np.arange(a.min(), b.max() + 1)
+        obj = scan(xs[rows, None], np.clip(cols, a, b))
+        obj[(cols < a) | (cols > b)] = -np.inf
+        best = np.argmax(obj, axis=1)
+        j[rows] = best + cols[0]
+        top[rows] = obj[np.arange(obj.shape[0]), best]
     return j, top
 
 
-def _sorted_window_argmax(xs, n, scan, groups):
-    """Leftmost grid argmax and grid maximum of every row, for objectives
-    whose leftmost argmax is non-decreasing in x, and the mask of the rows
-    found masked on their whole window.
+def _sorted_window_argmax(xs, n, scan, lo, hi):
+    """Leftmost grid argmax and grid maximum of every row within its
+    non-empty run of columns [lo, hi], for objectives whose leftmost argmax
+    is non-decreasing in x and runs whose ends are non-decreasing in x.
 
     Divide and conquer over the rows sorted by x (Aggarwal et al. 1987):
-    the middle row of each run is scanned over the run's column window, the
-    rows below it keep the columns up to its argmax and the rows above keep
-    the columns from it.  One level of the recursion is one flat scan of
-    (row, column) cells, about n + k cells, and there are about log2(k)
-    levels.  A NaN row reports column 0 and narrows nothing.
-
-    Under the mask contract of ``grid_sup`` a row whose whole window is
-    masked is masked on the whole grid: its window lies between the
-    argmaxes of a smaller-x and a larger-x row, both unmasked for those
-    rows, and the run of unmasked cells of a row in between must reach into
-    the window.  Such a row refuses its group (``groups`` holds one label in
-    [0, G) per row): every row of the group leaves the search, with j and
-    top incomplete, and the row's run is searched again without it over the
-    same window.  With a single group the search stops at the first level
-    that meets such a row.
+    the middle row of each block of rows is scanned over the block's column
+    window cut to the row's run, the rows below it keep the columns up to
+    its argmax and the rows above keep the columns from it.  The cut is
+    never empty: the window lies between the argmaxes of a smaller-x and a
+    larger-x row, each inside its own run.  One level of the recursion is
+    one flat scan of (row, column) cells, about n + k cells, and there are
+    about log2(k) levels.  A NaN row reports column 0 and narrows nothing.
     """
     j = np.zeros(xs.size, dtype=np.intp)
     top = np.full(xs.size, np.nan)
-    dead = np.zeros(xs.size, dtype=bool)
-    refused = np.zeros(int(groups.max()) + 1, dtype=bool)
     order = np.argsort(xs, kind="stable")
     order = order[~np.isnan(xs[order])]
-    # one column per run [a, b) of ``order``, with its column window [lo, hi]
-    runs = np.array([[0], [order.size], [0], [n - 1]])
-    runs = runs[:, runs[0] < runs[1]]
-    while runs.shape[1]:
-        a, b, lo, hi = runs
+    # one column per block [a, b) of ``order``, with its column window [wlo, whi]
+    blocks = np.array([[0], [order.size], [0], [n - 1]])
+    blocks = blocks[:, blocks[0] < blocks[1]]
+    while blocks.shape[1]:
+        a, b, wlo, whi = blocks
         mid = (a + b) // 2
         rows = order[mid]
-        width = hi - lo + 1
+        first = np.maximum(wlo, lo[rows])
+        width = np.minimum(whi, hi[rows]) - first + 1
         ends = np.cumsum(width)
         starts = ends - width
-        cols = np.arange(ends[-1]) + np.repeat(lo - starts, width)
-        obj, masked = scan(np.repeat(xs[rows], width), cols)
-        if masked is not None:
-            obj[masked] = -np.inf
+        cols = np.arange(ends[-1]) + np.repeat(first - starts, width)
+        obj = scan(np.repeat(xs[rows], width), cols)
         best = np.maximum.reduceat(obj, starts)
         hit = obj == np.repeat(best, width)
         if np.isnan(best).any():
             hit |= np.isnan(obj)  # a NaN cell wins, as in np.argmax
         hits = np.flatnonzero(hit)
-        jm = hits[np.searchsorted(hits, starts)] - starts + lo
+        jm = hits[np.searchsorted(hits, starts)] - starts + first
         j[rows], top[rows] = jm, best
-        live = best != -np.inf
-        runs = np.concatenate(
-            (
-                np.stack((a, mid, lo, jm))[:, live],
-                np.stack((mid + 1, b, jm, hi))[:, live],
-                runs[:, ~live],
-            ),
-            axis=1,
+        blocks = np.concatenate(
+            (np.stack((a, mid, wlo, jm)), np.stack((mid + 1, b, jm, whi))), axis=1
         )
-        if not live.all():
-            dead[rows[~live]] = True
-            refused[groups[rows[~live]]] = True
-            # drop the rows of refused groups from ``order`` and renumber
-            # the runs over what is left
-            keep = ~refused[groups[order]]
-            pos = np.concatenate(([0], np.cumsum(keep)))
-            runs[:2] = pos[runs[:2]]
-            order = order[keep]
-        runs = runs[:, runs[0] < runs[1]]
-    return j, top, dead
+        blocks = blocks[:, blocks[0] < blocks[1]]
+    return j, top
 
 
-def _run_end(xs, j, scan, end):
-    """Last column from the unmasked column ``j`` towards the grid end
-    ``end`` (n - 1 or 0) of each row's run of unmasked cells: the grid end
-    when it is unmasked, else found by bisection on the mask."""
-    beyond = np.full_like(j, end)
-    masked = scan(xs, beyond)[1]
-    if masked is None:
-        return beyond
-    inside = np.where(masked, j, beyond)
-    while np.any(np.abs(beyond - inside) > 1):
-        mid = np.where(np.abs(beyond - inside) > 1, (inside + beyond) // 2, inside)
-        masked = scan(xs, mid)[1]
-        inside, beyond = np.where(masked, inside, mid), np.where(masked, mid, beyond)
-    return inside
-
-
-def _with_edge_cells(xs, n, scan, both_ends, j, top):
+def _with_edge_cells(xs, n, scan, lo, hi, both_ends, j, top):
     """Compare each row's windowed argmax with the cells the edge test of
     ``grid_sup`` refuses, and keep the leftmost best.
 
-    Those cells are the right end of the row's run of unmasked cells (the
-    grid end, or the cell before a masked suffix) and, with ``both_ends``,
-    its left end.  Increasing differences hold only up to rounding, so a
-    near tie can leave such a cell outside a row's window; whenever the
-    dense scan's argmax is one of them, this finds the same cell and the
-    kernel refuses the same row.
+    Those cells are the right end ``hi`` of the row's run and, with
+    ``both_ends``, its left end ``lo``.  Increasing differences hold only
+    up to rounding, so a near tie can leave such a cell outside a row's
+    window; whenever the dense scan's argmax is one of them, this finds the
+    same cell and the kernel refuses the same row.
     """
     live = np.flatnonzero(np.isfinite(top))
     if live.size == 0:
         return j, top
-    x, jl = xs[live], j[live]
-    ends = [jl, _run_end(x, jl, scan, n - 1)]
+    ends = [j[live], hi[live]]
     if both_ends:
-        ends.append(_run_end(x, jl, scan, 0))
+        ends.append(lo[live])
     cols = np.stack(ends, axis=1)
-    obj, masked = scan(x[:, None], cols)
-    if masked is not None:
-        obj[masked] = -np.inf
+    obj = scan(xs[live, None], cols)
     best = obj.max(axis=1)
     first = np.where(obj == best[:, None], cols, n).min(axis=1)
     keep = first < n  # a NaN cell keeps the windowed answer
@@ -401,19 +362,13 @@ def _with_edge_cells(xs, n, scan, both_ends, j, top):
     return j, top
 
 
-def _edge_rows(xs, n, scan, j, top, cap, both_ends):
+def _edge_rows(xs, lo, hi, j, top, cap, both_ends):
     """Rows whose grid argmax ``j`` may hide the supremum outside the
     searched range, and rows answered by the cap (see ``grid_sup``)."""
     at_cap = (top >= cap - _CAP_TOL) & math.isfinite(cap)
-    edge = j == n - 1
+    edge = j == hi
     if both_ends:
-        edge |= j == 0
-    prev, nxt = np.maximum(j - 1, 0), np.minimum(j + 1, n - 1)
-    _, masked = scan(xs[:, None], np.stack((prev, nxt), axis=1))
-    if masked is not None:
-        edge |= masked[:, 1]
-        if both_ends:
-            edge |= masked[:, 0]
+        edge |= j == lo
     return edge & ~at_cap & ~np.isnan(xs), at_cap
 
 
@@ -431,55 +386,49 @@ def _name_refusals(refused_by, groups, rows):
     refused_by[named] = rows[first]
 
 
-def _search(xs, n, scan, cap, both_ends, windowed, groups=None):
+def _search(xs, n, scan, lo, hi, cap, both_ends, windowed, groups=None):
     """Grid argmax ``j`` and cap rows ``at_cap`` of every row of ``xs``, and
     for each group of rows (``groups``: one label in [0, G) per row) the
     index of a row that refuses it, -1 when none does.  The rows of a
     refused group may keep an incomplete ``j``.
 
-    Without ``groups`` every row is in one group and the refusing row is
-    the first one in input order.
+    A row with an empty run (lo > hi) refuses its group before any scan,
+    and only the rows of the other groups are searched.  Without
+    ``groups`` every row is in one group and the refusing row is the first
+    one in input order, so only the rows before the first empty run are
+    searched.
     """
     labels = np.zeros(xs.size, dtype=np.intp) if groups is None else groups
     refused_by = np.full(int(labels.max()) + 1, -1)
-    at_cap = np.zeros(xs.size, dtype=bool)
-    rows = slice(None)
-    if windowed:
-        j, top, dead = _sorted_window_argmax(xs, n, scan, labels)
-        if dead.any():
-            _name_refusals(refused_by, labels, dead)
-            if groups is None:
-                # that row is masked on the whole grid, hence refused: only a
-                # row before it can be refused first
-                first = int(refused_by[0])
-                if first:
-                    windowed = _saving(first, n) >= 0
-                    head = _search(xs[:first], n, scan, cap, both_ends, windowed)[2]
-                    refused_by = head if head[0] >= 0 else refused_by
-                return j, at_cap, refused_by
-            rows = np.flatnonzero(refused_by[labels] < 0)
-        j[rows], top[rows] = _with_edge_cells(
-            xs[rows], n, scan, both_ends, j[rows], top[rows]
-        )
+    _name_refusals(refused_by, labels, lo > hi)
+    if groups is None:
+        rows = np.arange(refused_by[0] if refused_by[0] >= 0 else xs.size)
     else:
-        j, top = _dense_argmax(xs, n, scan)
+        rows = np.flatnonzero(refused_by[labels] < 0)
+    x, a, b = xs[rows], lo[rows], hi[rows]
+    if windowed:
+        jr, top = _sorted_window_argmax(x, n, scan, a, b)
+        jr, top = _with_edge_cells(x, n, scan, a, b, both_ends, jr, top)
+    else:
+        jr, top = _dense_argmax(x, n, scan, a, b)
+    j = np.zeros(xs.size, dtype=np.intp)
+    at_cap = np.zeros(xs.size, dtype=bool)
     edge = np.zeros(xs.size, dtype=bool)
-    edge[rows], at_cap[rows] = _edge_rows(
-        xs[rows], n, scan, j[rows], top[rows], cap, both_ends
-    )
+    j[rows] = jr
+    edge[rows], at_cap[rows] = _edge_rows(x, a, b, jr, top, cap, both_ends)
     if not windowed:
         _name_refusals(refused_by, labels, edge)
         return j, at_cap, refused_by
     # a refusal stands on the dense scan of its row: rounding can break a tie
     # towards an edge cell where the dense scan finds an inner one.  Rows are
-    # re-scanned in input order, skipping the groups already refused.
+    # re-scanned in input order, skipping the groups an earlier row refused.
     for row in np.flatnonzero(edge):
-        if refused_by[labels[row]] >= 0:
+        if 0 <= refused_by[labels[row]] < row:
             continue
         one = slice(row, row + 1)
-        j[one], top[one] = _dense_argmax(xs[one], n, scan)
+        j[one], row_top = _dense_argmax(xs[one], n, scan, lo[one], hi[one])
         edge[one], at_cap[one] = _edge_rows(
-            xs[one], n, scan, j[one], top[one], cap, both_ends
+            xs[one], lo[one], hi[one], j[one], row_top, cap, both_ends
         )
         if edge[row]:
             refused_by[labels[row]] = row
@@ -558,15 +507,18 @@ def grid_sup(
     monotone=False,
     groups=None,
     kinks=None,
+    runs=None,
 ):
     """Row-wise supremum over the log grid ``ys``, one row per entry of ``xs``.
 
     ``scan(x, j)`` returns the objective at the cells (x, ys[j]) of
-    broadcastable arrays ``x`` and ``j``, together with the mask of cells
-    beyond the operands' coverage (or None); ``refine(xs, y)`` evaluates the
+    broadcastable arrays ``x`` and ``j``; ``refine(xs, y)`` evaluates the
     objective at the points ``y``, an array whose last axis runs over the
-    rows.  The mask contract: the unmasked cells of each row form one run
-    (possibly empty), and both ends of the run are non-decreasing in x.
+    rows.  ``runs`` = (lo, hi) holds two int arrays aligned with ``xs``:
+    the columns [lo, hi] of each row's run, the cells within the operands'
+    coverage, which may be empty (lo > hi); None means [0, n - 1] for every
+    row.  One run per row, non-decreasing ends: lo and hi must be
+    non-decreasing in x.  ``scan`` is only called on cells of a row's run.
     The best grid cell j of each row is refined on [ys[j-1], ys[j+1]] by
     ``golden_max_vec``, one call per bucket of rows with similar kink
     counts.
@@ -581,49 +533,47 @@ def grid_sup(
     per iteration, until the row's bracket values agree to rounding or 60
     iterations), which assumes the objective unimodal near its maximum.
 
-    The best cell is the leftmost grid argmax.  ``monotone`` states that it
-    is non-decreasing in x, which holds (Topkis) when the objective has
-    increasing differences in (x, y): for x * phi(y) - psi(y) with phi
-    increasing, and for -g(x - y) or -g(y - x) with g convex.  Callers set
-    it from the form of their objective, the envelopes from the kind of
-    tau.  The argmax is then found by the sorted-window divide and conquer
-    in O((n + k) log k) cells whenever that saves cells; otherwise, and
-    for every objective not known to be monotone, by the dense scan.  In
-    exact arithmetic both find the same cell.  In floating point
+    The best cell is the leftmost grid argmax within the run.  ``monotone``
+    states that it is non-decreasing in x, which holds (Topkis) when the
+    objective has increasing differences in (x, y): for x * phi(y) - psi(y)
+    with phi increasing, and for -g(x - y) or -g(y - x) with g convex.
+    Callers set it from the form of their objective, the envelopes from the
+    kind of tau.  The argmax is then found by the sorted-window divide and
+    conquer in O((n + k) log k) cells whenever that saves cells; otherwise,
+    and for every objective not known to be monotone, by the dense scan.
+    In exact arithmetic both find the same cell.  In floating point
     increasing differences hold up to rounding, so the two may pick
     different near-tied cells, whose values differ by a few ulps; the
     windowed route therefore also compares the cells the edge test refuses
     (``_with_edge_cells``) and confirms each row it would refuse by the
-    row's own dense scan, so that both routes refuse the same rows.  A row
-    whose whole window is masked is masked on the whole grid and certainly
-    refused, so the windowed route refuses it without a dense scan.
+    row's own dense scan, so that both routes refuse the same rows.
 
     ``floor`` is the value of a competing endpoint outside the grid and
     ``cap`` an exact upper bound of the supremum; a row whose grid maximum
     comes within 1e-12 of the cap sits on a plateau and is answered by the
-    cap.  Any other argmax on the right end of the grid (also the left
-    end with ``both_ends``) or next to a masked cell, and so every row
-    masked on the whole grid, may hide the supremum outside the searched
-    range: such a row is refused.  NaN arguments give NaN.
+    cap.  Any other argmax on the right end of its run (also the left end
+    with ``both_ends``), and every row with an empty run, may hide the
+    supremum outside the searched range: such a row is refused.  Empty-run
+    rows are refused before any scan.  NaN arguments are searched on the
+    whole grid and give NaN.
 
     Without ``groups`` the first refused row of ``xs`` raises
     :class:`DomainExhaustedError`; ``where`` = (transform, argument name)
-    labels the message and ``details``.  The windowed route stops at the
-    first fully masked row it meets and searches only the rows before it
-    for an earlier refusal, and re-scans the rows it would refuse in input
-    order up to the first one confirmed.
+    labels the message and ``details``.  Only the rows before the first
+    empty run are searched, and the windowed route re-scans the rows it
+    would refuse in input order up to the first one confirmed.
 
     ``groups`` holds one integer label in [0, G) per row, and rows that
     share a label are refused together: the call returns (values, refused)
     instead of raising, where ``refused`` has one entry per label up to the
-    largest and the values of a refused group are NaN.  The search goes on
-    for the other groups: a fully masked row refuses its group at once, the
-    rows to confirm are re-scanned in input order skipping the groups
-    already refused, and only the rows of accepted groups are refined.  A
-    group is refused exactly when a call on its rows alone would raise,
-    since both routes refuse the same rows; its accepted values agree with
-    that call's up to the rounding of near-tied cells (bit-identical when
-    both calls find the same cells).
+    largest and the values of a refused group are NaN.  A group with an
+    empty-run row is refused before the search, the rows to confirm are
+    re-scanned in input order skipping the groups already refused, and only
+    the rows of accepted groups are refined.  A group is refused exactly
+    when a call on its rows alone would raise, since both routes refuse the
+    same rows; its accepted values agree with that call's up to the
+    rounding of near-tied cells (bit-identical when both calls find the
+    same cells).
     """
     xs = np.asarray(xs, dtype=float)
     if groups is not None:
@@ -631,8 +581,13 @@ def grid_sup(
     if xs.size == 0:
         return xs.copy() if groups is None else (xs.copy(), np.zeros(0, dtype=bool))
     n = ys.size
+    lo, hi = (0, n - 1) if runs is None else runs
+    nan = np.isnan(xs)
+    lo, hi = np.where(nan, 0, lo), np.where(nan, n - 1, hi)
     windowed = monotone and _saving(xs.size, n) >= 0
-    j, at_cap, refused_by = _search(xs, n, scan, cap, both_ends, windowed, groups)
+    j, at_cap, refused_by = _search(
+        xs, n, scan, lo, hi, cap, both_ends, windowed, groups
+    )
     if groups is None:
         if refused_by[0] >= 0:
             name, arg = where

@@ -70,11 +70,19 @@ _NEGATIVE_T_SEQ = sq.gevrey(0.5, 400)
         lambda: fn.biconjugate(fn.power_weight(0.5)),
         lambda: fn.envelope_lower(fn.power_weight(0.5), fn.power_weight(2.0)),
         lambda: fn.envelope_upper(fn.power_weight(2.0), fn.identity_weight()),
+        # tau covers a finite range, so the runs of columns are cut
+        lambda: fn.envelope_lower(
+            fn.associated(sq.gevrey(0.4, 4000)), fn.associated(sq.gevrey(0.5, 4000))
+        ),
+        lambda: fn.envelope_upper(
+            fn.associated(sq.gevrey(0.5, 4000)), fn.associated(sq.gevrey(0.4, 4000))
+        ),
     ],
     ids=[
         "power", "root", "identity", "log_power", "power_substitution",
         "normalized", "sampled", "tabulated", "associated", "integral_form",
         "conjugate", "biconjugate", "envelope_lower", "envelope_upper",
+        "envelope_lower_covered", "envelope_upper_covered",
     ],
 )
 def test_negative_argument_gives_the_value_at_zero(build):
@@ -351,6 +359,60 @@ def test_envelope_value_at_zero_rules():
     assert up(0.0) == sigma(0.0) - tau(0.0)
 
 
+def _runs_given_to_the_kernel(envelope, ts, monkeypatch):
+    """The arguments and the runs of columns that ``envelope`` passes to
+    ``grid_sup`` at ``ts``."""
+    seen = []
+
+    def recording(xs, *args, runs, **options):
+        seen.append((xs, runs))
+        return np.zeros(xs.size)
+
+    monkeypatch.setattr(fn, "grid_sup", recording)
+    envelope.evaluate_many(ts)
+    ((xs, (lo, hi)),) = seen
+    return xs, lo, hi
+
+
+@pytest.mark.parametrize("tau_hint", [1e-3, 0.7, 3.0, 14.06, 1e5])
+def test_envelope_runs_match_the_coverage_predicate_cell_for_cell(
+    tau_hint, monkeypatch
+):
+    # a row's run holds the cells whose tau argument (t / s for the lower
+    # envelope, s / t for the upper one) lies within tau's coverage; the
+    # arguments at which a grid point s_j sits on the boundary, and their
+    # neighbouring floats, test the rounding of the search for it
+    ss = fn.DEFAULT_GRID.points()
+    n = ss.size
+    edges = np.concatenate((tau_hint * ss, ss / tau_hint))
+    ts = np.concatenate((
+        np.exp(np.random.default_rng(11).uniform(math.log(1e-8), math.log(1e12), 4000)),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf), [math.nan],
+    ))
+    tau = fn.WeightFunction("capped", np.sqrt, domain_hint=tau_hint)
+    sigma = fn.power_weight(1.0)
+    nan = np.isnan(ts)
+
+    xs, lo, hi = _runs_given_to_the_kernel(
+        fn.envelope_lower(sigma, tau), ts, monkeypatch
+    )
+    want = (ts[:, None] / ss > tau_hint).sum(axis=1)
+    np.testing.assert_array_equal(xs, ts)
+    np.testing.assert_array_equal(lo, np.where(nan, 0, want))
+    assert np.all(hi == n - 1)
+
+    xs, lo, hi = _runs_given_to_the_kernel(
+        fn.envelope_upper(sigma, tau, check=False), ts, monkeypatch
+    )
+    want = (ss / ts[:, None] <= tau_hint).sum(axis=1) - 1
+    # the rows with an empty run are answered by the s = 0 endpoint alone,
+    # and a NaN row runs over the whole grid
+    live = (want >= 0) | nan
+    np.testing.assert_array_equal(xs, ts[live])
+    np.testing.assert_array_equal(hi, np.where(nan, n - 1, want)[live])
+    assert np.all(lo == 0)
+
+
 # ---------------------------------------------------------------------------
 # function relations
 # ---------------------------------------------------------------------------
@@ -493,17 +555,17 @@ def test_batched_dilation_scan_of_an_envelope_with_fully_masked_rows(monkeypatch
     window = TailWindow(10.0, 1e3, 256)
     s_max = fn.DEFAULT_GRID.points(sigma.params["sigma"].domain_hint)[-1]
     assert fn.H_GRID[-1] * window.t_lo / s_max > tau.domain_hint
-    dead = []
-    search = grids._sorted_window_argmax
+    empty = []
+    search = grids._search
 
-    def recording(*args):
-        out = search(*args)
-        dead.append(out[2].any())
-        return out
+    def recording(xs, n, scan, lo, hi, *args):
+        empty.append(bool(np.any(lo > hi)))
+        return search(xs, n, scan, lo, hi, *args)
 
-    monkeypatch.setattr(grids, "_sorted_window_argmax", recording)
+    monkeypatch.setattr(grids, "_search", recording)
     got, want, calls = _batched_and_per_h_scans(sigma, fn.identity_weight(), window)
-    assert any(dead)
+    # some rows reach the kernel with empty runs, and are refused there
+    assert any(empty)
     _assert_same_scan(got, want)
     assert got[2].any() and not got[2].all()
     # one call, which refuses the dilation h = 1024 among others

@@ -13,7 +13,7 @@ YS = np.linspace(0.0, 5.0, 256)
 
 
 def _scan_of(objective):
-    return lambda x, j: (objective(x, YS[j]), None)
+    return lambda x, j: objective(x, YS[j])
 
 
 @pytest.mark.parametrize(
@@ -355,7 +355,7 @@ def test_breakpoint_refinement_does_not_depend_on_the_batch():
         return x * y - g.evaluate_many(np.exp(y))
 
     def scan(x, j):
-        return refine(x, ys[j]), None
+        return refine(x, ys[j])
 
     xs = np.exp(np.linspace(-2.0, 1.5, 23))
     both = grid_sup(xs, ys, scan, refine, ("test", "x"), kinks=kinks)
@@ -381,7 +381,7 @@ def monotone_problems(draw, min_n=3, min_k=1):
     psi = np.asarray(draw(ints(-6, 6)), dtype=float)
     arg = st.one_of(st.integers(-40, 40).map(lambda m: m / 4), st.just(math.nan))
     xs = np.asarray(draw(st.lists(arg, min_size=min_k, max_size=100)))
-    # unmasked cells of a row: a prefix, a suffix or a window moving right
+    # a row's run of columns: a prefix, a suffix or a window moving right
     # with x, cut by thresholds a x + c0 and a x + c1 with a >= 0
     kind = draw(st.sampled_from(["none", "prefix", "suffix", "both"]))
     cuts = (
@@ -391,33 +391,51 @@ def monotone_problems(draw, min_n=3, min_k=1):
     return phi, psi, xs, kind, cuts, cap, draw(st.booleans())
 
 
-def _scan_and_refine(problem):
-    phi, psi, _, kind, (a, c0, c1), _, _ = problem
-    ys = np.arange(phi.size, dtype=float)
+def _in_runs(runs, scan):
+    """``scan`` that fails on a cell outside its row's run: ``runs(x)`` maps
+    arguments to the (lo, hi) arrays of their runs."""
 
-    def scan(x, j):
-        if kind == "none":
-            return x * phi[j] - psi[j], None
-        masked = np.zeros(np.broadcast(x, j).shape, dtype=bool)
+    def checked(x, j):
+        lo, hi = runs(x)
+        assert np.all((lo <= j) & (j <= hi)), "scanned a cell outside its run"
+        return scan(x, j)
+
+    return checked
+
+
+def _scan_and_refine(problem):
+    """(ys, scan, refine, runs) of a ``monotone_problems`` draw, where
+    ``runs(xs)`` gives the runs of columns a x + c0 <= j (suffix) and
+    j <= a x + c1 (prefix), the whole grid for a NaN row, and ``scan``
+    fails on a cell outside them."""
+    phi, psi, _, kind, (a, c0, c1), _, _ = problem
+    n = phi.size
+    ys = np.arange(n, dtype=float)
+
+    def runs(xs):
+        xs = np.asarray(xs, dtype=float)
+        lo = np.zeros(xs.shape, dtype=np.intp)
+        hi = np.full(xs.shape, n - 1)
+        x = xs[~np.isnan(xs)]
         if kind in ("suffix", "both"):
-            masked |= j < a * x + c0
+            lo[~np.isnan(xs)] = np.maximum(0, np.ceil(a * x + c0))
         if kind in ("prefix", "both"):
-            masked |= j > a * x + c1
-        return x * phi[j] - psi[j], masked
+            hi[~np.isnan(xs)] = np.minimum(n - 1, np.floor(a * x + c1))
+        return lo, hi
 
     def refine(x, y):
         return x * np.interp(y, ys, phi) - np.interp(y, ys, psi)
 
-    return ys, scan, refine
+    return ys, _in_runs(runs, lambda x, j: x * phi[j] - psi[j]), refine, runs
 
 
 def _sup_or_refusal(problem, monotone):
-    ys, scan, refine = _scan_and_refine(problem)
+    ys, scan, refine, runs = _scan_and_refine(problem)
     _, _, xs, _, _, cap, both_ends = problem
     try:
         return grid_sup(
             xs, ys, scan, refine, ("test", "x"), cap=cap, both_ends=both_ends,
-            monotone=monotone,
+            monotone=monotone, runs=runs(xs),
         )
     except DomainExhaustedError as err:
         return err
@@ -425,8 +443,8 @@ def _sup_or_refusal(problem, monotone):
 
 @settings(max_examples=300, deadline=None)
 @given(monotone_problems())
-# rows x = 0.5 and 1.5 are masked on the whole grid; the row x = -0.5 below
-# them peaks inside, so the first refusal names x = 0.5
+# rows x = 0.5 and 1.5 have empty runs; the row x = -0.5 below them peaks
+# inside, so the first refusal names x = 0.5
 @example(
     (
         np.array([1.0, 2.0, 3.0, 4.0]),
@@ -439,21 +457,16 @@ def _sup_or_refusal(problem, monotone):
     )
 )
 def test_sorted_window_argmax_matches_dense_scan(problem):
-    # every cell is exact, so both searches find the same cell and value;
-    # the windowed search stops at a row masked on its whole window, which
-    # the mask contract makes masked on the whole grid
-    ys, scan, _ = _scan_and_refine(problem)
-    xs = problem[2]
-    j, top, dead = grids._sorted_window_argmax(
-        xs, ys.size, scan, np.zeros(xs.size, dtype=np.intp)
-    )
-    dense_j, dense_top = grids._dense_argmax(xs, ys.size, scan)
-    assert dead.any() == np.any(dense_top == -np.inf)
-    if not dead.any():
-        np.testing.assert_array_equal(j, dense_j)
-        np.testing.assert_array_equal(top, dense_top)
-    else:
-        assert np.all(dense_top[dead] == -np.inf)
+    # every cell is exact, so both searches find the same cell and value on
+    # the rows with a non-empty run, the only ones grid_sup searches
+    ys, scan, _, runs = _scan_and_refine(problem)
+    lo, hi = runs(problem[2])
+    keep = lo <= hi
+    xs, lo, hi = problem[2][keep], lo[keep], hi[keep]
+    j, top = grids._sorted_window_argmax(xs, ys.size, scan, lo, hi)
+    dense_j, dense_top = grids._dense_argmax(xs, ys.size, scan, lo, hi)
+    np.testing.assert_array_equal(j, dense_j)
+    np.testing.assert_array_equal(top, dense_top)
 
 
 @settings(max_examples=200, deadline=None)
@@ -461,21 +474,24 @@ def test_sorted_window_argmax_matches_dense_scan(problem):
 def test_sorted_window_argmax_refuses_exactly_the_groups_with_a_fully_masked_row(
     problem, data
 ):
-    # a group is refused when one of its rows is masked on the whole grid;
-    # the rows of every other group keep the dense scan's cell and value
-    ys, scan, _ = _scan_and_refine(problem)
+    # a group with an empty-run row is refused before the search, with no
+    # cell of that row scanned; both routes refuse the same groups, and the
+    # rows of the accepted groups keep the dense scan's cell
+    ys, scan, _, runs = _scan_and_refine(problem)
     xs = problem[2]
     labels = np.asarray(
         data.draw(st.lists(st.integers(0, 4), min_size=xs.size, max_size=xs.size)),
         dtype=np.intp,
     )
-    j, top, dead = grids._sorted_window_argmax(xs, ys.size, scan, labels)
-    dense_j, dense_top = grids._dense_argmax(xs, ys.size, scan)
-    assert np.all(dense_top[dead] == -np.inf)
-    assert set(labels[dead]) == set(labels[dense_top == -np.inf])
-    kept = ~np.isin(labels, labels[dead])
+    lo, hi = runs(xs)
+    args = xs, ys.size, scan, lo, hi, math.inf, problem[6]
+    j, _, refused_by = grids._search(*args, True, labels)
+    dense_j, _, dense_refused_by = grids._search(*args, False, labels)
+    refused = refused_by >= 0
+    np.testing.assert_array_equal(refused, dense_refused_by >= 0)
+    assert refused[labels[lo > hi]].all()
+    kept = ~refused[labels]
     np.testing.assert_array_equal(j[kept], dense_j[kept])
-    np.testing.assert_array_equal(top[kept], dense_top[kept])
 
 
 # at n >= 64 and k >= 40 the kernel takes the windowed path
@@ -525,10 +541,10 @@ def _wrapped(omega):
     ids=["from_samples", "log_power", "undecided"],
 )
 def test_envelope_of_non_convex_tau_takes_the_dense_scan(sigma, tau, monkeypatch):
-    stops = _record_stops(monkeypatch)
+    searches = _record_searches(monkeypatch)
     got = fn.envelope_lower(sigma, tau, _G512).evaluate_many(_T97)
     # no sorted-window search ran
-    assert stops == []
+    assert searches == []
     monkeypatch.setattr(fn, "_convex_in_log", lambda *args: False)
     dense = fn.envelope_lower(sigma, tau, _G512).evaluate_many(_T97)
     assert np.array_equal(got, dense)
@@ -541,8 +557,8 @@ def test_envelope_of_non_convex_tau_takes_the_dense_scan(sigma, tau, monkeypatch
 
 @pytest.mark.parametrize("s", [0.4, 1.5, 2.0])
 def test_envelope_with_all_masked_rows_keeps_the_dense_outcome(s, monkeypatch):
-    # rows with t / s_max beyond tau's coverage are masked on the whole grid;
-    # they must not narrow the windows of the rows below them
+    # rows with t / s_max beyond tau's coverage have empty runs; they must
+    # not narrow the windows of the rows below them
     sigma = fn.associated(sq.gevrey(0.4, 4000))
     tau = fn.associated(sq.gevrey(s, 4000))
     got = _envelope_outcome(fn.envelope_lower(sigma, tau), _T97)
@@ -554,49 +570,58 @@ def test_envelope_with_all_masked_rows_keeps_the_dense_outcome(s, monkeypatch):
         np.testing.assert_allclose(got, dense, rtol=1e-12, atol=0.0)
 
 
-def _quadratic_rows(masked):
-    """Rows x j - j^2 / 2 on the integer grid 0..255, peaking at j = x, with
-    the cells ``masked(x, j)`` masked; dyadic, so every cell is exact."""
+def _quadratic_rows(start=None, stop=None):
+    """Rows x j - j^2 / 2 on the integer grid 0..255, peaking at j = x, each
+    with the run of columns start(x) <= j <= stop(x) (the grid end when
+    None); dyadic, so every cell is exact.  Returns (ys, scan, refine,
+    runs), where ``runs(xs)`` gives the (lo, hi) arrays of the runs and
+    ``scan`` fails on a cell outside them."""
     ys = np.arange(256, dtype=float)
 
-    def scan(x, j):
-        return x * ys[j] - ys[j] ** 2 / 2, masked(x, ys[j])
+    def runs(xs):
+        xs = np.asarray(xs, dtype=float)
+        lo = np.zeros(xs.shape) if start is None else np.ceil(start(xs))
+        hi = np.full(xs.shape, 255) if stop is None else np.floor(stop(xs))
+        return np.maximum(0, lo).astype(np.intp), np.minimum(255, hi).astype(np.intp)
 
     def refine(x, y):
         return x * y - y * y / 2
 
-    return ys, scan, refine
+    return ys, _in_runs(runs, lambda x, j: x * ys[j] - ys[j] ** 2 / 2), refine, runs
 
 
-def _record_stops(monkeypatch):
-    """The first fully masked row (or None) that each windowed search met."""
-    stops = []
+def _record_searches(monkeypatch):
+    """The number of rows of each sorted-window search; each row searched
+    must have a non-empty run."""
+    searches = []
     search = grids._sorted_window_argmax
 
-    def recording(*args):
-        out = search(*args)
-        dead = out[2]
-        stops.append(int(np.argmax(dead)) if dead.any() else None)
-        return out
+    def recording(xs, n, scan, lo, hi):
+        assert np.all(lo <= hi)
+        searches.append(xs.size)
+        return search(xs, n, scan, lo, hi)
 
     monkeypatch.setattr(grids, "_sorted_window_argmax", recording)
-    return stops
+    return searches
 
 
 def _windowed_and_dense(xs, problem, monkeypatch):
-    """grid_sup on both routes, and the fully masked rows at which the
-    windowed route stopped."""
-    ys, scan, refine = problem
-    stops = _record_stops(monkeypatch)
+    """grid_sup on both routes (values, or the refusal's details), and the
+    number of rows of each sorted-window search."""
+    ys, scan, refine, runs = problem
+    searches = _record_searches(monkeypatch)
     outcomes = []
     for monotone in (True, False):
         try:
             outcomes.append(
-                grid_sup(xs, ys, scan, refine, ("test", "x"), monotone=monotone)
+                grid_sup(
+                    xs, ys, scan, refine, ("test", "x"), monotone=monotone,
+                    runs=runs(xs),
+                )
             )
         except DomainExhaustedError as err:
             outcomes.append(err.details)
-    return outcomes, stops
+    return outcomes, searches
 
 
 @pytest.mark.parametrize(
@@ -607,25 +632,26 @@ def _windowed_and_dense(xs, problem, monkeypatch):
 def test_fully_masked_row_is_refused_like_the_dense_scan(
     first, second, want, monkeypatch
 ):
-    # cells j < x - 4 are masked: rows x > 259 are masked on the whole grid,
-    # rows 255 < x <= 259 peak beyond the right end and are refused there
-    problem = _quadratic_rows(lambda x, y: y < x - 4)
+    # each row runs over the columns j >= x - 4: rows x > 259 have empty
+    # runs, rows 255 < x <= 259 peak beyond the right end and are refused
+    # there
+    problem = _quadratic_rows(start=lambda x: x - 4)
     live = list(np.linspace(10.0, 240.0, 40))
     xs = np.array(live[:20] + [first] + live[20:30] + [second] + live[30:] + [400.0])
-    (windowed, dense), stops = _windowed_and_dense(xs, problem, monkeypatch)
+    (windowed, dense), searches = _windowed_and_dense(xs, problem, monkeypatch)
     assert windowed == dense == {"x": want}
-    # the windowed route stops at a fully masked row, and searches the rows
-    # before it for an earlier refusal
-    assert stops[0] is not None and xs[stops[0]] > 259.0
+    # the windowed route searches only the rows before the first empty run,
+    # and scans no cell of an empty-run row
+    assert searches == [int(np.argmax(xs > 259.0))]
 
 
 def test_live_middle_between_masked_grid_ends_is_not_refused_early(monkeypatch):
-    # only the cells within 20 of the peak are unmasked: both grid ends are
-    # masked on every row, but every row's run reaches into its window
-    problem = _quadratic_rows(lambda x, y: np.abs(y - x) > 20)
+    # each row runs over the cells within 20 of its peak: both grid ends lie
+    # outside every row's run, but every run reaches into the row's window
+    problem = _quadratic_rows(start=lambda x: x - 20, stop=lambda x: x + 20)
     xs = np.linspace(30.0, 220.0, 48)[np.random.default_rng(5).permutation(48)]
-    (windowed, dense), stops = _windowed_and_dense(xs, problem, monkeypatch)
-    assert stops == [None]
+    (windowed, dense), searches = _windowed_and_dense(xs, problem, monkeypatch)
+    assert searches == [48]
     np.testing.assert_array_equal(windowed, dense)
     np.testing.assert_allclose(windowed, xs**2 / 2, rtol=1e-15)
 
@@ -634,8 +660,8 @@ def test_envelope_masked_on_every_cell_is_certified_and_refused_like_the_dense_s
     monkeypatch,
 ):
     # tau's coverage ends at t = 4 and t / s > 4 on the whole grid: the
-    # certificate holds vacuously, and the windowed route refuses the first
-    # row in input order without scanning the rows
+    # certificate holds vacuously, every run is empty, and the first row in
+    # input order is refused before any scan
     tau = fn.from_samples([1.0, 2.0, 4.0], [0.0, 1.0, 3.0])
     grid = GridSpec(1e-2, 1e2, 256)
     ts = np.exp(np.linspace(math.log(1e3), math.log(1e5), 40))
@@ -644,9 +670,9 @@ def test_envelope_masked_on_every_cell_is_certified_and_refused_like_the_dense_s
     u_lo = np.log(ts).min() - log_ss[-1]
     u_hi = min(np.log(ts).max() - log_ss[0], math.log(tau.domain_hint))
     assert u_hi < u_lo and fn._convex_in_log(tau, u_lo, u_hi)
-    stops = _record_stops(monkeypatch)
+    searches = _record_searches(monkeypatch)
     got = _envelope_outcome(fn.envelope_lower(fn.identity_weight(), tau, grid), ts)
-    assert stops and stops[0] is not None
+    assert searches == [0]
     monkeypatch.setattr(fn, "_convex_in_log", lambda *args: False)
     dense = _envelope_outcome(fn.envelope_lower(fn.identity_weight(), tau, grid), ts)
     assert got == dense == {"t": ts[0]}
@@ -655,8 +681,8 @@ def test_envelope_masked_on_every_cell_is_certified_and_refused_like_the_dense_s
 @pytest.mark.parametrize("convex", [False, True], ids=["dense", "windowed"])
 def test_envelope_evaluates_tau_only_within_its_coverage(convex, monkeypatch):
     # a transform tau refuses arguments beyond its coverage (hint 14.06), so
-    # the masked cells of the scan, and the edge tests that read them, must
-    # not evaluate it there; tau(e^u) is convex, so both routes are valid
+    # the scan must not evaluate it outside each row's run; tau(e^u) is
+    # convex, so both routes are valid
     sigma = fn.associated(sq.gevrey(0.6, 4000))
     tau = fn.conjugate(fn.associated(sq.gevrey(0.7, 8000)), check=False)
     monkeypatch.setattr(fn, "_convex_in_log", lambda *args: convex)
@@ -724,18 +750,19 @@ def test_grid_sup_monotone_matches_dense_scan_under_rounding(problem):
 def _grouped_and_alone(xs, labels, problem, monotone, **options):
     """grid_sup of all rows refusing by group, and one ungrouped call per
     label (its values, or its refusal's details)."""
-    ys, scan, refine = problem
+    ys, scan, refine, runs = problem
     grouped = grid_sup(
         xs, ys, scan, refine, ("test", "x"), monotone=monotone, groups=labels,
-        **options,
+        runs=runs(xs), **options,
     )
     alone = []
     for g in range(int(labels.max()) + 1):
+        rows = xs[labels == g]
         try:
             alone.append(
                 grid_sup(
-                    xs[labels == g], ys, scan, refine, ("test", "x"),
-                    monotone=monotone, **options,
+                    rows, ys, scan, refine, ("test", "x"), monotone=monotone,
+                    runs=runs(rows), **options,
                 )
             )
         except DomainExhaustedError as err:
@@ -797,12 +824,12 @@ def test_grouped_grid_sup_refuses_like_one_call_per_group_under_rounding(
 
 
 def _layout_of_refusals():
-    """Five groups of 40 rows of ``_quadratic_rows`` with cells j < x - 4
-    masked, interleaved in input order: rows x > 259 are masked on the whole
-    grid, rows 255 < x <= 259 peak beyond the right end.  In input order,
-    group 0 holds a fully masked row before a live edge row, group 2 a live
-    edge row before a fully masked row, group 4 a live edge row only;
-    groups 1 and 3 are accepted."""
+    """Five groups of 40 rows of ``_quadratic_rows`` with runs j >= x - 4,
+    interleaved in input order: rows x > 259 have empty runs, rows
+    255 < x <= 259 peak beyond the right end.  In input order, group 0
+    holds an empty-run row before a live edge row, group 2 a live edge row
+    before an empty-run row, group 4 a live edge row only; groups 1 and 3
+    are accepted."""
     xs = np.linspace(10.0, 240.0, 200)[np.random.default_rng(3).permutation(200)]
     labels = np.repeat(np.arange(5), 40)
     bad = {(0, 5): 300.0, (0, 30): 257.0, (2, 10): 257.5, (2, 35): 400.0, (4, 20): 258.0}
@@ -816,8 +843,8 @@ def _layout_of_refusals():
 @pytest.mark.parametrize("monotone", [True, False], ids=["windowed", "dense"])
 def test_grouped_refusals_in_the_first_middle_and_last_group(monotone, monkeypatch):
     xs, labels = _layout_of_refusals()
-    problem = _quadratic_rows(lambda x, y: y < x - 4)
-    stops = _record_stops(monkeypatch)
+    problem = _quadratic_rows(start=lambda x: x - 4)
+    searches = _record_searches(monkeypatch)
     grouped, alone = _grouped_and_alone(xs, labels, problem, monotone)
     np.testing.assert_array_equal(grouped[1], [True, False, True, False, True])
     # groups of 40 rows take the windowed route alone too, so every accepted
@@ -826,30 +853,36 @@ def test_grouped_refusals_in_the_first_middle_and_last_group(monotone, monkeypat
     assert alone[0] == {"x": 300.0} and alone[2] == {"x": 257.5}
     assert alone[4] == {"x": 258.0}
     if monotone:
-        # the grouped search refused a group by a fully masked row
-        assert stops[0] is not None and xs[stops[0]] > 259.0
+        # the grouped search refused groups 0 and 2 by their empty-run rows
+        # before it searched the 120 rows of the other groups
+        assert searches[0] == 120
     # only the 80 rows of the accepted groups are refined
-    ys, scan, refine = problem
+    ys, scan, refine, runs = problem
     refined = []
 
     def recording(x, y):
         refined.append(x.size)
         return refine(x, y)
 
-    grid_sup(xs, ys, scan, recording, ("test", "x"), monotone=monotone, groups=labels)
+    grid_sup(
+        xs, ys, scan, recording, ("test", "x"), monotone=monotone, groups=labels,
+        runs=runs(xs),
+    )
     assert set(refined) == {80}
 
 
 def test_grouped_grid_sup_without_refusal_equals_the_ungrouped_call():
-    problem = _quadratic_rows(lambda x, y: y < x - 4)
-    ys, scan, refine = problem
+    ys, scan, refine, runs = _quadratic_rows(start=lambda x: x - 4)
     xs = np.linspace(10.0, 240.0, 100)
     labels = np.arange(100) % 3
     values, refused = grid_sup(
-        xs, ys, scan, refine, ("test", "x"), monotone=True, groups=labels
+        xs, ys, scan, refine, ("test", "x"), monotone=True, groups=labels,
+        runs=runs(xs),
     )
     assert not refused.any() and refused.size == 3
-    ungrouped = grid_sup(xs, ys, scan, refine, ("test", "x"), monotone=True)
+    ungrouped = grid_sup(
+        xs, ys, scan, refine, ("test", "x"), monotone=True, runs=runs(xs)
+    )
     np.testing.assert_array_equal(values, ungrouped)
 
 
