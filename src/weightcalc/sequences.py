@@ -67,7 +67,10 @@ class WeightSequence:
     name: str = ""
 
     def __post_init__(self):
-        values = np.asarray(self.log_values, dtype=float)
+        try:
+            values = np.asarray(self.log_values, dtype=float)
+        except (TypeError, ValueError):
+            raise FormatError("log values must be numbers") from None
         if values.ndim != 1 or values.size < MIN_P_MAX + 1:
             raise FormatError(
                 f"need at least {MIN_P_MAX + 1} entries (P_max >= {MIN_P_MAX}), got {values.size}"
@@ -131,7 +134,7 @@ class WeightSequence:
 
 
 def from_log_values(values: Sequence[float], name: str = "") -> WeightSequence:
-    return WeightSequence(np.asarray(values, dtype=float), name)
+    return WeightSequence(values, name)
 
 
 def gevrey(s: float, p_max: int = DEFAULT_P_MAX) -> WeightSequence:
@@ -595,9 +598,8 @@ def almost_decreasing_regularize(
     lambda_p/p is non-increasing by construction (l log-concave), L_0 = 1,
     L is equivalent to M, and L inherits log-convexity from M.
     """
-    logmu = m.log_quotients
-    ps = np.arange(1, m.p_max + 1, dtype=float)
-    ratio = logmu[1:] - np.log(ps)
+    log_ps = np.log(np.arange(1, m.p_max + 1, dtype=float))
+    ratio = m.log_quotients[1:] - log_ps
     log_h = almost_monotone_log_witness(ratio, decreasing=True)
     if log_h > log_h_cap:
         p, q = _almost_monotone_violating_pair(ratio, offset=1, decreasing=True)
@@ -610,7 +612,7 @@ def almost_decreasing_regularize(
             log_h=log_h,
         )
     suffix_max = np.maximum.accumulate(ratio[::-1])[::-1]
-    log_lambda = np.concatenate(([0.0], -log_h + np.log(ps) + suffix_max))
+    log_lambda = np.concatenate(([0.0], -log_h + log_ps + suffix_max))
     log_l = np.concatenate(([0.0], np.cumsum(log_lambda[1:])))
     name = f"{m.name}.reg" if m.name else ""
     return WeightSequence(log_l, name), math.exp(log_h)
@@ -625,8 +627,9 @@ def normalize_head(l: WeightSequence) -> WeightSequence:
     input had it, and is log-convex whenever the input is.
     """
     log_lambda = l.log_quotients.copy()
-    above = np.flatnonzero(log_lambda[1:] >= 0.0)
-    first_ok = int(above[0]) + 1 if above.size else l.p_max + 1
+    above = log_lambda[1:] >= 0.0
+    first = int(np.argmax(above))  # stops at the first True
+    first_ok = first + 1 if above[first] else l.p_max + 1
     log_lambda[1:first_ok] = np.maximum(log_lambda[1:first_ok], 0.0)
     out = np.concatenate(([0.0], np.cumsum(log_lambda[1:])))
     name = f"{l.name}.head" if l.name else ""

@@ -1,8 +1,9 @@
 """JSON and CSV interchange for sequences, functions and matrices.
 
-JSON round trips are bit-exact for log values (floats serialise via repr).
-CSV is the plotting interface: sequences export as (p, logM, logmu, logm)
-and sampled functions as (t, value).
+Floats are written by repr, so round trips are bit-exact for log values.
+JSON is compact (one line, so CPython's C encoder writes it).  CSV is the
+plotting interface: sequences export as (p, logM, logmu, logm) and sampled
+functions as (t, value).
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import csv
 import json
 from typing import IO
+
+import numpy as np
 
 from . import bmt, functions as fn, sequences as sq
 from .errors import FormatError
@@ -25,19 +28,31 @@ def sequence_to_dict(m: sq.WeightSequence) -> dict:
     return {
         "name": m.name,
         "P_max": m.p_max,
-        "log_values": [float(v) for v in m.log_values],
+        "log_values": m.log_values.tolist(),
     }
 
 
 def sequence_from_dict(data: dict) -> sq.WeightSequence:
     if "log_values" not in data:
         raise FormatError("sequence JSON needs a 'log_values' array")
-    values = data["log_values"]
-    if "P_max" in data and int(data["P_max"]) != len(values) - 1:
+    m = sq.from_log_values(data["log_values"], name=str(data.get("name", "")))
+    if "P_max" in data and _number(data["P_max"], "P_max", int) != m.p_max:
         raise FormatError(
-            f"P_max={data['P_max']} inconsistent with {len(values)} log values"
+            f"P_max={data['P_max']} inconsistent with {m.p_max + 1} log values"
         )
-    return sq.from_log_values(values, name=str(data.get("name", "")))
+    return m
+
+
+def _number(value, what: str, kind=float):
+    """``kind(value)`` for a number (a whole one for int), else FormatError."""
+    try:
+        number = float(value)
+        if kind is int and not number.is_integer():
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise FormatError(f"{what} must be {noun}, got {value!r}") from None
+    return kind(number)
 
 
 _SEQUENCE_FAMILIES = {
@@ -59,22 +74,15 @@ def build_sequence(spec: dict) -> sq.WeightSequence:
     builder, key = _SEQUENCE_FAMILIES[family]
     if key not in spec:
         raise FormatError(f"family {family!r} needs parameter {key!r}")
-    p_max = int(spec.get("P_max", sq.DEFAULT_P_MAX))
-    return builder(float(spec[key]), p_max)
+    p_max = _number(spec.get("P_max", sq.DEFAULT_P_MAX), "P_max", int)
+    return builder(_number(spec[key], key), p_max)
 
 
 def write_sequence_csv(m: sq.WeightSequence, stream: IO[str]):
     writer = csv.writer(stream)
     writer.writerow(["p", "logM", "logmu", "logm"])
-    for p in range(m.p_max + 1):
-        writer.writerow(
-            [
-                p,
-                repr(float(m.log_values[p])),
-                repr(float(m.log_quotients[p])),
-                repr(float(m.log_small[p])),
-            ]
-        )
+    columns = (m.log_values, m.log_quotients, m.log_small)
+    writer.writerows(zip(range(m.p_max + 1), *(c.tolist() for c in columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +98,9 @@ def grid_from_dict(data: dict | None) -> GridSpec:
     if not data:
         return DEFAULT_GRID
     return GridSpec(
-        float(data.get("t_min", DEFAULT_GRID.t_min)),
-        float(data.get("t_max", DEFAULT_GRID.t_max)),
-        int(data.get("n", DEFAULT_GRID.n)),
+        _number(data.get("t_min", DEFAULT_GRID.t_min), "t_min"),
+        _number(data.get("t_max", DEFAULT_GRID.t_max), "t_max"),
+        _number(data.get("n", DEFAULT_GRID.n), "n", int),
     )
 
 
@@ -155,14 +163,14 @@ def _param_codec(key: str):
         return sequence_to_dict, build_sequence
     if key in _NESTED_PARAMS:
         return function_to_dict, build_function
-    return (lambda value: value), float
+    return (lambda value: value), (lambda value: _number(value, key))
 
 
 def write_samples_csv(ts, values, stream: IO[str]):
     writer = csv.writer(stream)
     writer.writerow(["t", "value"])
-    for t, v in zip(ts, values):
-        writer.writerow([repr(float(t)), repr(float(v))])
+    columns = (np.asarray(ts, dtype=float), np.asarray(values, dtype=float))
+    writer.writerows(zip(*(c.tolist() for c in columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +208,13 @@ def load_json(path: str) -> dict:
 
 
 def _coerce_scalar(obj):
-    import numpy as np
-
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"not JSON serialisable: {type(obj)!r}")
 
 
 def dump_json(data, path: str | None = None) -> str:
-    text = json.dumps(data, indent=2, allow_nan=True, default=_coerce_scalar)
+    text = json.dumps(data, allow_nan=True, default=_coerce_scalar)
     if path:
         with open(path, "w", encoding="utf-8") as stream:
             stream.write(text + "\n")

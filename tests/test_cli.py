@@ -150,6 +150,15 @@ def test_regularize_precondition_exit_code(capsys):
     assert "almost decreasing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m_spec", ["family=gevrey,s=abc", "file={path}"])
+def test_non_numeric_input_is_a_usage_error(tmp_path, capsys, m_spec):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"log_values": ["x"] + [1.0] * 8}))
+    code = run(["relation", "--m", m_spec.format(path=path), "--n", "family=gevrey,s=1"])
+    assert code == 2
+    assert "weightcalc: error:" in capsys.readouterr().err
+
+
 def test_uniform_bound_cli(capsys):
     code = run(
         [

@@ -17,6 +17,47 @@ def test_sequence_json_round_trip_bit_exact():
     assert back.name == m.name
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        sq.from_log_values([-0.0, 5e-324, 1.7976931348623157e308] + [0.5] * 8),
+        sq.gevrey(0.5, 2_000_000),
+    ],
+    ids=["extreme-floats", "gevrey-P2e6"],
+)
+def test_dump_json_round_trip_bit_exact(m):
+    text = ser.dump_json(ser.sequence_to_dict(m))
+    assert "\n" not in text  # compact: one line
+    for written in (text, json.dumps(json.loads(text), indent=2)):  # and the indented form
+        back = ser.sequence_from_dict(json.loads(written))
+        assert back.log_values.tobytes() == m.log_values.tobytes()  # -0.0 keeps its sign
+        assert back.name == m.name
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ser.sequence_from_dict({"log_values": ["x"] + [1.0] * 8}),
+        lambda: ser.sequence_from_dict({"log_values": [0.0] * 9, "P_max": 8.7}),
+        lambda: ser.sequence_from_dict({"log_values": [0.0] * 9, "P_max": "eight"}),
+        lambda: ser.build_sequence({"family": "gevrey", "s": "abc"}),
+        lambda: ser.build_sequence({"family": "gevrey", "s": 1, "P_max": 12.5}),
+        lambda: ser.build_function({"kind": "power", "params": {"alpha": "abc"}}),
+        lambda: ser.build_function({"kind": "power", "params": {"alpha": [0.5]}}),
+        lambda: ser.grid_from_dict({"t_min": "abc"}),
+        lambda: ser.grid_from_dict({"n": 100.5}),
+    ],
+    ids=[
+        "log-value-string", "fractional-P_max", "string-P_max", "family-parameter-string",
+        "fractional-family-P_max", "function-parameter-string", "function-parameter-list",
+        "grid-bound-string", "fractional-grid-n",
+    ],
+)
+def test_malformed_values_raise_format_error(call):
+    with pytest.raises(FormatError):
+        call()
+
+
 def test_sequence_dict_validates_p_max():
     data = ser.sequence_to_dict(sq.gevrey(1, 20))
     data["P_max"] = 7
@@ -44,13 +85,23 @@ def test_build_sequence_unknown_family():
 
 
 def test_sequence_csv_columns():
+    # the text of the writer that formatted each cell with repr(float(...))
     buf = io.StringIO()
     ser.write_sequence_csv(sq.gevrey(1, 10), buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "p,logM,logmu,logm"
-    assert len(lines) == 12
-    row = lines[4].split(",")
-    assert float(row[1]) == pytest.approx(sq.gevrey(1, 10).log_values[3])
+    assert buf.getvalue() == (
+        "p,logM,logmu,logm\r\n"
+        "0,0.0,0.0,0.0\r\n"
+        "1,0.0,0.0,0.0\r\n"
+        "2,0.6931471805599453,0.6931471805599453,0.0\r\n"
+        "3,1.791759469228055,1.0986122886681096,0.0\r\n"
+        "4,3.1780538303479453,1.3862943611198904,0.0\r\n"
+        "5,4.787491742782046,1.6094379124341005,0.0\r\n"
+        "6,6.579251212010101,1.7917594692280554,0.0\r\n"
+        "7,8.525161361065415,1.9459101490553135,0.0\r\n"
+        "8,10.60460290274525,2.079441541679836,0.0\r\n"
+        "9,12.80182748008147,2.19722457733622,0.0\r\n"
+        "10,15.104412573075518,2.302585092994047,0.0\r\n"
+    )
 
 
 def test_function_descriptor_round_trip():
@@ -102,19 +153,23 @@ def test_matrix_round_trip():
     mat = bmt.associated_matrix(
         fn.normalized(fn.power_weight(0.5)), ells=(0.5, 1.0, 2.0), p_max=40
     )
-    data = json.loads(json.dumps(ser.matrix_to_dict(mat)))
+    data = json.loads(ser.dump_json(ser.matrix_to_dict(mat)))
     back = ser.matrix_from_dict(data)
     assert back.ells == mat.ells
     for ell in mat.ells:
-        assert np.array_equal(
-            back.member(ell).log_values, mat.member(ell).log_values
+        assert (
+            back.member(ell).log_values.tobytes() == mat.member(ell).log_values.tobytes()
         )
 
 
 def test_samples_csv():
+    ts = [1, 2.0, -0.0, 5e-324, 1e300, np.float64(1 / 3)]
+    values = np.array([0.5, 1.5, -1e-300, 0.1, 7.0, np.pi])
     buf = io.StringIO()
-    ser.write_samples_csv([1.0, 2.0], [0.5, 1.5], buf)
-    assert buf.getvalue().splitlines()[0] == "t,value"
+    ser.write_samples_csv(ts, values, buf)
+    # reference: one repr(float(...)) per cell
+    cells = ["t,value"] + [f"{float(t)!r},{float(v)!r}" for t, v in zip(ts, values)]
+    assert buf.getvalue() == "\r\n".join(cells) + "\r\n"
 
 
 def test_dump_json_coerces_numpy_scalars():
