@@ -20,6 +20,7 @@ from .errors import DomainError, PreconditionError
 from .functions import (
     WeightFunction,
     _fixed_kinks,
+    _ratio_diverges_fn,
     _tail_ratio_decays,
     c2_proxy,
     log_o_proxy,
@@ -324,10 +325,8 @@ def bmt_report(
     normalized = om0 and float(np.max(np.abs(head))) <= 1e-9
 
     ratios = omega.evaluate_many(2.0 * ts) / (vals + 1.0)
-    qm = quarter_maxima(ratios)
-    rising = bool(np.all(np.diff(qm) > 0)) and qm[3] > qm[2] * 1.25
     om1_L = float(np.max(ratios))
-    om1 = om1_L <= math.exp(LOG_L_CAP) and not rising
+    om1 = om1_L <= math.exp(LOG_L_CAP) and not _ratio_diverges_fn(ratios)
 
     om3 = log_o_proxy(omega, win)
     om5 = _tail_ratio_decays(ts, vals / ts)

@@ -721,8 +721,8 @@ def check_newexpabsorb(hs=(2.0, 4.0), p_max: int = 200) -> CheckReport:
                     continue
                 target = mat.member(d * ell)
                 deficit = ps * math.log(h) + member.log_values - target.log_values
-                quarters = [q.max() for q in np.array_split(deficit, 4)]
-                if quarters[3] <= max(quarters[:3]) + 1.0:
+                qm = quarter_maxima(deficit)
+                if qm[3] <= max(qm[:3]) + 1.0:
                     found = (d, math.exp(max(0.0, float(np.max(deficit)))))
                     break
             margins.bound(f"absorbed_h={h:g}_ell={ell:g}", found is not None)

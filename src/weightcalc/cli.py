@@ -60,21 +60,31 @@ def _load_spec_file(path: str) -> dict:
     return data
 
 
-def _build_sequence(text: str, p_max_override=None) -> sq.WeightSequence:
+def _read_spec(text: str) -> dict:
     spec = _parse_spec(text)
     if "file" in spec:
         spec = _load_spec_file(spec["file"])
+    return spec
+
+
+def _sequence_of_spec(spec: dict, p_max_override) -> sq.WeightSequence:
+    """A sequence spec's sequence; ``p_max_override`` (``--p-max``) is its
+    P_max unless the spec gives one or its log values."""
     if p_max_override and "log_values" not in spec:
         spec.setdefault("P_max", p_max_override)
     return ser.build_sequence(spec)
 
 
-def _build_function(text: str) -> fn.WeightFunction:
-    spec = _parse_spec(text)
-    if "file" in spec:
-        spec = _load_spec_file(spec["file"])
+def _build_sequence(text: str, p_max_override=None) -> sq.WeightSequence:
+    return _sequence_of_spec(_read_spec(text), p_max_override)
+
+
+def _build_function(text: str, p_max_override=None) -> fn.WeightFunction:
+    """A function spec's weight function; a sequence spec gives the associated
+    function of its sequence, built as ``_build_sequence`` builds it."""
+    spec = _read_spec(text)
     if "log_values" in spec or spec.get("family") in ser._SEQUENCE_FAMILIES:
-        return fn.associated(ser.build_sequence(spec))
+        return fn.associated(_sequence_of_spec(spec, p_max_override))
     if "kind" in spec:
         return ser.build_function(spec)
     if spec.get("family") in ser.FUNCTION_FAMILIES:
@@ -169,7 +179,7 @@ def _cmd_conj_seq(args) -> int:
 
 def _cmd_conj_fn(args) -> int:
     grid = _grid_from_args(args)
-    omega = _build_function(args.fn)
+    omega = _build_function(args.fn, args.p_max)
     star = fn.conjugate(omega, grid)
     if args.eval is not None:
         print(repr(star(args.eval)))
@@ -186,8 +196,8 @@ def _cmd_conj_fn(args) -> int:
 
 def _cmd_envelope(args) -> int:
     grid = _grid_from_args(args)
-    sigma = _build_function(args.sigma)
-    tau = _build_function(args.tau)
+    sigma = _build_function(args.sigma, args.p_max)
+    tau = _build_function(args.tau, args.p_max)
     op = fn.envelope_lower if args.op == "lower" else fn.envelope_upper
     env = op(sigma, tau, grid)
     if args.eval is not None:
@@ -204,7 +214,7 @@ def _cmd_envelope(args) -> int:
 
 
 def _cmd_indices(args) -> int:
-    omega = _build_function(args.fn)
+    omega = _build_function(args.fn, args.p_max)
     est = fn.gamma_indices(omega, _window_from_args(args))
     _emit(args, est.as_dict())
     return 0
@@ -212,8 +222,8 @@ def _cmd_indices(args) -> int:
 
 def _cmd_relation(args) -> int:
     if args.fn:
-        sigma = _build_function(args.m)
-        tau = _build_function(args.n)
+        sigma = _build_function(args.m, args.p_max)
+        tau = _build_function(args.n, args.p_max)
         verdict = fn.relation_fn(sigma, tau, _window_from_args(args))
         _emit(args, verdict.as_dict())
         return 0
@@ -283,6 +293,8 @@ def _cmd_verify(args) -> int:
         raise UsageError("verify needs --all or --check ID")
     params = {}
     for item in args.param or []:
+        if "=" not in item:
+            raise UsageError(f"bad --param {item!r}; expected key=value")
         key, value = item.split("=", 1)
         try:
             params[key] = json.loads(value)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
@@ -53,6 +54,7 @@ from .grids import (
     DEFAULT_TAIL,
     GridSpec,
     TailWindow,
+    bisect_edge,
     decays_to_zero,
     grid_sup,
     quarter_maxima,
@@ -821,6 +823,8 @@ class FunctionRelationVerdict:
 
 
 def _ratio_diverges_fn(ratios: np.ndarray) -> bool:
+    """Finite-window proxy for a positive ratio -> +infinity: the quarter
+    maxima strictly increase, the last by the factor FN_DIVERGENCE_FACTOR."""
     qm = quarter_maxima(ratios)
     if not np.all(np.diff(qm) > 0):
         return False
@@ -1081,63 +1085,39 @@ def gamma_indices(
     ts, base = ts[good], base[good]
     hint = fast.domain_hint
 
-    def certify_limsup(gamma: float) -> Optional[float]:
+    def certify(holds, gamma: float) -> Optional[float]:
+        """The first K of the grid whose dilation ratios omega(K^gamma t) /
+        omega(t) on the window satisfy ``holds(ratios, K)``, or None."""
         for k in K_GRID:
             factor = k**gamma
             if factor * ts[-1] > hint:
                 continue
-            ratio = fast.evaluate_many(factor * ts) / base
-            if float(np.max(ratio)) < k * (1.0 - delta):
+            if holds(fast.evaluate_many(factor * ts) / base, k):
                 return float(k)
         return None
 
-    def certify_liminf(gamma: float) -> Optional[float]:
-        for a in K_GRID:
-            factor = a**gamma
-            if factor * ts[-1] > hint:
-                continue
-            ratio = fast.evaluate_many(factor * ts) / base
-            if float(np.min(ratio)) > a * (1.0 + delta):
-                return float(a)
-        return None
+    limsup = partial(certify, lambda r, k: float(np.max(r)) < k * (1.0 - delta))
+    liminf = partial(certify, lambda r, a: float(np.min(r)) > a * (1.0 + delta))
 
     # lower index: certifiable gammas form an interval (0, gamma*]
-    k_witness = certify_limsup(resolution)
-    if k_witness is None:
-        gamma, gamma_saturated = 0.0, False
-    elif certify_limsup(gamma_cap) is not None:
-        gamma, gamma_saturated = gamma_cap, True
-        k_witness = certify_limsup(gamma_cap)
-    else:
-        lo, hi = resolution, gamma_cap
-        while hi - lo > resolution:
-            mid = 0.5 * (lo + hi)
-            if certify_limsup(mid) is not None:
-                lo = mid
-            else:
-                hi = mid
-        gamma = lo
-        k_witness = certify_limsup(lo)
-        gamma_saturated = False
+    gamma, k_witness, gamma_saturated = 0.0, limsup(resolution), False
+    at_cap = None if k_witness is None else limsup(gamma_cap)
+    if at_cap is not None:
+        gamma, k_witness, gamma_saturated = gamma_cap, at_cap, True
+    elif k_witness is not None:
+        gamma, k_witness = bisect_edge(
+            limsup, resolution, gamma_cap, k_witness, resolution
+        )
 
     # upper index: certifiable gammas form an interval [gamma*, inf)
-    a_witness = certify_liminf(gamma_cap)
-    if a_witness is None:
-        gamma_bar, bar_inf = math.inf, True
-    elif certify_liminf(resolution) is not None:
-        gamma_bar, bar_inf = resolution, False
-        a_witness = certify_liminf(resolution)
-    else:
-        lo, hi = resolution, gamma_cap
-        while hi - lo > resolution:
-            mid = 0.5 * (lo + hi)
-            if certify_liminf(mid) is not None:
-                hi = mid
-            else:
-                lo = mid
-        gamma_bar = hi
-        a_witness = certify_liminf(hi)
-        bar_inf = False
+    gamma_bar, a_witness = math.inf, liminf(gamma_cap)
+    at_floor = None if a_witness is None else liminf(resolution)
+    if at_floor is not None:
+        gamma_bar, a_witness = resolution, at_floor
+    elif a_witness is not None:
+        gamma_bar, a_witness = bisect_edge(
+            liminf, gamma_cap, resolution, a_witness, resolution
+        )
 
     return GrowthIndexEstimate(
         gamma=gamma,
@@ -1147,7 +1127,7 @@ def gamma_indices(
         tail_window=(float(ts[0]), float(ts[-1])),
         resolution=resolution,
         gamma_saturated=gamma_saturated,
-        gamma_bar_infinite=bar_inf,
+        gamma_bar_infinite=a_witness is None,
     )
 
 

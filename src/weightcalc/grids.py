@@ -32,16 +32,21 @@ that holds when the objective has increasing differences in (x, y):
 
 Asymptotic statements (limits, O/o relations) are undecidable from finite
 data.  Every detector here is an estimator over a declared window and the
-window parameters travel with the verdicts that use them.  The shared
-heuristics are:
+window parameters travel with the verdicts that use them.  The estimators
+shared by the sequence, function and BMT layers are:
 
+* ``quarter_maxima`` -- the maxima of the four consecutive quarters of a
+  sampled window, the statistic behind every trend test;
 * ``decays_to_zero`` -- a sampled ratio behaves like o(1): the four
   quarter-window maxima strictly decrease and the tail has dropped by a
   window-size-aware factor (``span ** -DECAY_EXPONENT``), so a wide window
-  demands a deep drop while a narrow one only a shallow drop.
+  demands a deep drop while a narrow one only a shallow drop;
 * ``diverges`` -- the quarter maxima strictly increase and the last quarter
   still rises by a margin, which separates growth to infinity from
-  convergence-from-below to a finite limit.
+  convergence-from-below to a finite limit;
+* ``bisect_edge`` -- the edge of the set of parameters a finite-window test
+  certifies, with the witness of the last certified parameter: the growth
+  indices of a weight function and the Matuszewska indices of a sequence.
 """
 
 from __future__ import annotations
@@ -162,13 +167,13 @@ def quarter_maxima(values):
     vals = np.asarray(values, dtype=float)
     if vals.size < 8:
         raise ValueError("need at least 8 samples for quarter statistics")
-    quarters = np.array_split(vals, 4)
-    return np.array([q.max() for q in quarters])
+    # the quarters of np.array_split: the first n % 4 hold one extra sample
+    size, extra = divmod(vals.size, 4)
+    return np.maximum.reduceat(vals, [i * size + min(i, extra) for i in range(4)])
 
 
 def decays_to_zero(ratios, span):
     """Finite-window proxy for ``ratios -> 0`` over a window of given span."""
-    ratios = np.asarray(ratios, dtype=float)
     qm = quarter_maxima(ratios)
     if not np.all(np.diff(qm) < 0):
         return False
@@ -178,11 +183,26 @@ def decays_to_zero(ratios, span):
 
 def diverges(log_values):
     """Finite-window proxy for an (additively scaled) sequence -> +infinity."""
-    vals = np.asarray(log_values, dtype=float)
-    qm = quarter_maxima(vals)
+    qm = quarter_maxima(log_values)
     if not np.all(np.diff(qm) > 0):
         return False
     return bool(qm[3] - qm[2] > DIVERGENCE_RISE)
+
+
+def bisect_edge(test, passing, failing, witness, resolution):
+    """Edge of the interval of parameters that ``test`` certifies: ``test(x)``
+    returns a witness or None, ``passing`` is certified by ``witness`` and
+    ``failing`` is not, on either side.  Bisects at midpoints down to
+    ``resolution`` and returns the last certified parameter and its witness.
+    """
+    while abs(failing - passing) > resolution:
+        mid = 0.5 * (passing + failing)
+        found = test(mid)
+        if found is None:
+            failing = mid
+        else:
+            passing, witness = mid, found
+    return passing, witness
 
 
 def golden_max_vec(f, lo, hi, iters=60, *, kinks=None):

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapacityError, DomainError, FormatError, PreconditionError
-from .grids import DIVERGENCE_RISE, quarter_maxima
+from .grids import bisect_edge, diverges, quarter_maxima
 
 MIN_P_MAX = 8
 
@@ -389,16 +389,6 @@ def _root_gaps(m: WeightSequence, n: WeightSequence, p0: int) -> np.ndarray:
     return (m.log_values[p0:] - n.log_values[p0:]) / ps
 
 
-def _gap_diverges(gaps: np.ndarray) -> bool:
-    """Divergence test separating unbounded growth from convergence from below."""
-    if gaps.size < 8:
-        return False
-    qm = quarter_maxima(gaps)
-    if not np.all(np.diff(qm) > 0):
-        return False
-    return qm[3] - qm[2] > DIVERGENCE_RISE
-
-
 def relation(
     m: WeightSequence,
     n: WeightSequence,
@@ -406,17 +396,22 @@ def relation(
     log_r_cap: float = LOG_R_CAP,
     eps_triangle: float = EPS_TRIANGLE,
 ) -> RelationVerdict:
-    """Growth relation of M against N on the index window [p0, P_max]."""
+    """Growth relation of M against N on the index window [p0, P_max], which
+    must hold the 8 indices of the quarter statistics."""
     _require_shared_window(m, n)
-    if not (1 <= p0 < m.p_max):
-        raise PreconditionError(f"need 1 <= p0 < P_max, got p0={p0}")
+    if not (1 <= p0 <= m.p_max - 7):
+        raise PreconditionError(
+            f"need 1 <= p0 <= P_max - 7 = {m.p_max - 7}, got p0={p0}",
+            p0=p0,
+            p_max=m.p_max,
+        )
     gaps = _root_gaps(m, n, p0)
     rev_gaps = -gaps
     sup_gap = float(np.max(gaps))
     tail_gap = float(gaps[-1])
 
-    preceq = sup_gap <= log_r_cap and not _gap_diverges(gaps)
-    preceq_rev = float(np.max(rev_gaps)) <= log_r_cap and not _gap_diverges(rev_gaps)
+    preceq = sup_gap <= log_r_cap and not diverges(gaps)
+    preceq_rev = float(np.max(rev_gaps)) <= log_r_cap and not diverges(rev_gaps)
     approx = preceq and preceq_rev
 
     qm = quarter_maxima(gaps)
@@ -470,34 +465,24 @@ class MatuszewskaEstimate:
         }
 
 
-def almost_monotone_log_witness(log_vals: np.ndarray, decreasing: bool = True) -> float:
-    """Minimal log H such that the sampled sequence is almost de/increasing.
+def almost_monotone_log_witness(log_vals: np.ndarray) -> float:
+    """Minimal log H such that the sampled sequence is almost decreasing.
 
     Almost decreasing: a_q <= H a_p for all p <= q in the window, so
-    log H = max_q (a_q - running-min up to q); H >= 1 is enforced.
+    log H = max_q (a_q - running-min up to q); H >= 1 is enforced.  A
+    sequence is almost increasing with the witness of its reciprocal,
+    ``almost_monotone_log_witness(-log_vals)``.
     """
     vals = np.asarray(log_vals, dtype=float)
-    if decreasing:
-        prefix_min = np.minimum.accumulate(vals)
-        worst = float(np.max(vals - prefix_min))
-    else:
-        prefix_max = np.maximum.accumulate(vals)
-        worst = float(np.max(prefix_max - vals))
-    return max(worst, 0.0)
+    prefix_min = np.minimum.accumulate(vals)
+    return max(float(np.max(vals - prefix_min)), 0.0)
 
 
-def _almost_monotone_violating_pair(
-    log_vals: np.ndarray, offset: int, decreasing: bool = True
-) -> tuple[int, int]:
+def _almost_monotone_violating_pair(log_vals: np.ndarray, offset: int) -> tuple[int, int]:
     vals = np.asarray(log_vals, dtype=float)
-    if decreasing:
-        prefix_min = np.minimum.accumulate(vals)
-        q = int(np.argmax(vals - prefix_min))
-        p = int(np.argmin(vals[: q + 1]))
-    else:
-        prefix_max = np.maximum.accumulate(vals)
-        q = int(np.argmax(prefix_max - vals))
-        p = int(np.argmax(vals[: q + 1]))
+    prefix_min = np.minimum.accumulate(vals)
+    q = int(np.argmax(vals - prefix_min))
+    p = int(np.argmin(vals[: q + 1]))
     return p + offset, q + offset
 
 
@@ -537,43 +522,29 @@ def matuszewska(
     log_span = log_ps[-1] - log_ps[0]
     accept = min(log_h_cap, MATUSZEWSKA_SHARPNESS * log_span)
 
-    def h_dec(x: float) -> float:
-        return almost_monotone_log_witness(window - x * log_ps, decreasing=True)
+    def index(log_h, passing: float, failing: float) -> tuple[float, float, bool]:
+        """(edge, log_h(edge), saturated) of the exponents with log_h <= accept."""
 
-    def h_inc(x: float) -> float:
-        return almost_monotone_log_witness(window - x * log_ps, decreasing=False)
+        def test(x: float) -> Optional[float]:
+            return h if (h := log_h(x)) <= accept else None
 
-    def bisect(pass_fn, increasing_in_x: bool) -> tuple[float, bool]:
-        lo, hi = -x_cap, x_cap
-        if increasing_in_x:
-            # passes for all x >= threshold
-            if pass_fn(lo):
-                return lo, True
-            if not pass_fn(hi):
-                return hi, True
-            while hi - lo > resolution:
-                mid = 0.5 * (lo + hi)
-                if pass_fn(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            return hi, False
-        # passes for all x <= threshold
-        if pass_fn(hi):
-            return hi, True
-        if not pass_fn(lo):
-            return lo, True
-        while hi - lo > resolution:
-            mid = 0.5 * (lo + hi)
-            if pass_fn(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo, False
+        h_fail = log_h(failing)
+        if h_fail <= accept:
+            return failing, h_fail, True
+        h_pass = log_h(passing)
+        if h_pass > accept:
+            return passing, h_pass, True
+        return (*bisect_edge(test, passing, failing, h_pass, resolution), False)
 
-    alpha, alpha_sat = bisect(lambda x: h_dec(x) <= accept, increasing_in_x=True)
-    beta, beta_sat = bisect(lambda x: h_inc(x) <= accept, increasing_in_x=False)
-    witness = math.exp(max(min(h_dec(alpha), log_h_cap), min(h_inc(beta), log_h_cap)))
+    # a_p / p^x is almost decreasing for all x >= alpha, and almost
+    # increasing (p^x / a_p almost decreasing) for all x <= beta
+    alpha, h_alpha, alpha_sat = index(
+        lambda x: almost_monotone_log_witness(window - x * log_ps), x_cap, -x_cap
+    )
+    beta, h_beta, beta_sat = index(
+        lambda x: almost_monotone_log_witness(x * log_ps - window), -x_cap, x_cap
+    )
+    witness = math.exp(max(min(h_alpha, log_h_cap), min(h_beta, log_h_cap)))
     return MatuszewskaEstimate(
         alpha_upper=alpha,
         beta_lower=beta,
@@ -600,9 +571,9 @@ def almost_decreasing_regularize(
     """
     log_ps = np.log(np.arange(1, m.p_max + 1, dtype=float))
     ratio = m.log_quotients[1:] - log_ps
-    log_h = almost_monotone_log_witness(ratio, decreasing=True)
+    log_h = almost_monotone_log_witness(ratio)
     if log_h > log_h_cap:
-        p, q = _almost_monotone_violating_pair(ratio, offset=1, decreasing=True)
+        p, q = _almost_monotone_violating_pair(ratio, offset=1)
         raise PreconditionError(
             "mu_p/p is not almost decreasing on the window "
             f"(worst witness H=e^{log_h:.3f} exceeds cap e^{log_h_cap:g} "

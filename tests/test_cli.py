@@ -30,6 +30,24 @@ def test_conj_fn_eval_prints_value(capsys):
     assert float(out) == pytest.approx(1.0, rel=1e-6)
 
 
+def test_p_max_sizes_a_sequence_spec_given_as_a_function(capsys):
+    # s=30 lies beyond the coverage of the default P_max=400, inside P_max=20000
+    args = ["conj-fn", "--fn", "family=gevrey,s=0.5", "--eval", "30"]
+    assert run(args) == 2
+    capsys.readouterr()
+    assert run(args + ["--p-max", "20000"]) == 0
+    assert capsys.readouterr().out.strip() == "452.1602530141357"
+    # a P_max in the spec wins over --p-max
+    spec_wins = ["conj-fn", "--fn", "family=gevrey,s=0.5,P_max=400", "--eval", "30"]
+    assert run(spec_wins + ["--p-max", "20000"]) == 2
+
+
+def test_relation_window_too_short_is_a_precondition_error(capsys):
+    argv = ["relation", "--m", "family=gevrey,s=0.5", "--n", "family=gevrey,s=1"]
+    assert run(argv + ["--p0", "395"]) == 2
+    assert "P_max - 7" in capsys.readouterr().err
+
+
 def test_conj_seq_round_trip(tmp_path, capsys):
     path = tmp_path / "conj.json"
     assert (
@@ -203,6 +221,11 @@ def test_verify_requires_selection(capsys):
 
 def test_unknown_check_exit_code(capsys):
     assert run(["verify", "--check", "BOGUS"]) == 2
+
+
+def test_verify_param_without_value_is_a_usage_error(capsys):
+    assert run(["verify", "--check", "GEVREY_CONJ", "--param", "foo"]) == 2
+    assert "key=value" in capsys.readouterr().err
 
 
 def test_batch_manifest(tmp_path, capsys):

@@ -127,6 +127,45 @@ def test_nan_argument_gives_nan():
 
 
 # ---------------------------------------------------------------------------
+# finite-window estimators
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", [*range(8, 17), 255, 256, 257, 258])
+@pytest.mark.parametrize("nan_at", [None, 0, -1, "middle"])
+def test_quarter_maxima_are_the_maxima_of_the_array_split_quarters(size, nan_at):
+    vals = np.random.default_rng(size).normal(size=size)
+    if nan_at is not None:
+        vals[size // 2 if nan_at == "middle" else nan_at] = math.nan
+    want = np.array([q.max() for q in np.array_split(vals, 4)])
+    assert grids.quarter_maxima(vals).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("passing, failing", [(0.0, 5.0), (5.0, 0.0)])
+def test_bisect_edge_halves_the_bracket_at_midpoints(passing, failing):
+    edge, resolution = 1.2345, 1e-3
+    calls = []
+    bracket = [passing, failing]
+
+    def test(x):
+        assert x == 0.5 * (bracket[0] + bracket[1])
+        calls.append(x)
+        certified = (x <= edge) if passing < failing else (x >= edge)
+        bracket[0 if certified else 1] = x
+        return ("witness", x) if certified else None
+
+    got, witness = grids.bisect_edge(test, passing, failing, "start", resolution)
+    assert got == bracket[0] and abs(bracket[1] - got) <= resolution
+    assert abs(got - edge) <= resolution
+    assert got in calls and witness == ("witness", got)
+
+
+def test_bisect_edge_keeps_the_given_witness_when_no_midpoint_passes():
+    got, witness = grids.bisect_edge(lambda x: None, 0.0, 1.0, "start", 0.1)
+    assert got == 0.0 and witness == "start"
+
+
+# ---------------------------------------------------------------------------
 # golden-section refinement
 # ---------------------------------------------------------------------------
 

@@ -305,6 +305,17 @@ def test_relation_divergent_is_none():
     assert not verdict.preceq
 
 
+@pytest.mark.parametrize("p0", [0, 394, 399, 400])
+def test_relation_needs_a_window_of_eight_indices(p0):
+    with pytest.raises(PreconditionError) as err:
+        sq.relation(sq.gevrey(0.5, 400), sq.gevrey(1, 400), p0=p0)
+    assert err.value.details == {"p0": p0, "p_max": 400}
+
+
+def test_relation_on_the_shortest_window():
+    assert sq.relation(sq.gevrey(0.5, 400), sq.gevrey(1, 400), p0=393).window == (393, 400)
+
+
 def test_relation_symmetric_and_transitive_on_window():
     a, b, c = (sq.gevrey(s, 400) for s in (0.5, 0.6, 0.8))
     assert sq.relation(a, b).preceq and sq.relation(b, c).preceq
