@@ -310,11 +310,19 @@ def bmt_report(
 
     All flags are finite-window estimates: the dilation conditions scan
     geometric grids of constants, the o(.) conditions use the shared tail
-    decay proxy, and convexity of y -> omega(e^y) is midpoint-sampled.
+    decay proxy, and convexity of y -> omega(e^y) is midpoint-sampled.  A
+    window with fewer than 8 positive samples raises PreconditionError.
     """
     win = (window or DEFAULT_TAIL).clipped(omega.domain_hint / 2.0)
     ts = win.samples()
     vals = omega.evaluate_many(ts)
+    positive = int(np.count_nonzero(vals > 0))
+    if positive < 8:
+        raise PreconditionError(
+            "BMT window has fewer than 8 positive samples; move the window "
+            "into the function's growth range",
+            positive=positive,
+        )
     w0 = omega(0.0)
     c1 = abs(w0) <= 1e-12
 

@@ -23,7 +23,7 @@ from . import bmt
 from . import functions as fn
 from . import sequences as sq
 from .errors import CapacityError, PreconditionError, UsageError, WellDefinednessError
-from .grids import GridSpec, TailWindow, quarter_maxima
+from .grids import GridSpec, TailWindow, quarter_maxima, stopped_rising
 
 REL_TOL_CLOSED_FORM = 1e-4
 REL_TOL_TRANSFORM = 1e-3
@@ -721,8 +721,7 @@ def check_newexpabsorb(hs=(2.0, 4.0), p_max: int = 200) -> CheckReport:
                     continue
                 target = mat.member(d * ell)
                 deficit = ps * math.log(h) + member.log_values - target.log_values
-                qm = quarter_maxima(deficit)
-                if qm[3] <= max(qm[:3]) + 1.0:
+                if stopped_rising(deficit):
                     found = (d, math.exp(max(0.0, float(np.max(deficit)))))
                     break
             margins.bound(f"absorbed_h={h:g}_ell={ell:g}", found is not None)

@@ -58,6 +58,7 @@ from .grids import (
     decays_to_zero,
     grid_sup,
     quarter_maxima,
+    stopped_rising,
 )
 from .sequences import (
     WeightSequence,
@@ -658,8 +659,7 @@ def envelope_lower(
     # cap, and a row reaching it sits on a flat plateau whose boundary
     # argmax is legitimate
     def scan(t, j):
-        args = t / ss[j]
-        return -(sig_vals[j] + tau_fn(args.ravel()).reshape(args.shape))
+        return -(sig_vals[j] + tau_fn(t / ss[j]))
 
     def refine(ts, ys):
         s = np.exp(ys)
@@ -735,8 +735,7 @@ def envelope_upper(
         kinks = [(k_sig, False), (k_tau, True)]
 
     def scan(t, j):
-        args = ss[j] / t
-        return sig_vals[j] - tau_fn(args.ravel()).reshape(args.shape)
+        return sig_vals[j] - tau_fn(ss[j] / t)
 
     def refine(ts, ys):
         s = np.exp(ys)
@@ -841,8 +840,7 @@ def _deficit_accepted(deficit: np.ndarray, ratio: np.ndarray) -> bool:
     worst = float(np.max(deficit))
     if worst <= FN_ADDITIVE_CAP:
         return True
-    qm = quarter_maxima(deficit)
-    if qm[3] <= max(qm[0], qm[1], qm[2]) + 1.0:
+    if stopped_rising(deficit):
         return True
     rqm = quarter_maxima(ratio)
     return bool(np.all(np.diff(rqm) < 0))

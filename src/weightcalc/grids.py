@@ -14,6 +14,12 @@ is piecewise convex with known kinks (operands piecewise linear in log t,
 such as associated functions) and the bracket holds at most 60 of them,
 the breakpoint view of Lucet (1997); otherwise it runs golden section.
 
+Every set of cells the kernel evaluates (the dense scan, each level of the
+windowed search, the edge cells, the kink candidates) is one run of cells
+per row, laid end to end and evaluated in one flat call, each row's
+leftmost maximum taken by ``np.maximum.reduceat`` (``_run_max``): the
+objective callbacks only ever see equal-length 1-D arrays.
+
 The argmax search has two routes.  The dense scan evaluates k x n cells
 and is correct for any objective.  The sorted-window divide and
 conquer (the monotone-matrix search of Aggarwal et al., 1987) scans about
@@ -44,6 +50,8 @@ shared by the sequence, function and BMT layers are:
 * ``diverges`` -- the quarter maxima strictly increase and the last quarter
   still rises by a margin, which separates growth to infinity from
   convergence-from-below to a finite limit;
+* ``stopped_rising`` -- an additive deficit is bounded: its last quarter
+  maximum rises less than 1 above the earlier ones;
 * ``bisect_edge`` -- the edge of the set of parameters a finite-window test
   certifies, with the witness of the last certified parameter: the growth
   indices of a weight function and the Matuszewska indices of a sequence.
@@ -189,6 +197,13 @@ def diverges(log_values):
     return bool(qm[3] - qm[2] > DIVERGENCE_RISE)
 
 
+def stopped_rising(values):
+    """Finite-window proxy for a bounded additive deficit: the last quarter
+    maximum rises less than 1 above the three before it."""
+    qm = quarter_maxima(values)
+    return bool(qm[3] <= max(qm[0], qm[1], qm[2]) + 1.0)
+
+
 def bisect_edge(test, passing, failing, witness, resolution):
     """Edge of the interval of parameters that ``test`` certifies: ``test(x)``
     returns a witness or None, ``passing`` is certified by ``witness`` and
@@ -205,62 +220,30 @@ def bisect_edge(test, passing, failing, witness, resolution):
     return passing, witness
 
 
-def golden_max_vec(f, lo, hi, iters=60, *, kinks=None):
-    """Vectorised bracket maximisation: at the kinks of a piecewise objective,
-    else by golden section (Kiefer 1953).
+def golden_max_vec(f, lo, hi, iters=60):
+    """Vectorised golden-section maximisation (Kiefer 1953) of many rows.
 
-    ``lo``/``hi`` are arrays of per-problem brackets and ``f`` maps an array
-    of points to an array of values (applied elementwise, whatever the
-    array's shape, with the rows on the last axis).  Returns (argmax array,
+    ``lo``/``hi`` are 1-D arrays of per-row brackets and ``f`` maps a 1-D
+    array of points, one per row, to their values.  Returns (argmax array,
     max array).  No row costs more than ``iters + 2`` points.
 
-    ``kinks`` is an (m, k) array whose column i lists the points inside row
-    i's bracket where its objective may change slope, padded at the end
-    with NaN.  A row with at most ``iters`` kinks is answered by the best of
-    its two ends and its kinks, all evaluated in one call of ``f`` on a
-    (2 + m, k) array (ties go to the earlier candidate).  That is its exact
-    maximum when the objective is convex between consecutive kinks: for a
-    convex function on a segment the maximum sits at an end.  Rows with
-    more kinks, and every row when ``kinks`` is None, take golden section.
-
-    Golden section keeps the interior point that survives each bracket
-    update, with its value, and evaluates one new point per row per
-    iteration.  A row stops once the values at both ends of its bracket have
-    come within 1e-15 of its best interior value (relative to
-    max(1, |value|)); the value at an end is known once an interior point
-    has replaced it.  For an objective unimodal on the bracket every value
-    inside lies between, so the row has converged to rounding.  The two
-    interior values alone are no test: they tie while the bracket is still
-    wide, by symmetry when a peak or a kink sits at its centre, and on a
-    flat stretch beside the peak.  The test starts after
-    ``_GOLDEN_MIN_ITERS`` iterations, and the loop ends when every row has
-    stopped or after ``iters`` iterations.  A stopped row keeps its bracket,
-    so its result does not depend on the other rows of the call (``f``
-    still sees every row).  NaN rows stop at the first test.
+    The loop keeps the interior point that survives each bracket update,
+    with its value, and evaluates one new point per row per iteration.  A
+    row stops once the values at both ends of its bracket have come within
+    1e-15 of its best interior value (relative to max(1, |value|)); the
+    value at an end is known once an interior point has replaced it.  For
+    an objective unimodal on the bracket every value inside lies between,
+    so the row has converged to rounding.  The two interior values alone
+    are no test: they tie while the bracket is still wide, by symmetry when
+    a peak or a kink sits at its centre, and on a flat stretch beside the
+    peak.  The test starts after ``_GOLDEN_MIN_ITERS`` iterations, and the
+    loop ends when every row has stopped or after ``iters`` iterations.  A
+    stopped row keeps its bracket, so its result does not depend on the
+    other rows of the call (``f`` still sees every row).  NaN rows stop at
+    the first test.
     """
     a = np.asarray(lo, dtype=float)
     b = np.asarray(hi, dtype=float)
-    if kinks is None:
-        return _golden_section(f, a, b, iters)
-    inside = ~np.isnan(kinks)
-    count = inside.sum(axis=0)
-    exact = count <= iters
-    m = int(count[exact].max(initial=0))
-    # padding repeats the left end, which changes no row's maximum
-    pts = np.concatenate((a[None], b[None], np.where(inside, kinks, a)[:m]))
-    vals = f(pts)
-    pick = np.argmax(vals, axis=0)[None]
-    arg = np.take_along_axis(pts, pick, axis=0)[0]
-    top = np.take_along_axis(vals, pick, axis=0)[0]
-    if exact.all():
-        return arg, top
-    far_arg, far_top = _golden_section(f, a, b, iters)
-    return np.where(exact, arg, far_arg), np.where(exact, top, far_top)
-
-
-def _golden_section(f, a, b, iters):
-    """Golden-section maximisation of every row on [a, b] (see
-    ``golden_max_vec``)."""
     h = b - a
     c = a + INV_PHI_SQ * h
     d = a + INV_PHI * h
@@ -291,24 +274,41 @@ def _golden_section(f, a, b, iters):
     return np.where(best_c, c, d), np.where(best_c, yc, yd)
 
 
+def _ranges(first, width):
+    """The integer ranges [first, first + width) laid end to end."""
+    return np.arange(width.sum()) + np.repeat(first - (np.cumsum(width) - width), width)
+
+
+def _run_max(f, xs, cells, width):
+    """Leftmost maximum of ``f`` over each row's run of cells.
+
+    ``cells`` lays the runs of the rows ``xs`` end to end and ``width``
+    holds their lengths, each at least 1.  ``f(x, cells)`` is called once,
+    on equal-length 1-D arrays, ``x`` repeating each row's argument over its
+    run.  Returns the cell at each row's leftmost maximum and the maximum;
+    a NaN cell wins, as in ``np.argmax``.
+    """
+    starts = np.cumsum(width) - width
+    obj = f(np.repeat(xs, width), cells)
+    best = np.maximum.reduceat(obj, starts)
+    hit = obj == np.repeat(best, width)
+    if np.isnan(best).any():
+        hit |= np.isnan(obj)
+    hits = np.flatnonzero(hit)
+    return cells[hits[np.searchsorted(hits, starts)]], best
+
+
 def _dense_argmax(xs, n, scan, lo, hi):
-    """Leftmost grid argmax and grid maximum of every row within its run of
-    columns [lo, hi], scanning the union of the runs of about
-    ``_SCAN_CHUNK_CELLS // n`` rows at a time.  A cell outside a row's run
-    is scanned at the run's nearest end and then set to -inf, so ``scan``
-    sees only run cells."""
+    """Leftmost grid argmax and grid maximum of every row within its
+    non-empty run of columns [lo, hi], scanning the runs of
+    ``_SCAN_CHUNK_CELLS // n`` rows at a time."""
     j = np.empty(xs.size, dtype=np.intp)
     top = np.empty(xs.size)
     chunk = max(1, _SCAN_CHUNK_CELLS // n)
     for start in range(0, xs.size, chunk):
         rows = slice(start, start + chunk)
-        a, b = lo[rows, None], hi[rows, None]
-        cols = np.arange(a.min(), b.max() + 1)
-        obj = scan(xs[rows, None], np.clip(cols, a, b))
-        obj[(cols < a) | (cols > b)] = -np.inf
-        best = np.argmax(obj, axis=1)
-        j[rows] = best + cols[0]
-        top[rows] = obj[np.arange(obj.shape[0]), best]
+        width = hi[rows] - lo[rows] + 1
+        j[rows], top[rows] = _run_max(scan, xs[rows], _ranges(lo[rows], width), width)
     return j, top
 
 
@@ -323,8 +323,8 @@ def _sorted_window_argmax(xs, n, scan, lo, hi):
     its argmax and the rows above keep the columns from it.  The cut is
     never empty: the window lies between the argmaxes of a smaller-x and a
     larger-x row, each inside its own run.  One level of the recursion is
-    one flat scan of (row, column) cells, about n + k cells, and there are
-    about log2(k) levels.  A NaN row reports column 0 and narrows nothing.
+    one ``_run_max`` over about n + k cells, and there are about log2(k)
+    levels.  A NaN row reports column 0 and narrows nothing.
     """
     j = np.zeros(xs.size, dtype=np.intp)
     top = np.full(xs.size, np.nan)
@@ -339,17 +339,8 @@ def _sorted_window_argmax(xs, n, scan, lo, hi):
         rows = order[mid]
         first = np.maximum(wlo, lo[rows])
         width = np.minimum(whi, hi[rows]) - first + 1
-        ends = np.cumsum(width)
-        starts = ends - width
-        cols = np.arange(ends[-1]) + np.repeat(first - starts, width)
-        obj = scan(np.repeat(xs[rows], width), cols)
-        best = np.maximum.reduceat(obj, starts)
-        hit = obj == np.repeat(best, width)
-        if np.isnan(best).any():
-            hit |= np.isnan(obj)  # a NaN cell wins, as in np.argmax
-        hits = np.flatnonzero(hit)
-        jm = hits[np.searchsorted(hits, starts)] - starts + first
-        j[rows], top[rows] = jm, best
+        jm, top[rows] = _run_max(scan, xs[rows], _ranges(first, width), width)
+        j[rows] = jm
         blocks = np.concatenate(
             (np.stack((a, mid, wlo, jm)), np.stack((mid + 1, b, jm, whi))), axis=1
         )
@@ -357,7 +348,7 @@ def _sorted_window_argmax(xs, n, scan, lo, hi):
     return j, top
 
 
-def _with_edge_cells(xs, n, scan, lo, hi, both_ends, j, top):
+def _with_edge_cells(xs, scan, lo, hi, both_ends, j, top):
     """Compare each row's windowed argmax with the cells the edge test of
     ``grid_sup`` refuses, and keep the leftmost best.
 
@@ -370,15 +361,12 @@ def _with_edge_cells(xs, n, scan, lo, hi, both_ends, j, top):
     live = np.flatnonzero(np.isfinite(top))
     if live.size == 0:
         return j, top
-    ends = [j[live], hi[live]]
-    if both_ends:
-        ends.append(lo[live])
-    cols = np.stack(ends, axis=1)
-    obj = scan(xs[live, None], cols)
-    best = obj.max(axis=1)
-    first = np.where(obj == best[:, None], cols, n).min(axis=1)
-    keep = first < n  # a NaN cell keeps the windowed answer
-    j[live[keep]], top[live[keep]] = first[keep], best[keep]
+    # in column order, so that the leftmost maximum is the leftmost cell
+    ends = (lo, j, hi) if both_ends else (j, hi)
+    cells = np.stack([end[live] for end in ends], axis=1).ravel()
+    col, best = _run_max(scan, xs[live], cells, np.full(live.size, len(ends)))
+    keep = ~np.isnan(best)  # a NaN cell keeps the windowed answer
+    j[live[keep]], top[live[keep]] = col[keep], best[keep]
     return j, top
 
 
@@ -393,9 +381,10 @@ def _edge_rows(xs, lo, hi, j, top, cap, both_ends):
 
 
 def _saving(k, n):
-    """Dense-scan cells the windowed route saves on k rows of n cells: one
-    of its cells costs about four of the dense scan (one level makes about
-    four times its array passes)."""
+    """Dense-scan cells the windowed route saves on k rows of n cells, a
+    windowed cell counted as four dense ones.  The factor is kept as first
+    measured: it decides the route, and with it which of two near-tied
+    cells rounding picks."""
     return k * n - 4 * (n + k) * k.bit_length()
 
 
@@ -428,7 +417,7 @@ def _search(xs, n, scan, lo, hi, cap, both_ends, windowed, groups=None):
     x, a, b = xs[rows], lo[rows], hi[rows]
     if windowed:
         jr, top = _sorted_window_argmax(x, n, scan, a, b)
-        jr, top = _with_edge_cells(x, n, scan, a, b, both_ends, jr, top)
+        jr, top = _with_edge_cells(x, scan, a, b, both_ends, jr, top)
     else:
         jr, top = _dense_argmax(x, n, scan, a, b)
     j = np.zeros(xs.size, dtype=np.intp)
@@ -455,59 +444,52 @@ def _search(xs, n, scan, lo, hi, cap, both_ends, windowed, groups=None):
     return j, at_cap, refused_by
 
 
-def _kink_buckets(xs, lo, hi, kinks, iters):
-    """Split the rows of ``xs`` by the number of kinks inside their brackets
-    (lo, hi): yields (rows, points), where ``points`` is the (m, len(rows))
-    kink array of ``golden_max_vec`` for rows with at most ``iters`` kinks,
-    and None for the other rows and when ``kinks`` is None.
-
-    ``kinks`` is a sequence of (knots, shifted) pairs, each ``knots`` sorted:
-    the objective of row x may kink at y = knot, plus log x when
-    ``shifted``.  Rows are bucketed by their kink count rounded up to a
-    power of two, so a bucket's array pads each row by less than its count.
-    """
-    if kinks is None:
-        yield np.arange(xs.size), None
-        return
+def _kink_candidates(xs, lo, hi, kinks):
+    """The rows of ``xs`` whose bracket (lo, hi) holds at most
+    ``_REFINE_ITERS`` kinks (a mask), and their candidates laid end to end
+    with their widths: each row's two ends, then its kinks, 2 + count
+    points.  ``kinks`` is as in ``grid_sup``."""
     parts = []
     count = np.zeros(xs.size, dtype=np.intp)
     for knots, shifted in kinks:
-        if knots.size == 0:
-            continue
         shift = np.log(xs) if shifted else np.zeros(xs.size)
         # a NaN row finds every end past the last knot, so holds no kink
         first = np.searchsorted(knots, lo - shift, side="right")
         last = np.searchsorted(knots, hi - shift, side="left")
-        parts.append((knots, shift, first, last))
+        parts.append((knots, shift, first, last - first))
         count += last - first
-    width = 2 ** np.ceil(np.log2(np.maximum(count, 1))).astype(np.intp)
-    width[count == 0] = 0
-    width[count > iters] = -1
-    for w in np.unique(width):
-        rows = np.flatnonzero(width == w)
-        if w < 0:
-            yield rows, None
-            continue
-        blocks = [np.empty((0, rows.size))]
-        for knots, shift, first, last in parts:
-            idx = first[rows] + np.arange(w)[:, None]
-            at = knots[np.minimum(idx, knots.size - 1)] + shift[rows]
-            blocks.append(np.where(idx < last[rows], at, np.nan))
-        # NaN sorts last, so each column lists its kinks first
-        yield rows, np.sort(np.concatenate(blocks), axis=0)[:w]
+    exact = count <= _REFINE_ITERS
+    width = 2 + count[exact]
+    starts = np.cumsum(width) - width
+    cells = np.empty(width.sum())
+    cells[starts], cells[starts + 1] = lo[exact], hi[exact]
+    at = starts + 2
+    for knots, shift, first, inside in parts:
+        inside = inside[exact]
+        cells[_ranges(at, inside)] = (
+            knots[_ranges(first[exact], inside)] + np.repeat(shift[exact], inside)
+        )
+        at = at + inside
+    return exact, cells, width
 
 
 def _refined(xs, ys, j, at_cap, refine, floor, cap, kinks=None):
     """Refinement of the grid argmax ``j`` of every row on [ys[j-1],
-    ys[j+1]]: one ``golden_max_vec`` call per bucket of rows with similar
-    kink counts (``_kink_buckets``)."""
+    ys[j+1]]: one ``_run_max`` over the candidates of the rows with at most
+    ``_REFINE_ITERS`` kinks (``_kink_candidates``), one ``golden_max_vec``
+    call for the other rows."""
     n = ys.size
     lo, hi = ys[np.maximum(j - 1, 0)], ys[np.minimum(j + 1, n - 1)]
     best = np.empty(xs.size)
-    for rows, pts in _kink_buckets(xs, lo, hi, kinks, _REFINE_ITERS):
-        x = xs[rows]
-        _, best[rows] = golden_max_vec(
-            lambda y: refine(x, y), lo[rows], hi[rows], _REFINE_ITERS, kinks=pts
+    exact = np.zeros(xs.size, dtype=bool)
+    if kinks is not None:
+        exact, cells, width = _kink_candidates(xs, lo, hi, kinks)
+        if exact.any():
+            _, best[exact] = _run_max(refine, xs[exact], cells, width)
+    if not exact.all():
+        x = xs[~exact]
+        _, best[~exact] = golden_max_vec(
+            lambda y: refine(x, y), lo[~exact], hi[~exact], _REFINE_ITERS
         )
     best = np.minimum(np.maximum(best, floor), cap)
     out = np.where(at_cap, cap, best)
@@ -531,25 +513,24 @@ def grid_sup(
 ):
     """Row-wise supremum over the log grid ``ys``, one row per entry of ``xs``.
 
-    ``scan(x, j)`` returns the objective at the cells (x, ys[j]) of
-    broadcastable arrays ``x`` and ``j``; ``refine(xs, y)`` evaluates the
-    objective at the points ``y``, an array whose last axis runs over the
-    rows.  ``runs`` = (lo, hi) holds two int arrays aligned with ``xs``:
-    the columns [lo, hi] of each row's run, the cells within the operands'
-    coverage, which may be empty (lo > hi); None means [0, n - 1] for every
-    row.  One run per row, non-decreasing ends: lo and hi must be
-    non-decreasing in x.  ``scan`` is only called on cells of a row's run.
-    The best grid cell j of each row is refined on [ys[j-1], ys[j+1]] by
-    ``golden_max_vec``, one call per bucket of rows with similar kink
-    counts.
+    ``scan(x, j)`` returns the objective at the cells (x, ys[j]) and
+    ``refine(x, y)`` at the points (x, y); both are only ever called on
+    equal-length 1-D arrays, one cell or point per entry.  ``runs`` =
+    (lo, hi) holds two int arrays aligned with ``xs``: the columns [lo, hi]
+    of each row's run, the cells within the operands' coverage, which may
+    be empty (lo > hi); None means [0, n - 1] for every row.  One run per
+    row, non-decreasing ends: lo and hi must be non-decreasing in x.
+    ``scan`` is only called on cells of a row's run.  The best grid cell j
+    of each row is refined on [ys[j-1], ys[j+1]].
 
     ``kinks`` lists where the objective may change slope, as (knots,
     shifted) pairs of sorted arrays: row x may kink at y = knot, plus log x
     when ``shifted``.  The caller promises that between consecutive kinks
     the objective is convex in y.  A row whose bracket holds at most 60
     kinks is then answered exactly by the best of the bracket's ends and
-    its kinks, in one ``refine`` call for its bucket.  Other rows, and
-    every row without ``kinks``, take golden section (one ``refine`` call
+    its kinks: every such row of the call shares one ``refine`` call of
+    2 + count points per row.  Other rows, and every row without
+    ``kinks``, take golden section (``golden_max_vec``: one ``refine`` call
     per iteration, until the row's bracket values agree to rounding or 60
     iterations), which assumes the objective unimodal near its maximum.
 

@@ -173,6 +173,24 @@ def test_report_slowly_varying_weight():
     assert not rep.om6
 
 
+@pytest.mark.parametrize(
+    "omega, window, positive",
+    [
+        # six samples, all positive
+        (fn.power_weight(0.5), TailWindow(1e3, 1e7, 6), 6),
+        # 512 samples below t = 1, where the normalized weight is 0
+        (fn.normalized(fn.power_weight(0.5)), TailWindow(0.01, 0.5, 512), 0),
+    ],
+    ids=["short_window", "all_zero"],
+)
+def test_report_window_with_too_few_positive_samples_is_a_precondition_error(
+    omega, window, positive
+):
+    with pytest.raises(PreconditionError) as info:
+        bmt.bmt_report(omega, window)
+    assert info.value.details == {"positive": positive}
+
+
 def test_om1_iff_positive_gamma_and_om6_iff_finite_gammabar():
     cases = [
         fn.normalized(fn.power_weight(0.5)),

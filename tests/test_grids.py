@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -328,56 +329,129 @@ def test_breakpoint_refinement_is_exact_for_piecewise_linear_operands(problem):
         assert dense <= value + tol
 
 
+def _recorded(refine, calls):
+    """``refine`` that records the size of each call and fails unless its
+    arguments are equal-length 1-D arrays."""
+
+    def recording(x, y):
+        assert x.ndim == y.ndim == 1 and x.shape == y.shape
+        calls.append(x.size)
+        return refine(x, y)
+
+    return recording
+
+
+def _refined_alone(xs, ys, j, refine, kinks):
+    return grids._refined(xs, ys, j, np.zeros(xs.size, dtype=bool), refine,
+                          -math.inf, math.inf, kinks)
+
+
 def test_rows_with_more_than_iters_kinks_take_golden_section():
-    # row 0 holds iters + 1 kinks and row 1 three: golden section for the
-    # first, which matches a call without kinks; one call of f for the second
-    iters = 60
-    lo, hi = np.zeros(2), np.ones(2)
-    kinks = np.full((iters + 1, 2), np.nan)
-    kinks[:, 0] = np.linspace(0.01, 0.99, iters + 1)
-    kinks[:3, 1] = [0.2, 0.5, 0.7]
-    centre = np.array([0.37, 0.5])
-    shapes = []
+    # brackets [0, 1], [1.5, 2.5] and [2.5, 3.5] holding iters + 1, three
+    # and no kinks: golden section for the first row, which matches a call
+    # without kinks, and one shared call of 2 + 3 and 2 + 0 points for the
+    # others
+    ys = 0.5 * np.arange(8)
+    xs, j = np.arange(3.0), np.array([1, 4, 6])
+    knots = np.concatenate((np.linspace(0.01, 0.99, grids._REFINE_ITERS + 1),
+                            [1.75, 2.0, 2.25]))
+    kinks = [(knots, False)]
+    centre = np.array([0.37, 2.0, 3.0])
+    calls = []
 
-    def objective(y):
-        shapes.append(y.shape)
-        return -np.abs(y - centre)
+    def refine(x, y):
+        return -np.abs(y - centre[x.astype(int)])
 
-    x, top = grids.golden_max_vec(objective, lo, hi, iters, kinks=kinks)
-    ref = grids.golden_max_vec(lambda y: -np.abs(y - centre), lo, hi, iters)
-    assert (x[0], top[0]) == (ref[0][0], ref[1][0])
-    assert (x[1], top[1]) == (0.5, 0.0)
-
-    # without the crowded row's kinks both rows take the one call
-    shapes.clear()
-    kinks[:, 0] = np.nan
-    x, top = grids.golden_max_vec(objective, lo, hi, iters, kinks=kinks)
-    assert shapes == [(5, 2)]
-    assert (x[1], top[1]) == (0.5, 0.0)
-    assert top[0] == max(-0.37, -0.63)
+    got = _refined_alone(xs, ys, j, _recorded(refine, calls), kinks)
+    assert calls.count(7) == 1 and set(calls) == {1, 7}
+    assert got[1] == 0.0 and got[2] == -0.5
+    kinkless = _refined_alone(xs[:1], ys, j[:1], refine, None)
+    assert got[0] == kinkless[0]
+    # a call whose every row is over the limit makes no shared call
+    calls.clear()
+    alone = _refined_alone(xs[:1], ys, j[:1], _recorded(refine, calls), kinks)
+    assert alone.tobytes() == kinkless.tobytes() and set(calls) == {1}
 
 
 def test_refinement_routes_each_row_by_its_kink_count():
     # x y - g(e^y) for a g sampled 500 times per grid step past y = 1 and
     # about once per step below: the row refined on the dense stretch takes
-    # golden section, the two others one call of the objective each (one
-    # per bucket)
+    # golden section, the two others share one call of 2 + count points each
     log_ts = np.concatenate((np.linspace(-3.0, 0.9, 40), np.linspace(1.0, 3.0, 10_000)))
     g = fn.from_samples(np.exp(log_ts), np.cumsum(np.linspace(0.0, 0.01, log_ts.size)))
     ys = np.linspace(-3.0, 3.0, 61)
+    xs, j = np.array([0.01, 1.5, 9.0]), np.array([5, 20, 45])
+    kinks = [(fn.log_kinks(g), False)]
     calls = []
 
     def refine(x, y):
-        calls.append(y.shape)
         return x * y - g.evaluate_many(np.exp(y))
 
-    grids._refined(np.array([0.01, 1.5, 9.0]), ys, np.array([5, 20, 45]),
-                   np.zeros(3, dtype=bool), refine, -math.inf, math.inf,
-                   [(fn.log_kinks(g), False)])
-    one_call = [c for c in calls if len(c) == 2]
-    golden = [c for c in calls if len(c) == 1]
-    assert sum(c[1] for c in one_call) == 2
-    assert len(golden) > 2 and all(c == (1,) for c in golden)
+    got = _refined_alone(xs, ys, j, _recorded(refine, calls), kinks)
+    points = [_candidates(x, ys[i - 1], ys[i + 1], kinks).size for x, i in zip(xs, j)]
+    assert points[2] > 2 + grids._REFINE_ITERS
+    shared = points[0] + points[1]
+    assert calls.count(shared) == 1
+    assert len(calls) > 2 and set(calls) == {1, shared}
+    kinkless = _refined_alone(xs[2:], ys, j[2:], refine, None)
+    assert got[2] == kinkless[0]
+
+
+@pytest.mark.parametrize("with_kinks", [True, False], ids=["kinks", "golden"])
+@pytest.mark.parametrize("monotone", [True, False], ids=["windowed", "dense"])
+def test_grid_sup_hands_scan_and_refine_equal_length_flat_arrays(
+    monotone, with_kinks, monkeypatch
+):
+    # rows refined at a few kinks, at a dozen and at over a hundred (golden
+    # section); the windowed route also compares both edge cells of each row
+    log_ts = np.concatenate(
+        (np.linspace(-3.0, -0.01, 40), np.linspace(0.0, 1.49, 300), np.linspace(1.5, 3.0, 2000))
+    )
+    g = fn.from_samples(np.exp(log_ts), np.exp(0.8 * log_ts))
+    ys = np.linspace(-3.0, 3.0, 128)
+    scans, refines = [], []
+
+    def refine(x, y):
+        return x * y - g.evaluate_many(np.exp(y))
+
+    scan = _recorded(lambda x, j: refine(x, ys[j]), scans)
+    searches = _record_searches(monkeypatch)
+    xs = np.exp(np.linspace(-2.0, 1.5, 48))
+    got = grid_sup(
+        xs, ys, scan, _recorded(refine, refines), ("test", "x"), both_ends=True,
+        monotone=monotone, kinks=[(fn.log_kinks(g), False)] if with_kinks else None,
+    )
+    assert np.all(np.isfinite(got)) and scans and refines
+    assert bool(searches) == monotone
+
+
+@st.composite
+def dense_problems(draw):
+    """A table of small integers with ties and NaN cells, one row per
+    argument, uneven non-empty runs of columns, and a chunk size."""
+    k, n = draw(st.integers(1, 30)), draw(st.integers(1, 40))
+    cell = st.one_of(st.integers(-3, 3).map(float), st.just(math.nan))
+    table = np.array(draw(st.lists(cell, min_size=k * n, max_size=k * n))).reshape(k, n)
+    ends = np.sort(
+        np.array(draw(st.lists(st.integers(0, n - 1), min_size=2 * k, max_size=2 * k)))
+        .reshape(k, 2),
+        axis=1,
+    )
+    return table, ends[:, 0], ends[:, 1], draw(st.integers(1, 3 * n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_problems())
+def test_dense_argmax_is_the_leftmost_argmax_of_each_run(problem):
+    table, lo, hi, chunk_cells = problem
+    k, n = table.shape
+    want_j = np.array([a + np.argmax(row[a : b + 1]) for row, a, b in zip(table, lo, hi)])
+    want_top = table[np.arange(k), want_j]
+    scan = _recorded(lambda x, j: table[x.astype(np.intp), j], [])
+    with mock.patch.object(grids, "_SCAN_CHUNK_CELLS", chunk_cells):
+        j, top = grids._dense_argmax(np.arange(k, dtype=float), n, scan, lo, hi)
+    np.testing.assert_array_equal(j, want_j)
+    np.testing.assert_array_equal(top, want_top)
 
 
 def test_breakpoint_refinement_does_not_depend_on_the_batch():
