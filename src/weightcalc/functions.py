@@ -28,9 +28,12 @@ and between two kinks its objective is convex in y = log t: s e^y minus a
 linear function for the conjugate, linear for the envelopes, sequence
 recovery and phi*.  A bracket's maximum then sits at one of its ends or
 kinks, and a row whose bracket holds at most 60 kinks is answered exactly
-by evaluating them all at once.  Other rows and operands are refined by
-golden section, which removes the grid bias down to machine precision for
-unimodal objectives.
+by evaluating them all at once; a row with more kinks takes golden
+section.  Operands without kinks are refined by safeguarded parabolic
+interpolation, which removes the grid bias down to machine precision for
+objectives concave near their maximum.  A normalized operand kinks at
+t = 1 (``_breaks``): brackets are cut there and each piece refined on its
+own.
 """
 
 from __future__ import annotations
@@ -421,6 +424,14 @@ def _fixed_kinks(omega: WeightFunction):
     return None if knots is None else [(knots, False)]
 
 
+def _breaks(*operands):
+    """The ``breaks`` argument of ``grid_sup`` for (omega, shifted) operands:
+    a normalized omega kinks at t = 1, where it leaves 0, with no promise
+    about its pieces; None when no operand does."""
+    found = [(np.zeros(1), shifted) for omega, shifted in operands if omega.kind == "normalized"]
+    return found or None
+
+
 # ---------------------------------------------------------------------------
 # tail proxies
 # ---------------------------------------------------------------------------
@@ -532,6 +543,7 @@ def conjugate(
     slope_cap = float(np.max(slopes)) if np.all(np.isfinite(slopes)) else math.inf
     hint = 0.95 * slope_cap if math.isfinite(slope_cap) else math.inf
     kinks = _fixed_kinks(omega)
+    breaks = _breaks((omega, False))
 
     def scan(s, j):
         return s * ts[j] - wvals[j]
@@ -544,7 +556,7 @@ def conjugate(
         live = ~(ss <= 0)
         return _transform_values(
             ss, live, -w0, groups, log_ts, scan, refine, ("conjugate", "s"),
-            floor=-w0, monotone=True, kinks=kinks,
+            floor=-w0, monotone=True, kinks=kinks, breaks=breaks,
         )
 
     return WeightFunction(
@@ -653,6 +665,7 @@ def envelope_lower(
     kinks = None
     if k_sig is not None and k_tau is not None:
         kinks = [(k_sig, False), (-k_tau[::-1], True)]
+    breaks = _breaks((sigma, False), (tau, True))
 
     # the infimum is the negated supremum of -(sigma(s) + tau(t/s)); since
     # sigma(s) >= sigma(0) and tau(t/s) >= tau(0), -value_at_0 is an exact
@@ -686,6 +699,7 @@ def envelope_lower(
             both_ends=True,
             monotone=_convex_in_log(tau, u_lo, u_hi),
             kinks=kinks,
+            breaks=breaks,
             runs=(lo, np.full_like(lo, ss.size - 1)),
         )
 
@@ -733,6 +747,7 @@ def envelope_upper(
     kinks = None
     if k_sig is not None and k_tau is not None:
         kinks = [(k_sig, False), (k_tau, True)]
+    breaks = _breaks((sigma, False), (tau, True))
 
     def scan(t, j):
         return sig_vals[j] - tau_fn(ss[j] / t)
@@ -765,6 +780,7 @@ def envelope_upper(
             floor=value_at_0,
             monotone=_convex_in_log(tau, u_lo, u_hi),
             kinks=kinks,
+            breaks=breaks,
             runs=(np.zeros_like(hi), hi),
         )
 
@@ -1279,7 +1295,7 @@ def recover_sequence(
     ps = np.arange(1, p_count + 1, dtype=float)
     best[1:] = grid_sup(
         ps, log_ts, scan, refine, ("recover_sequence", "p"), monotone=True,
-        kinks=_fixed_kinks(omega),
+        kinks=_fixed_kinks(omega), breaks=_breaks((omega, False)),
     )
     values = math.log(m0) + best
     return WeightSequence(values, name=f"recovered({omega.name})")

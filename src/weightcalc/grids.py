@@ -12,7 +12,10 @@ row whose run is empty is refused before any scan.  Refinement takes the
 best of the cell's bracket ends and the kinks inside it when the objective
 is piecewise convex with known kinks (operands piecewise linear in log t,
 such as associated functions) and the bracket holds at most 60 of them,
-the breakpoint view of Lucet (1997); otherwise it runs golden section.
+the breakpoint view of Lucet (1997), and golden section when it holds
+more.  An objective without known kinks takes safeguarded successive
+parabolic interpolation (Brent 1973), seeded with the three grid cells
+around the winner and stopped by a bound that concavity proves.
 
 Every set of cells the kernel evaluates (the dense scan, each level of the
 windowed search, the edge cells, the kink candidates) is one run of cells
@@ -64,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainExhaustedError
+from .errors import DomainError, DomainExhaustedError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
@@ -80,14 +83,28 @@ DIVERGENCE_RISE = 0.05
 _SCAN_CHUNK_CELLS = 4_000_000
 #: A row whose grid maximum comes this close to the exact cap is answered by it.
 _CAP_TOL = 1e-12
-#: Golden-section iterations of a refinement in ``grid_sup``, and the most
-#: kinks a row's bracket may hold to be refined at its kinks instead.
+#: Iterations of a refinement in ``grid_sup``, and the most kinks a row's
+#: bracket may hold to be refined at its kinks instead.
 _REFINE_ITERS = 60
 #: Golden-section iterations run before the convergence test may stop the loop.
 _GOLDEN_MIN_ITERS = 20
 #: Relative spread of the values on a golden-section bracket at which the
 #: row stops.
 _GOLDEN_RTOL = 1e-15
+#: Relative excess over the best value that a parabolic row must prove to stop.
+_PARABOLIC_RTOL = 7e-16
+#: Steps after which golden section takes over the parabolic rows still moving.
+_PARABOLIC_STEPS = 20
+#: Most rows one parabolic refinement works on at a time.
+_PARABOLIC_ROWS = 4096
+
+
+def _check_count(n, least, what):
+    """Refuse a point count ``n`` that is not an integer or is below ``least``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DomainError(f"{what} needs an integer number of points, got {n!r}")
+    if n < least:
+        raise DomainError(f"{what} needs {least} or more points, got {n}")
 
 
 @dataclass(frozen=True)
@@ -100,9 +117,8 @@ class GridSpec:
 
     def __post_init__(self):
         if not (self.t_min > 0 and self.t_min < self.t_max):
-            raise ValueError("need 0 < t_min < t_max")
-        if self.n < 64:
-            raise ValueError("grid needs at least 64 points")
+            raise DomainError(f"need 0 < t_min < t_max, got [{self.t_min:g}, {self.t_max:g}]")
+        _check_count(self.n, 64, "grid")
 
     def log_points(self, upper=None):
         """Log grid on [t_min, min(t_max, upper)]; ``upper`` is an operand's
@@ -135,7 +151,9 @@ class TailWindow:
 
     def __post_init__(self):
         if not (self.t_lo > 0 and self.t_lo < self.t_hi):
-            raise ValueError("need 0 < t_lo < t_hi")
+            raise DomainError(f"need 0 < t_lo < t_hi, got [{self.t_lo:g}, {self.t_hi:g}]")
+        # fewer than 8 samples are refused by the estimators that need them
+        _check_count(self.n, 1, "window")
 
     def samples(self):
         return np.exp(np.linspace(math.log(self.t_lo), math.log(self.t_hi), self.n))
@@ -272,6 +290,242 @@ def golden_max_vec(f, lo, hi, iters=60):
         yc, yd = np.where(to_right, yd, yc), np.where(to_right, y_new, yd)
     best_c = yc >= yd
     return np.where(best_c, c, d), np.where(best_c, yc, yd)
+
+
+def _parabolic_step(points, values, step_before, curv_seed):
+    """The next point of each row of ``parabolic_max_vec`` (see there), the
+    rows' f[a, x, b] and best values, and whether each has stopped.
+    ``points`` and ``values`` hold the rows' (dl, a, x, b, dr) and their
+    values."""
+    a, x, b = points[1:4]
+    fa, fx, fb = values[1:4]
+    left, right = x - a, b - x
+    width = left + right
+    best = np.maximum(np.maximum(fa, fb), fx)
+    tol = _PARABOLIC_RTOL * np.maximum(1.0, np.abs(best))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_left, s_right = (fx - fa) / left, (fb - fx) / right
+        curv = (s_right - s_left) / width  # f[a, x, b]
+        to_vertex = -0.5 * (left + s_left / curv)
+        delta_sq = 0.25 * tol / -curv
+        stop = curv_seed * width * width <= 4.0 * tol
+    rows = np.flatnonzero(stop)
+    if rows.size:
+        stop[rows] = _proven(
+            left[rows], right[rows], s_left[rows], s_right[rows], fa[rows], fx[rows],
+            fb[rows], best[rows], tol[rows],
+        )
+    # a bracket whose curvature has grown past the seed's may hold a kink:
+    # the points beyond it tell, if the chord of their side, extended,
+    # predicts them four times better than the parabola through (a, x, b)
+    kinked = np.abs(curv) > 1.5 * curv_seed
+    rows = np.flatnonzero(kinked)
+    if rows.size:
+        kinked[rows] = _kinked(points[:, rows], values[:, rows], curv[rows], tol[rows])
+    parabolic = (curv < 0) & (to_vertex > -left) & (to_vertex < right) & ~kinked
+    near = parabolic & (to_vertex * to_vertex < delta_sq)
+    parabolic &= near | (np.abs(to_vertex) < 0.5 * step_before)
+    step = to_vertex
+    larger = np.where(right > left, right, -left)
+    rows = np.flatnonzero(near)
+    if rows.size:
+        delta = np.maximum(np.sqrt(delta_sq[rows]), 4.0 * np.spacing(np.abs(x[rows])))
+        step[rows] = np.copysign(np.minimum(delta, 0.5 * np.abs(larger[rows])), larger[rows])
+    rows = np.flatnonzero(~(parabolic | stop))
+    if rows.size:
+        step[rows] = _fallback_step(
+            points[:, rows], values[:, rows], tol[rows], curv[rows], larger[rows], kinked[rows]
+        )
+    # a bracket at the resolution of y has no new point to offer, nor has
+    # a NaN row
+    u = x + step
+    stop |= (u == x) | np.isnan(best)
+    return u, curv, best, stop
+
+
+def _proven(left, right, s_left, s_right, fa, fx, fb, best, tol):
+    """Whether concavity proves each row of ``_parabolic_step`` within tol
+    of its supremum, or noise defeats the proof and golden section's test
+    passes (see ``parabolic_max_vec``)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the chords extended over the other segment, each value allowed an
+        # error of tol / 8
+        noise = 0.25 * tol
+        up = np.maximum((noise / right - s_right) * left, (s_left + noise / left) * right)
+        # both end values within 1e-15 of the best and segments within a
+        # factor 3 bound the excess by 3e-15
+        spread = best - np.minimum(fa, fb) <= (_GOLDEN_RTOL / _PARABOLIC_RTOL) * tol
+        balanced = (3.0 * right >= left) & (3.0 * left >= right)
+        return (up <= tol + (best - fx)) | (spread & balanced)
+
+
+def _kinked(points, values, curv, tol):
+    """Whether the chord beside each side of the bracket, extended,
+    predicts the point beyond it four times better than the parabola
+    through (a, x, b) does: a kink between x and the other side."""
+    dl, a, x, b, dr = points
+    fdl, fa, fx, fb, fdr = values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_left, s_right = (fx - fa) / (x - a), (fb - fx) / (b - x)
+        off_l, off_r = fdl - fa - s_left * (dl - a), fdr - fb - s_right * (dr - b)
+        par_l = np.abs(off_l - curv * (dl - a) * (dl - x))
+        par_r = np.abs(off_r - curv * (dr - b) * (dr - x))
+        return ((par_l > 4.0 * tol) & (4.0 * np.abs(off_l) < par_l)) | (
+            (par_r > 4.0 * tol) & (4.0 * np.abs(off_r) < par_r)
+        )
+
+
+def _fallback_step(points, values, tol, curv, larger, kinked):
+    """The step of the rows of ``_parabolic_step`` without a parabolic one:
+    inwards from a better end; at a kink, to the peak of the better
+    two-piece linear model; else golden."""
+    _, a, x, b, _ = points
+    fa, fx, fb = values[1:4]
+    left, right = x - a, b - x
+    step = INV_PHI_SQ * larger
+    if kinked.any():
+        rises = values[1:] - values[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_dl, s_left, s_right, s_dr = rises / (points[1:] - points[:-1])
+            # the chords through two points on either side of a kink meet
+            # at its peak: in (a, x) for the chords beyond a and through (x,
+            # b), in (x, b) for the chords through (a, x) and beyond b; a
+            # chord whose values differ by less than tol has no reliable slope
+            sure = np.abs(rises) > tol
+            to_left = (fx - fa - s_right * left) / (s_dl - s_right) - left
+            to_right = (fb - fx - s_dr * right) / (s_left - s_dr)
+            top_left, top_right = fx + s_right * to_left, fx + s_left * to_right
+            on_left = (to_left > -left) & (to_left < 0) & sure[0] & sure[2]
+            on_right = (to_right > 0) & (to_right < right) & sure[1] & sure[3]
+        right_higher = on_right & ~(on_left & (top_left > top_right))
+        peak = np.where(right_higher, to_right, to_left)
+        top = np.where(right_higher, top_right, top_left)
+        # a peak that promises no gain beyond noise teaches nothing new:
+        # golden then
+        kink = kinked & (on_left | on_right) & (top - fx > 16.0 * tol)
+        step = np.where(kink, peak, step)
+    better = np.maximum(fa, fb) > fx
+    if better.any():
+        # from a better end, the step whose bound has excess about tol / 2,
+        # but at least a thousandth of the segment, so that the chord beside
+        # the end gets a reliable slope
+        on_a = fa >= fb
+        seg = np.where(on_a, left, right)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inward = 0.5 * tol / (-curv * seg)
+        floor = np.maximum(1e-3 * seg, 4.0 * np.spacing(np.abs(x)))
+        inward = np.minimum(np.maximum(inward, floor), 0.5 * seg)
+        step = np.where(better, np.where(on_a, inward - left, right - inward), step)
+    return step
+
+
+def parabolic_max_vec(f, xs, lo, mid, hi, iters=60):
+    """Safeguarded successive parabolic maximisation (Brent 1973, ch. 5) of
+    many rows, each seeded with three points.
+
+    Row i is searched on [lo[i], hi[i]] from the points lo, mid and hi (mid
+    is moved to the bracket's centre unless strictly inside), evaluated in
+    one call.  ``f(x, y)`` maps equal-length 1-D arrays of row arguments
+    ``xs`` and points to values, and only ever sees the rows still moving:
+    the state is compacted to them, so a row's result does not depend on
+    the other rows of the call.  Returns the best value evaluated per row,
+    never below the seeds' values; no row costs more than ``iters + 2``
+    points (``iters`` >= 1), and a NaN value stops its row, which returns
+    NaN.  Rows go ``_PARABOLIC_ROWS`` at a time, which bounds the memory of
+    one call.
+
+    Each row keeps a bracket (a, b) around a point x: the best point
+    evaluated and its two neighbours, or an end and the next two points
+    when that end is the best, and the nearest point evaluated beyond each
+    end.  Each step evaluates one point per row:
+
+    * the vertex of the parabola through (a, x, b) when f[a, x, b] < 0, the
+      vertex lies inside the bracket and the step to it is less than half
+      the step before the last (Brent's safeguard);
+    * a vertex within delta = sqrt(tol / |f[a, x, b]|) / 2 (at least 4 ulp
+      of x) of x moves delta to the side of the larger segment: this
+      collapses the far end, as Brent's tolerance step does;
+    * otherwise, when an end is the best point, a step inwards from it;
+    * otherwise, when |f[a, x, b]| has grown past 1.5 times the seed's and
+      the chord beside the bracket, extended, predicts the point beyond it
+      four times better than the parabola does, so that the bracket holds a
+      kink, the point where the chords on the two sides of the kink meet
+      (the peak of a two-piece linear model) if it promises a gain beyond
+      noise;
+    * otherwise a golden step into the larger segment.
+
+    The stop rule is a proof under concavity.  The supremum over [a, x] is
+    at most the chord through x and b extended to a, and over [x, b] at
+    most the chord through a and x extended to b; with every value allowed
+    an error of tol / 8 and tol = 7e-16 max(1, |best|), a row stops once
+    these bounds exceed its best value by at most tol.  Where noise in the
+    values defeats that proof, golden section's test serves: both end
+    values within 1e-15 of the best, with segments within a factor 3, which
+    bounds the excess by 3e-15.  Either needs the bracket narrow for the
+    seed's curvature, |f[a, x, b]| (b - a)^2 <= 4 tol, so that a kink beside
+    a convex piece, where the chords of one side need not bound the other,
+    does not stop a wide bracket.  Golden section (``golden_max_vec``)
+    takes over the rows still moving after ``_PARABOLIC_STEPS`` steps, on
+    their bracket and with the rest of their budget.
+    """
+    xs, lo, mid, hi = (np.asarray(v, dtype=float) for v in (xs, lo, mid, hi))
+    # a slice of rows at a time bounds the memory the state takes
+    return np.concatenate([
+        _parabolic_rows(f, *(v[i : i + _PARABOLIC_ROWS] for v in (xs, lo, mid, hi)), iters)
+        for i in range(0, max(xs.size, 1), _PARABOLIC_ROWS)
+    ])
+
+
+def _parabolic_rows(f, xs, a, x, b, iters):
+    """``parabolic_max_vec`` on at most ``_PARABOLIC_ROWS`` rows."""
+    x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+    k = a.size
+    seeds = f(np.tile(xs, 3), np.concatenate((a, x, b)))
+    out = np.empty(k)
+    # one column per row: row index, argument, the last two steps, |f[a,
+    # x, b]| at the seed, (dl, a, x, b, dr) and their values; dl and dr, the
+    # nearest points evaluated beyond the bracket, start unknown
+    nan, inf = np.full(k, np.nan), np.full(k, np.inf)
+    state = np.stack((
+        np.arange(k), xs, inf, inf, inf, nan, a, x, b, nan,
+        nan, seeds[:k], seeds[k : 2 * k], seeds[2 * k :], nan,
+    ))
+    for i in range(iters):
+        u, curv, best, stop = _parabolic_step(state[5:10], state[10:], state[3], state[4])
+        if i == 0:
+            state[4] = np.abs(curv)
+        if i == iters - 1:
+            stop[:] = True
+        if stop.any():
+            out[state[0, stop].astype(np.intp)] = best[stop]
+            state, u = state[:, ~stop], u[~stop]
+        if not u.size:
+            break
+        fu = f(state[1], u)
+        # keep the best of the four points with its neighbours (on a tie,
+        # the wider of the two brackets): the window (dl, a, x, b, dr) moves
+        # left to (dl, a, p1, p2, b) or right to (a, p1, p2, b, dr)
+        first = u < state[7]
+        p1, p2 = np.minimum(u, state[7]), np.maximum(u, state[7])
+        f1, f2 = np.where(first, fu, state[12]), np.where(first, state[12], fu)
+        top_l, top_r = np.maximum(state[11], f1), np.maximum(f2, state[13])
+        kl = (top_l > top_r) | ((top_l == top_r) & (p2 - state[6] > state[8] - p1))
+        kr = ~kl
+        state[3], state[2] = state[2], np.abs(u - state[7])
+        for at, inner, outer in ((5, p1, p2), (10, f1, f2)):
+            np.copyto(state[at], state[at + 1], where=kr)
+            np.copyto(state[at + 1], inner, where=kr)
+            np.copyto(state[at + 4], state[at + 3], where=kl)
+            np.copyto(state[at + 3], outer, where=kl)
+            state[at + 2] = np.where(kl, inner, outer)
+        if i == _PARABOLIC_STEPS and i + 4 <= iters:
+            # golden section takes over the rows still moving, on their
+            # bracket and with the rest of their budget
+            rx, ra, rb = state[[1, 6, 8]]
+            _, top = golden_max_vec(lambda y: f(rx, y), ra, rb, iters - 4 - i)
+            out[state[0].astype(np.intp)] = np.maximum(np.max(state[11:14], axis=0), top)
+            break
+    return out
 
 
 def _ranges(first, width):
@@ -473,26 +727,51 @@ def _kink_candidates(xs, lo, hi, kinks):
     return exact, cells, width
 
 
-def _refined(xs, ys, j, at_cap, refine, floor, cap, kinks=None):
-    """Refinement of the grid argmax ``j`` of every row on [ys[j-1],
-    ys[j+1]]: one ``_run_max`` over the candidates of the rows with at most
-    ``_REFINE_ITERS`` kinks (``_kink_candidates``), one ``golden_max_vec``
-    call for the other rows."""
+def _piecewise_max(refine, xs, lo, mid, hi, breaks):
+    """Best of ``parabolic_max_vec`` over the pieces of each row's bracket
+    (lo, hi) cut at the ``breaks`` strictly inside it, one call for all the
+    pieces; each piece is seeded with its ends and ``mid`` (its centre when
+    ``mid`` lies outside it)."""
+    _, cells, width = _kink_candidates(xs, lo, hi, breaks)
+    row = np.repeat(np.arange(xs.size), width)
+    order = np.lexsort((cells, row))
+    cells, row = cells[order], row[order]
+    piece = row[1:] == row[:-1]
+    at = row[:-1][piece]
+    top = parabolic_max_vec(
+        refine, xs[at], cells[:-1][piece], mid[at], cells[1:][piece], _REFINE_ITERS
+    )
+    return np.maximum.reduceat(top, np.cumsum(width - 1) - (width - 1))
+
+
+def _refined(xs, ys, j, at_cap, refine, floor, cap, kinks=None, breaks=None):
+    """Refinement of the grid argmax ``j`` of every row not ``at_cap`` on
+    [ys[j-1], ys[j+1]]: without ``kinks``, one ``parabolic_max_vec`` seeded
+    with the cells j-1, j and j+1, over the pieces of the bracket cut at
+    ``breaks`` (``_piecewise_max``); with them, one ``_run_max`` over the
+    candidates of the rows with at most ``_REFINE_ITERS`` kinks
+    (``_kink_candidates``) and one ``golden_max_vec`` call for the other
+    rows."""
     n = ys.size
-    lo, hi = ys[np.maximum(j - 1, 0)], ys[np.minimum(j + 1, n - 1)]
-    best = np.empty(xs.size)
-    exact = np.zeros(xs.size, dtype=bool)
-    if kinks is not None:
-        exact, cells, width = _kink_candidates(xs, lo, hi, kinks)
+    rows = np.flatnonzero(~at_cap)
+    x, jr = xs[rows], j[rows]
+    lo, hi = ys[np.maximum(jr - 1, 0)], ys[np.minimum(jr + 1, n - 1)]
+    best = np.empty(rows.size)
+    if kinks is None and breaks is None:
+        best[:] = parabolic_max_vec(refine, x, lo, ys[jr], hi, _REFINE_ITERS)
+    elif kinks is None:
+        best[:] = _piecewise_max(refine, x, lo, ys[jr], hi, breaks)
+    else:
+        exact, cells, width = _kink_candidates(x, lo, hi, kinks)
         if exact.any():
-            _, best[exact] = _run_max(refine, xs[exact], cells, width)
-    if not exact.all():
-        x = xs[~exact]
-        _, best[~exact] = golden_max_vec(
-            lambda y: refine(x, y), lo[~exact], hi[~exact], _REFINE_ITERS
-        )
-    best = np.minimum(np.maximum(best, floor), cap)
-    out = np.where(at_cap, cap, best)
+            _, best[exact] = _run_max(refine, x[exact], cells, width)
+        if not exact.all():
+            rest = x[~exact]
+            _, best[~exact] = golden_max_vec(
+                lambda y: refine(rest, y), lo[~exact], hi[~exact], _REFINE_ITERS
+            )
+    out = np.full(xs.size, cap)
+    out[rows] = np.minimum(np.maximum(best, floor), cap)
     out[np.isnan(xs)] = np.nan
     return out
 
@@ -509,6 +788,7 @@ def grid_sup(
     monotone=False,
     groups=None,
     kinks=None,
+    breaks=None,
     runs=None,
 ):
     """Row-wise supremum over the log grid ``ys``, one row per entry of ``xs``.
@@ -529,10 +809,17 @@ def grid_sup(
     the objective is convex in y.  A row whose bracket holds at most 60
     kinks is then answered exactly by the best of the bracket's ends and
     its kinks: every such row of the call shares one ``refine`` call of
-    2 + count points per row.  Other rows, and every row without
-    ``kinks``, take golden section (``golden_max_vec``: one ``refine`` call
-    per iteration, until the row's bracket values agree to rounding or 60
-    iterations), which assumes the objective unimodal near its maximum.
+    2 + count points per row.  Other rows take golden section
+    (``golden_max_vec``: one ``refine`` call per iteration, until the row's
+    bracket values agree to rounding or 60 iterations), which assumes the
+    objective unimodal near its maximum.
+
+    Without ``kinks``, rows take safeguarded parabolic refinement
+    (``parabolic_max_vec``) seeded with the cells j-1, j and j+1, which
+    assumes the objective concave near its maximum and smooth but for few
+    kinks.  ``breaks``, in the form of ``kinks``, lists where the objective
+    may kink with no promise about the pieces between: a row's bracket is
+    cut there and each piece refined on its own.
 
     The best cell is the leftmost grid argmax within the run.  ``monotone``
     states that it is non-decreasing in x, which holds (Topkis) when the
@@ -598,11 +885,11 @@ def grid_sup(
                 f"{arg}={bad:g}; enlarge the grid or the operands' coverage",
                 **{arg: bad},
             )
-        return _refined(xs, ys, j, at_cap, refine, floor, cap, kinks)
+        return _refined(xs, ys, j, at_cap, refine, floor, cap, kinks, breaks)
     refused = refused_by >= 0
     keep = ~refused[groups]
     out = np.full(xs.size, np.nan)
     out[keep] = _refined(
-        xs[keep], ys, j[keep], at_cap[keep], refine, floor, cap, kinks
+        xs[keep], ys, j[keep], at_cap[keep], refine, floor, cap, kinks, breaks
     )
     return out, refused

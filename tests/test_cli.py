@@ -177,6 +177,20 @@ def test_non_numeric_input_is_a_usage_error(tmp_path, capsys, m_spec):
     assert "weightcalc: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conj-fn", "--fn", "family=power,alpha=0.5", "--eval", "3", "--grid-n", "10"],
+        ["conj-fn", "--fn", "family=power,alpha=0.5", "--eval", "3", "--t-min", "0"],
+        ["indices", "--fn", "family=power,alpha=0.5", "--window-lo", "5", "--window-hi", "1"],
+    ],
+    ids=["grid-n", "t-min", "window"],
+)
+def test_bad_grid_or_window_is_a_domain_error(argv, capsys):
+    assert run(argv) == 2
+    assert "weightcalc: error:" in capsys.readouterr().err
+
+
 def test_uniform_bound_cli(capsys):
     code = run(
         [
