@@ -111,25 +111,17 @@ def _write_atomic(path: str, text: str):
 
 
 def _emit(args, payload: dict, csv_text: str | None = None) -> None:
-    """Write one artifact (JSON by default, CSV when requested)."""
-    if args.format == "csv":
-        if csv_text is None:
-            raise UsageError("this result has no CSV form; use --format json")
-        if args.output:
-            _write_atomic(args.output, csv_text)
-        else:
-            sys.stdout.write(csv_text)
-        return
-    envelope = {
-        "command": args.command,
-        "seed": args.seed,
-        "result": payload,
-    }
-    text = ser.dump_json(envelope)
-    if args.output:
-        _write_atomic(args.output, text + "\n")
+    """Write one artifact: JSON, or ``csv_text`` under ``--format csv`` for
+    the commands with a CSV form (the only ones that take ``--format``)."""
+    if csv_text is not None and args.format == "csv":
+        text = csv_text
     else:
-        print(text)
+        envelope = {"command": args.command, "seed": args.seed, "result": payload}
+        text = ser.dump_json(envelope) + "\n"
+    if args.output:
+        _write_atomic(args.output, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _sequence_csv(m: sq.WeightSequence) -> str:
@@ -144,9 +136,22 @@ def _samples_csv(ts, vals) -> str:
     return buf.getvalue()
 
 
-def _sample_points(args, hint: float) -> np.ndarray:
+def _eval_or_sample(args, omega: fn.WeightFunction) -> int:
+    """Print ``omega`` at ``--eval``, or emit it at ``--samples`` log-spaced
+    points of [t_min, min(t_max, its domain hint)]."""
+    if args.eval is not None:
+        print(repr(omega(args.eval)))
+        return 0
+    hint = omega.domain_hint
     hi = min(args.t_max, hint) if math.isfinite(hint) else args.t_max
-    return np.exp(np.linspace(math.log(args.t_min), math.log(hi), args.samples))
+    ts = np.exp(np.linspace(math.log(args.t_min), math.log(hi), args.samples))
+    vals = omega.evaluate_many(ts)
+    _emit(
+        args,
+        {"kind": "samples", "t": list(map(float, ts)), "value": list(map(float, vals))},
+        _samples_csv(ts, vals),
+    )
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -155,19 +160,7 @@ def _sample_points(args, hint: float) -> np.ndarray:
 
 
 def _cmd_assoc(args) -> int:
-    m = _build_sequence(args.seq, args.p_max)
-    omega = fn.associated(m)
-    if args.eval is not None:
-        print(repr(omega(args.eval)))
-        return 0
-    ts = _sample_points(args, omega.domain_hint)
-    vals = omega.evaluate_many(ts)
-    _emit(
-        args,
-        {"kind": "samples", "t": list(map(float, ts)), "value": list(map(float, vals))},
-        _samples_csv(ts, vals),
-    )
-    return 0
+    return _eval_or_sample(args, fn.associated(_build_sequence(args.seq, args.p_max)))
 
 
 def _cmd_conj_seq(args) -> int:
@@ -179,19 +172,7 @@ def _cmd_conj_seq(args) -> int:
 
 def _cmd_conj_fn(args) -> int:
     grid = _grid_from_args(args)
-    omega = _build_function(args.fn, args.p_max)
-    star = fn.conjugate(omega, grid)
-    if args.eval is not None:
-        print(repr(star(args.eval)))
-        return 0
-    ts = _sample_points(args, star.domain_hint)
-    vals = star.evaluate_many(ts)
-    _emit(
-        args,
-        {"kind": "samples", "t": list(map(float, ts)), "value": list(map(float, vals))},
-        _samples_csv(ts, vals),
-    )
-    return 0
+    return _eval_or_sample(args, fn.conjugate(_build_function(args.fn, args.p_max), grid))
 
 
 def _cmd_envelope(args) -> int:
@@ -199,18 +180,7 @@ def _cmd_envelope(args) -> int:
     sigma = _build_function(args.sigma, args.p_max)
     tau = _build_function(args.tau, args.p_max)
     op = fn.envelope_lower if args.op == "lower" else fn.envelope_upper
-    env = op(sigma, tau, grid)
-    if args.eval is not None:
-        print(repr(env(args.eval)))
-        return 0
-    ts = _sample_points(args, env.domain_hint)
-    vals = env.evaluate_many(ts)
-    _emit(
-        args,
-        {"kind": "samples", "t": list(map(float, ts)), "value": list(map(float, vals))},
-        _samples_csv(ts, vals),
-    )
-    return 0
+    return _eval_or_sample(args, op(sigma, tau, grid))
 
 
 def _cmd_indices(args) -> int:
@@ -246,12 +216,12 @@ def _cmd_matrix(args) -> int:
         k: (bool(v) if isinstance(v, (bool, np.bool_)) else v)
         for k, v in mat.diagnostics.items()
     }
+    csv_text = None
     if args.format == "csv":
         # one CSV per member is the seq_core schema; emit the requested ell
         member = mat.member(float(args.csv_ell)) if args.csv_ell else mat.members[0]
-        _emit(args, payload, _sequence_csv(member))
-        return 0
-    _emit(args, payload)
+        csv_text = _sequence_csv(member)
+    _emit(args, payload, csv_text)
     return 0
 
 
@@ -334,19 +304,26 @@ def _cmd_batch(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, seq=False, function=False):
-    p.add_argument("--output", help="artifact path (default: stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=0, help="recorded in artifacts")
-    p.add_argument("--p0", type=int, default=sq.DEFAULT_P0)
-    p.add_argument("--p-max", type=int, default=sq.DEFAULT_P_MAX, dest="p_max")
-    p.add_argument("--t-min", type=float, default=1e-2, dest="t_min")
-    p.add_argument("--t-max", type=float, default=1e8, dest="t_max")
-    p.add_argument("--grid-n", type=int, default=2048, dest="grid_n")
-    p.add_argument("--window-lo", type=float, default=1e3, dest="window_lo")
-    p.add_argument("--window-hi", type=float, default=1e7, dest="window_hi")
-    p.add_argument("--samples", type=int, default=256)
-
+#: The flags shared between subcommands; each subcommand takes only those its
+#: handler reads.
+_FLAGS = {
+    "--output": dict(help="artifact path (default: stdout)"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--seed": dict(type=int, default=0, help="recorded in artifacts"),
+    "--p-max": dict(type=int, default=sq.DEFAULT_P_MAX),
+    "--p0": dict(type=int, default=sq.DEFAULT_P0),
+    "--t-min": dict(type=float, default=1e-2),
+    "--t-max": dict(type=float, default=1e8),
+    "--grid-n": dict(type=int, default=2048),
+    "--samples": dict(type=int, default=256),
+    "--window-lo": dict(type=float, default=1e3),
+    "--window-hi": dict(type=float, default=1e7),
+}
+#: The shared flags of every command that emits an artifact, of those that
+#: emit a function sampled on [t_min, t_max], and of the finite-window ones.
+_ARTIFACT = ("--output", "--seed", "--p-max")
+_SAMPLES = ("--format", "--t-min", "--t-max", "--samples")
+_WINDOW = ("--window-lo", "--window-hi")
 
 #: Operand flag -> help of the parameter flags its '--family' shorthand takes.
 _SHORTHAND_FLAGS = {
@@ -362,12 +339,19 @@ _SHORTHAND_FLAGS = {
 }
 
 
-def _add_operand(p, dest):
-    """``--seq``/``--fn`` spec plus its '--family NAME --KEY VALUE' shorthand."""
-    p.add_argument(f"--{dest}", default=None)
-    p.add_argument("--family", help=f"shorthand for --{dest}: family name")
-    for key, help_text in _SHORTHAND_FLAGS[dest].items():
-        p.add_argument(f"--{key}", type=float, help=help_text)
+def _command(sub, name, func, help_text, *flags, operand=None):
+    """Subcommand ``name`` run by ``func``, with the shared ``flags`` and an
+    ``operand`` (``seq`` or ``fn``) given as a spec or by shorthand."""
+    p = sub.add_parser(name, help=help_text)
+    p.set_defaults(func=func, operand=operand)
+    if operand:
+        p.add_argument(f"--{operand}", default=None)
+        p.add_argument("--family", help=f"shorthand for --{operand}: family name")
+        for key, key_help in _SHORTHAND_FLAGS[operand].items():
+            p.add_argument(f"--{key}", type=float, help=key_help)
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,106 +361,85 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("assoc", help="associated weight function of a sequence")
-    _add_operand(p, "seq")
+    p = _command(sub, "assoc", _cmd_assoc, "associated weight function of a sequence",
+                 *_ARTIFACT, *_SAMPLES, operand="seq")
     p.add_argument("--eval", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_assoc)
 
-    p = sub.add_parser("conj-seq", help="conjugate sequence p!/M_p")
-    _add_operand(p, "seq")
-    _add_common(p)
-    p.set_defaults(func=_cmd_conj_seq)
+    _command(sub, "conj-seq", _cmd_conj_seq, "conjugate sequence p!/M_p",
+             *_ARTIFACT, "--format", operand="seq")
 
-    p = sub.add_parser("conj-fn", help="conjugate weight function sup(st - w(t))")
-    _add_operand(p, "fn")
+    p = _command(sub, "conj-fn", _cmd_conj_fn, "conjugate weight function sup(st - w(t))",
+                 *_ARTIFACT, *_SAMPLES, "--grid-n", operand="fn")
     p.add_argument("--eval", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_conj_fn)
 
-    p = sub.add_parser("envelope", help="generalized Legendre envelopes")
+    p = _command(sub, "envelope", _cmd_envelope, "generalized Legendre envelopes",
+                 *_ARTIFACT, *_SAMPLES, "--grid-n")
     p.add_argument("--op", choices=("lower", "upper"), required=True)
     p.add_argument("--sigma", required=True)
     p.add_argument("--tau", required=True)
     p.add_argument("--eval", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_envelope)
 
-    p = sub.add_parser("indices", help="growth indices of a weight function")
-    _add_operand(p, "fn")
-    _add_common(p)
-    p.set_defaults(func=_cmd_indices)
+    _command(sub, "indices", _cmd_indices, "growth indices of a weight function",
+             *_ARTIFACT, *_WINDOW, operand="fn")
 
-    p = sub.add_parser("relation", help="finite-window growth relation")
+    p = _command(sub, "relation", _cmd_relation, "finite-window growth relation",
+                 *_ARTIFACT, *_WINDOW, "--p0")
     p.add_argument("--m", required=True)
     p.add_argument("--n", required=True)
     p.add_argument("--fn", action="store_true", help="compare as weight functions")
-    _add_common(p)
-    p.set_defaults(func=_cmd_relation)
 
-    p = sub.add_parser("matrix", help="associated weight matrix of a function")
-    _add_operand(p, "fn")
+    p = _command(sub, "matrix", _cmd_matrix, "associated weight matrix of a function",
+                 *_ARTIFACT, "--format", "--t-min", "--t-max", "--grid-n", operand="fn")
     p.add_argument("--ells", default="0.125,0.25,0.5,1,2,4,8")
     p.add_argument("--conjugate", action="store_true")
-    p.add_argument("--csv-ell", default=None, dest="csv_ell")
-    _add_common(p)
-    p.set_defaults(func=_cmd_matrix)
+    p.add_argument("--csv-ell", default=None)
 
-    p = sub.add_parser("regularize", help="almost-decreasing quotient regularisation")
-    _add_operand(p, "seq")
-    p.add_argument("--normalize-head", action="store_true", dest="normalize_head")
-    _add_common(p)
-    p.set_defaults(func=_cmd_regularize)
+    p = _command(sub, "regularize", _cmd_regularize, "almost-decreasing quotient regularisation",
+                 *_ARTIFACT, "--format", operand="seq")
+    p.add_argument("--normalize-head", action="store_true")
 
-    p = sub.add_parser("uniform-bound", help="uniform bound for a sequence family")
+    p = _command(sub, "uniform-bound", _cmd_uniform_bound, "uniform bound for a sequence family",
+                 *_ARTIFACT, "--format")
     p.add_argument("--member", action="append", required=True)
-    p.add_argument("--multiplier-base", default=None, dest="multiplier_base")
-    _add_common(p)
-    p.set_defaults(func=_cmd_uniform_bound)
+    p.add_argument("--multiplier-base", default=None)
 
-    p = sub.add_parser("slowly-varying", help="slow-variation detection")
-    _add_operand(p, "seq")
-    p.add_argument("--probe-t", type=float, default=1e6, dest="probe_t")
-    _add_common(p)
-    p.set_defaults(func=_cmd_slowly_varying)
+    p = _command(sub, "slowly-varying", _cmd_slowly_varying, "slow-variation detection",
+                 *_ARTIFACT, operand="seq")
+    p.add_argument("--probe-t", type=float, default=1e6)
 
-    p = sub.add_parser("verify", help="run the verification suite")
+    p = _command(sub, "verify", _cmd_verify, "run the verification suite", "--output")
     p.add_argument("--all", action="store_true")
     p.add_argument("--check", action="append")
     p.add_argument("--param", action="append", help="key=value for a single check")
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("batch", help="run a manifest of invocations")
+    p = _command(sub, "batch", _cmd_batch, "run a manifest of invocations")
     p.add_argument("manifest")
-    p.set_defaults(func=_cmd_batch)
     return parser
 
 
-def _resolve_shorthand(args):
-    """Allow '--family gevrey --s 1' instead of a packed spec string.
+def _resolve_shorthand(args, dest):
+    """Allow '--family gevrey --s 1' instead of a packed ``--dest`` spec.
 
     Values are written with repr so the spec keeps every digit given.
     """
-    for dest, keys in _SHORTHAND_FLAGS.items():
-        if not hasattr(args, dest) or getattr(args, dest) is not None:
-            continue
-        if not args.family:
-            raise UsageError(f"missing --{dest} or --family")
-        parts = [f"family={args.family}"]
-        for key in keys:
-            value = getattr(args, key)
-            if value is not None:
-                parts.append(f"{key}={value!r}")
-        setattr(args, dest, ",".join(parts))
+    if getattr(args, dest) is not None:
+        return
+    if not args.family:
+        raise UsageError(f"missing --{dest} or --family")
+    parts = [f"family={args.family}"]
+    for key in _SHORTHAND_FLAGS[dest]:
+        value = getattr(args, key)
+        if value is not None:
+            parts.append(f"{key}={value!r}")
+    setattr(args, dest, ",".join(parts))
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command not in ("verify", "batch", "envelope", "relation"):
-            _resolve_shorthand(args)
+        if args.operand:
+            _resolve_shorthand(args, args.operand)
         return args.func(args)
     except WeightCalcError as exc:
         print(f"weightcalc: error: {exc}", file=sys.stderr)

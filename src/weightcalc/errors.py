@@ -2,7 +2,15 @@
 
 
 class WeightCalcError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    ``details`` carries machine-readable context (violating indices, witness
+    values) so callers can surface it verbatim.
+    """
+
+    def __init__(self, message, **details):
+        super().__init__(message)
+        self.details = details
 
 
 class DomainError(WeightCalcError, ValueError):
@@ -14,15 +22,7 @@ class FormatError(WeightCalcError, ValueError):
 
 
 class PreconditionError(WeightCalcError):
-    """An operation's precondition failed on the given inputs.
-
-    ``details`` carries machine-readable context (violating indices, witness
-    values) so callers can surface it verbatim.
-    """
-
-    def __init__(self, message, **details):
-        super().__init__(message)
-        self.details = details
+    """An operation's precondition failed on the given inputs."""
 
 
 class WellDefinednessError(PreconditionError):
@@ -32,20 +32,12 @@ class WellDefinednessError(PreconditionError):
 class CapacityError(WeightCalcError):
     """The finite window is too small for the requested construction."""
 
-    def __init__(self, message, **details):
-        super().__init__(message)
-        self.details = details
-
 
 class DomainExhaustedError(WeightCalcError):
     """A supremum/argmax landed on the edge of the search grid.
 
     The computed value is a lower bound only; enlarge the grid.
     """
-
-    def __init__(self, message, **details):
-        super().__init__(message)
-        self.details = details
 
 
 class UsageError(WeightCalcError):

@@ -93,7 +93,7 @@ _GOLDEN_MIN_ITERS = 20
 _GOLDEN_RTOL = 1e-15
 #: Relative excess over the best value that a parabolic row must prove to stop.
 _PARABOLIC_RTOL = 7e-16
-#: Steps after which golden section takes over the parabolic rows still moving.
+#: Steps after which the parabolic rows still moving take golden steps only.
 _PARABOLIC_STEPS = 20
 #: Most rows one parabolic refinement works on at a time.
 _PARABOLIC_ROWS = 4096
@@ -292,11 +292,11 @@ def golden_max_vec(f, lo, hi, iters=60):
     return np.where(best_c, c, d), np.where(best_c, yc, yd)
 
 
-def _parabolic_step(points, values, step_before, curv_seed):
+def _parabolic_step(points, values, step_before, curv_seed, golden):
     """The next point of each row of ``parabolic_max_vec`` (see there), the
     rows' f[a, x, b] and best values, and whether each has stopped.
     ``points`` and ``values`` hold the rows' (dl, a, x, b, dr) and their
-    values."""
+    values; ``golden`` allows golden steps only."""
     a, x, b = points[1:4]
     fa, fx, fb = values[1:4]
     left, right = x - a, b - x
@@ -323,6 +323,8 @@ def _parabolic_step(points, values, step_before, curv_seed):
     if rows.size:
         kinked[rows] = _kinked(points[:, rows], values[:, rows], curv[rows], tol[rows])
     parabolic = (curv < 0) & (to_vertex > -left) & (to_vertex < right) & ~kinked
+    if golden:
+        kinked[:] = parabolic[:] = False
     near = parabolic & (to_vertex * to_vertex < delta_sq)
     parabolic &= near | (np.abs(to_vertex) < 0.5 * step_before)
     step = to_vertex
@@ -464,9 +466,11 @@ def parabolic_max_vec(f, xs, lo, mid, hi, iters=60):
     bounds the excess by 3e-15.  Either needs the bracket narrow for the
     seed's curvature, |f[a, x, b]| (b - a)^2 <= 4 tol, so that a kink beside
     a convex piece, where the chords of one side need not bound the other,
-    does not stop a wide bracket.  Golden section (``golden_max_vec``)
-    takes over the rows still moving after ``_PARABOLIC_STEPS`` steps, on
-    their bracket and with the rest of their budget.
+    does not stop a wide bracket.  Rows still moving after
+    ``_PARABOLIC_STEPS`` steps take golden steps only (inwards from a better
+    end, else into the larger segment), which shrink the bracket by a fixed
+    ratio: parabolic and kink steps alone can creep along a nearly flat side
+    of a kink.
     """
     xs, lo, mid, hi = (np.asarray(v, dtype=float) for v in (xs, lo, mid, hi))
     # a slice of rows at a time bounds the memory the state takes
@@ -491,7 +495,9 @@ def _parabolic_rows(f, xs, a, x, b, iters):
         nan, seeds[:k], seeds[k : 2 * k], seeds[2 * k :], nan,
     ))
     for i in range(iters):
-        u, curv, best, stop = _parabolic_step(state[5:10], state[10:], state[3], state[4])
+        u, curv, best, stop = _parabolic_step(
+            state[5:10], state[10:], state[3], state[4], i > _PARABOLIC_STEPS
+        )
         if i == 0:
             state[4] = np.abs(curv)
         if i == iters - 1:
@@ -518,13 +524,6 @@ def _parabolic_rows(f, xs, a, x, b, iters):
             np.copyto(state[at + 4], state[at + 3], where=kl)
             np.copyto(state[at + 3], outer, where=kl)
             state[at + 2] = np.where(kl, inner, outer)
-        if i == _PARABOLIC_STEPS and i + 4 <= iters:
-            # golden section takes over the rows still moving, on their
-            # bracket and with the rest of their budget
-            rx, ra, rb = state[[1, 6, 8]]
-            _, top = golden_max_vec(lambda y: f(rx, y), ra, rb, iters - 4 - i)
-            out[state[0].astype(np.intp)] = np.maximum(np.max(state[11:14], axis=0), top)
-            break
     return out
 
 

@@ -190,10 +190,13 @@ def matrix_to_dict(mat: bmt.WeightMatrix) -> dict:
 
 
 def matrix_from_dict(data: dict) -> bmt.WeightMatrix:
-    ells = tuple(float(e) for e in data["ells"])
-    members = tuple(
-        sequence_from_dict(data["sequences"][repr(float(e))]) for e in ells
-    )
+    if not isinstance(data.get("ells"), list) or not isinstance(data.get("sequences"), dict):
+        raise FormatError("matrix JSON needs an 'ells' array and a 'sequences' object")
+    ells = tuple(_number(e, "ell") for e in data["ells"])
+    missing = [e for e in ells if repr(e) not in data["sequences"]]
+    if missing:
+        raise FormatError(f"matrix JSON has no member for ells {missing}")
+    members = tuple(sequence_from_dict(data["sequences"][repr(e)]) for e in ells)
     return bmt.WeightMatrix(
         ells=ells,
         members=members,

@@ -1,5 +1,8 @@
+import argparse
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,3 +272,75 @@ def test_seed_recorded(capsys):
     run(["slowly-varying", "--family", "exp_power", "--a", "2", "--seed", "42"])
     data = json.loads(capsys.readouterr().out)
     assert data["seed"] == 42
+
+
+def _readme_cli_lines():
+    """The ``weightcalc …`` lines of README's CLI block, with their comments."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if command.startswith("weightcalc ") and not command.startswith("weightcalc batch"):
+            argv = shlex.split(command)[1:]
+            lines.append(pytest.param(argv, comment.strip(), id=argv[0]))
+    return lines
+
+
+@pytest.mark.parametrize("argv, comment", _readme_cli_lines())
+def test_readme_cli_lines_run(argv, comment, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
+    if argv[0] in ("assoc", "conj-fn"):
+        # the comment opens with the printed value
+        assert capsys.readouterr().out.strip() == comment.split()[0]
+
+
+#: The shared flags each subcommand takes: those its handler reads.
+SHARED_FLAGS = {
+    "assoc": {"--output", "--seed", "--p-max", "--format", "--t-min", "--t-max", "--samples"},
+    "conj-seq": {"--output", "--seed", "--p-max", "--format"},
+    "conj-fn": {"--output", "--seed", "--p-max", "--format", "--t-min", "--t-max", "--samples",
+                "--grid-n"},
+    "envelope": {"--output", "--seed", "--p-max", "--format", "--t-min", "--t-max", "--samples",
+                 "--grid-n"},
+    "indices": {"--output", "--seed", "--p-max", "--window-lo", "--window-hi"},
+    "relation": {"--output", "--seed", "--p-max", "--window-lo", "--window-hi", "--p0"},
+    "matrix": {"--output", "--seed", "--p-max", "--format", "--t-min", "--t-max", "--grid-n"},
+    "regularize": {"--output", "--seed", "--p-max", "--format"},
+    "uniform-bound": {"--output", "--seed", "--p-max", "--format"},
+    "slowly-varying": {"--output", "--seed", "--p-max"},
+    "verify": {"--output"},
+    "batch": set(),
+}
+
+
+def test_each_subcommand_takes_only_the_shared_flags_it_reads():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    taken = {
+        name: {s for a in p._actions for s in a.option_strings} & set(cli._FLAGS)
+        for name, p in sub.choices.items()
+    }
+    assert taken == SHARED_FLAGS
+    assert sum(map(len, taken.values())) == 57
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["regularize", "--family", "gevrey", "--s", "2", "--grid-n", "10"],
+        ["verify", "--check", "GEVREY_CONJ", "--format", "csv"],
+        ["verify", "--check", "GEVREY_CONJ", "--seed", "3"],
+        ["slowly-varying", "--family", "exp_power", "--a", "2", "--p0", "20"],
+        ["assoc", "--family", "gevrey", "--s", "1", "--eval", "3", "--p0", "20"],
+        ["indices", "--family", "power", "--alpha", "0.25", "--format", "json"],
+        ["conj-seq", "--family", "gevrey", "--s", "0.5", "--t-min", "1"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}",
+)
+def test_a_shared_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -352,8 +352,8 @@ def test_parabolic_refinement_spends_at_most_iters_plus_two_points_per_row(iters
 
 def test_parabolic_row_does_not_depend_on_its_batch():
     # a smooth row, a kinked one, one peaking at a bracket end and a cusp,
-    # the last two handed to golden section: each alone gives the same bits
-    # as in the batch
+    # the kinked row and the cusp still moving after 20 steps and taking
+    # golden steps only: each alone gives the same bits as in the batch
     peaks = np.array([0.3, 0.6, -0.5, 0.4])
 
     def objective(x, y):
@@ -368,6 +368,22 @@ def test_parabolic_row_does_not_depend_on_its_batch():
         one = slice(i, i + 1)
         alone = grids.parabolic_max_vec(objective, xs[one], lo[one], lo[one] + 0.5, hi[one])
         assert alone.tobytes() == both[one].tobytes()
+
+
+def test_parabolic_row_beside_a_nearly_flat_side_converges():
+    # a phi*-shaped row rising with slope 1e-5 to its kink at 0 and falling
+    # with slope -4 after it; parabolic and kink steps alone creep along the
+    # flat side and end 1.4e-7 low, so rows still moving after 20 steps take
+    # golden steps only
+    cs = np.array([0.0, -1.0, -2.0, -2.0, -2.0, -2.0, -2.0, -1.984375])
+    ps = np.arange(cs.size, dtype=float)
+
+    def objective(x, y):
+        return x * y - np.max(ps[:, None] * y - cs[:, None], axis=0)
+
+    lo, hi = np.array([-0.375]), np.array([0.625])
+    got = grids.parabolic_max_vec(objective, np.array([2.00001]), lo, 0.5 * (lo + hi), hi)
+    assert -2.0 - 1e-12 <= got[0] <= -2.0
 
 
 def test_parabolic_refinement_gives_nan_rows_nan_at_once():

@@ -162,6 +162,30 @@ def test_matrix_round_trip():
         )
 
 
+def _matrix_data():
+    mat = bmt.associated_matrix(fn.power_weight(0.5), ells=(0.5, 1.0, 2.0), p_max=20)
+    return json.loads(ser.dump_json(ser.matrix_to_dict(mat)))
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda d: d.pop("ells"),
+        lambda d: d.pop("sequences"),
+        lambda d: d["sequences"].pop("1.0"),
+        lambda d: d["ells"].__setitem__(1, "one"),
+        lambda d: d.__setitem__("ells", 1.0),
+        lambda d: d.__setitem__("sequences", [1.0]),
+    ],
+    ids=["no-ells", "no-sequences", "no-member", "ell-string", "ells-number", "sequences-list"],
+)
+def test_malformed_matrix_raises_format_error(spoil):
+    data = _matrix_data()
+    spoil(data)
+    with pytest.raises(FormatError):
+        ser.matrix_from_dict(data)
+
+
 def test_samples_csv():
     ts = [1, 2.0, -0.0, 5e-324, 1e300, np.float64(1 / 3)]
     values = np.array([0.5, 1.5, -1e-300, 0.1, 7.0, np.pi])
