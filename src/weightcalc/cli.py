@@ -204,10 +204,18 @@ def _cmd_relation(args) -> int:
     return 0
 
 
+def _number_flag(flag: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise UsageError(f"{flag}: {text!r} is not a number") from None
+
+
 def _cmd_matrix(args) -> int:
     grid = _grid_from_args(args)
     omega = _build_function(args.fn)
-    ells = tuple(float(x) for x in args.ells.split(","))
+    ells = tuple(_number_flag("--ells", x) for x in args.ells.split(","))
+    csv_ell = _number_flag("--csv-ell", args.csv_ell) if args.csv_ell else None
     mat = bmt.associated_matrix(omega, ells=ells, p_max=args.p_max, grid=grid)
     if args.conjugate:
         mat = bmt.conjugate_matrix(mat)
@@ -219,7 +227,14 @@ def _cmd_matrix(args) -> int:
     csv_text = None
     if args.format == "csv":
         # one CSV per member is the seq_core schema; emit the requested ell
-        member = mat.member(float(args.csv_ell)) if args.csv_ell else mat.members[0]
+        member = mat.members[0]
+        if csv_ell is not None:
+            try:
+                member = mat.member(csv_ell)
+            except KeyError:
+                raise UsageError(
+                    f"--csv-ell {args.csv_ell} is not one of --ells {args.ells}"
+                ) from None
         csv_text = _sequence_csv(member)
     _emit(args, payload, csv_text)
     return 0

@@ -725,8 +725,12 @@ def envelope_upper(
     verdict is required up front unless ``check`` is disabled.
     """
     if check:
-        verdict = relation_fn(tau, sigma, window)
-        if not verdict.triangle_c:
+        # the forward dilation scan of relation_fn(tau, sigma) decides
+        # triangle_c; the rest of the verdict only names a refusal
+        win_ts, win_tau, win_sig = _relation_samples(tau, sigma, window)
+        forward = _dilation_scan(win_ts, win_sig, tau, H_GRID)
+        if not _triangle_c(forward[2]):
+            verdict = _relation_verdict(tau, sigma, win_ts, win_tau, win_sig, forward)
             raise WellDefinednessError(
                 "upper envelope is not certifiable: sup_s {sigma(s) - tau(s/t)} "
                 "is finite for all t iff for every h > 0 there is C_h with "
@@ -948,18 +952,10 @@ def _dilation_scan(
     return float(hs[i]), float(cs[i]), accepted
 
 
-def relation_fn(
-    sigma: WeightFunction,
-    tau: WeightFunction,
-    window: Optional[TailWindow] = None,
-) -> FunctionRelationVerdict:
-    """Growth relation of sigma against tau on a tail window.
-
-    Ratio relations cap the witness sup at e^LOG_R_CAP_FN and treat a ratio
-    whose quarter maxima strictly increase with a rising last quarter as
-    divergent; dilation relations scan h over a geometric grid and accept a
-    deficit that is either small or has stopped rising.
-    """
+def _relation_samples(
+    sigma: WeightFunction, tau: WeightFunction, window: Optional[TailWindow]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ts, sigma(ts), tau(ts)) at the window samples where both are positive."""
     win = (window or DEFAULT_TAIL).clipped(
         min(sigma.domain_hint, tau.domain_hint)
     )
@@ -972,8 +968,40 @@ def relation_fn(
             "relation window has too few positive samples; move the window "
             "into the functions' growth range"
         )
-    ts, svals, tvals = ts[pos], svals[pos], tvals[pos]
+    return ts[pos], svals[pos], tvals[pos]
 
+
+def _triangle_c(accepted: np.ndarray) -> bool:
+    """Did the forward dilation scan accept every h <= 1 of H_GRID_SMALL?"""
+    return bool(np.all(accepted[np.isin(H_GRID, H_GRID_SMALL)]))
+
+
+def relation_fn(
+    sigma: WeightFunction,
+    tau: WeightFunction,
+    window: Optional[TailWindow] = None,
+) -> FunctionRelationVerdict:
+    """Growth relation of sigma against tau on a tail window.
+
+    Ratio relations cap the witness sup at e^LOG_R_CAP_FN and treat a ratio
+    whose quarter maxima strictly increase with a rising last quarter as
+    divergent; dilation relations scan h over a geometric grid and accept a
+    deficit that is either small or has stopped rising.
+    """
+    ts, svals, tvals = _relation_samples(sigma, tau, window)
+    forward = _dilation_scan(ts, tvals, sigma, H_GRID)
+    return _relation_verdict(sigma, tau, ts, svals, tvals, forward)
+
+
+def _relation_verdict(
+    sigma: WeightFunction,
+    tau: WeightFunction,
+    ts: np.ndarray,
+    svals: np.ndarray,
+    tvals: np.ndarray,
+    forward: tuple[Optional[float], Optional[float], np.ndarray],
+) -> FunctionRelationVerdict:
+    """relation_fn's verdict from its samples and forward dilation scan."""
     ratio = tvals / svals
     ratio_rev = svals / tvals
     sup_log = float(np.log(np.max(ratio)))
@@ -988,9 +1016,9 @@ def relation_fn(
     )
     sim = preceq and preceq_rev
 
-    h_fwd, c_fwd, accepted = _dilation_scan(ts, tvals, sigma, H_GRID)
+    h_fwd, c_fwd, accepted = forward
     preceq_c = h_fwd is not None
-    triangle_c = bool(np.all(accepted[np.isin(H_GRID, H_GRID_SMALL)]))
+    triangle_c = _triangle_c(accepted)
     h_rev, c_rev, _ = _dilation_scan(ts, svals, tau, H_GRID)
     preceq_c_rev = h_rev is not None
     sim_c = preceq_c and preceq_c_rev

@@ -207,9 +207,9 @@ def decays_to_zero(ratios, span):
     return bool(qm[3] <= demanded)
 
 
-def diverges(log_values):
-    """Finite-window proxy for an (additively scaled) sequence -> +infinity."""
-    qm = quarter_maxima(log_values)
+def diverges(qm):
+    """Finite-window proxy for an (additively scaled) sequence -> +infinity,
+    read from the sequence's four quarter maxima ``qm``."""
     if not np.all(np.diff(qm) > 0):
         return False
     return bool(qm[3] - qm[2] > DIVERGENCE_RISE)

@@ -12,6 +12,18 @@ Factorials never appear in linear scale: p! overflows double precision at
 p = 171, so a shared cumulative table of log p is used throughout.  That
 shared table also makes the product law log M_p + log M*_p = log p! hold to
 the last bit.
+
+Memory: every O(P) routine allocates its result arrays plus at most one
+block of scratch, about ``_SPLIT_CHUNK_CELLS`` float64 values (2 MiB) and
+boolean masks of a block.  Fresh results are filled in place and handed to
+``WeightSequence`` read-only, which shares them instead of copying; scans
+that reduce (maxima, minima, "any", first index) run block by block, and
+a scan on P <= one block runs its loop once.  Maxima, minima and "any" do
+not depend on the order of the elements, and every element is computed
+from the same operands in the same order as a whole-array expression, so
+the blocked results are those of the whole-array forms bit for bit.  A
+log-convex minorant that has to build a hull (an input with local
+convexity violations) also keeps its hull stack and interpolation nodes.
 """
 
 from __future__ import annotations
@@ -44,16 +56,43 @@ LOG_C_CAP = 10.0
 EPS_TRIANGLE = 0.05
 #: Absolute tolerance for log-convexity tests (log domain).
 TOL_LOG_CONVEX = 1e-12
-#: Cells (p, q) per block of the O(P^2) split-deficit scan.
+#: Elements per block of the blocked scans: cells (p, q) of the O(P^2)
+#: split-deficit scan, float64 scratch values of the O(P) scans.
 _SPLIT_CHUNK_CELLS = 1 << 18
 
 
 def log_factorials(p_max: int) -> np.ndarray:
-    """Table of log p! for p = 0..p_max via cumulative log sums."""
-    table = np.zeros(p_max + 1)
-    if p_max >= 1:
-        table[1:] = np.cumsum(np.log(np.arange(1, p_max + 1, dtype=float)))
-    return table
+    """Table of log p! for p = 0..p_max via cumulative log sums, built in one
+    buffer: the sums start from log 0! = log 1 = 0, which adds exactly."""
+    table = np.arange(p_max + 1, dtype=float)
+    table[:1] = 1.0
+    np.log(table, out=table)
+    return np.cumsum(table, out=table)
+
+
+def _blocks(
+    start: int, stop: int, step: int = _SPLIT_CHUNK_CELLS
+) -> list[tuple[int, int]]:
+    """Bounds (lo, hi) of the blocks of ``step`` indices that cover [start, stop)."""
+    return [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """Mark a fresh array read-only, so that a WeightSequence shares it."""
+    values.flags.writeable = False
+    return values
+
+
+def _cumsum_tail(out: np.ndarray) -> np.ndarray:
+    """Set out[1:] to its cumulative sums and out[0] to 0, in place.
+
+    The sums run on from out[0] = -0.0, the exact additive identity, so
+    every entry has the bits of ``np.cumsum(out[1:])``.
+    """
+    out[0] = -0.0
+    np.cumsum(out, out=out)
+    out[0] = 0.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -75,7 +114,8 @@ class WeightSequence:
             raise FormatError(
                 f"need at least {MIN_P_MAX + 1} entries (P_max >= {MIN_P_MAX}), got {values.size}"
             )
-        if not np.all(np.isfinite(values)):
+        # max and min are finite iff every entry is (both propagate NaN)
+        if not (math.isfinite(values.max()) and math.isfinite(values.min())):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
             raise FormatError(f"non-finite log value at p={bad}")
         if values.flags.writeable or not values.flags.owndata:
@@ -91,22 +131,21 @@ class WeightSequence:
 
     @cached_property
     def log_factorial(self) -> np.ndarray:
-        return log_factorials(self.p_max)
+        return _frozen(log_factorials(self.p_max))
 
     @cached_property
     def log_quotients(self) -> np.ndarray:
         """log mu_p; entry 0 is fixed to 0 (mu_0 := 1)."""
-        out = np.zeros_like(self.log_values)
-        out[1:] = np.diff(self.log_values)
-        out.flags.writeable = False
-        return out
+        lv = self.log_values
+        out = np.empty_like(lv)
+        out[0] = 0.0
+        np.subtract(lv[1:], lv[:-1], out=out[1:])
+        return _frozen(out)
 
     @cached_property
     def log_small(self) -> np.ndarray:
         """log m_p = log(M_p / p!)."""
-        out = self.log_values - self.log_factorial
-        out.flags.writeable = False
-        return out
+        return _frozen(np.subtract(self.log_values, self.log_factorial))
 
     @property
     def is_normalized(self) -> bool:
@@ -115,10 +154,11 @@ class WeightSequence:
 
     def log_roots(self, small: bool = False) -> np.ndarray:
         """(log of) p-th roots (M_p/M_0)^(1/p) (or (m_p)^(1/p)), p >= 1."""
-        ps = np.arange(1, self.p_max + 1, dtype=float)
-        if small:
-            return self.log_small[1:] / ps
-        return (self.log_values[1:] - self.log_values[0]) / ps
+        lv = self.log_values
+        out = self.log_small[1:].copy() if small else lv[1:] - lv[0]
+        for lo, hi in _blocks(0, out.size):
+            out[lo:hi] /= np.arange(lo + 1, hi + 1, dtype=float)
+        return out
 
     def with_name(self, name: str) -> "WeightSequence":
         return WeightSequence(self.log_values, name)
@@ -141,7 +181,9 @@ def gevrey(s: float, p_max: int = DEFAULT_P_MAX) -> WeightSequence:
     """Gevrey sequence M_p = (p!)^s."""
     if not (s > 0):
         raise DomainError(f"gevrey index must be > 0, got {s}")
-    return WeightSequence(s * log_factorials(p_max), name=f"gevrey({s:g})")
+    table = log_factorials(p_max)
+    table *= s
+    return WeightSequence(_frozen(table), name=f"gevrey({s:g})")
 
 
 def exp_power(a: float, p_max: int = DEFAULT_P_MAX) -> WeightSequence:
@@ -149,7 +191,8 @@ def exp_power(a: float, p_max: int = DEFAULT_P_MAX) -> WeightSequence:
     if not (a > 0):
         raise DomainError(f"exp_power exponent must be > 0, got {a}")
     ps = np.arange(p_max + 1, dtype=float)
-    return WeightSequence(ps**a, name=f"exp_power({a:g})")
+    ps **= a
+    return WeightSequence(_frozen(ps), name=f"exp_power({a:g})")
 
 
 def qgevrey(q: float, p_max: int = DEFAULT_P_MAX) -> WeightSequence:
@@ -157,17 +200,19 @@ def qgevrey(q: float, p_max: int = DEFAULT_P_MAX) -> WeightSequence:
     if not (q > 1):
         raise DomainError(f"qgevrey base must be > 1, got {q}")
     ps = np.arange(p_max + 1, dtype=float)
-    return WeightSequence(math.log(q) * ps**2, name=f"qgevrey({q:g})")
+    ps **= 2
+    ps *= math.log(q)
+    return WeightSequence(_frozen(ps), name=f"qgevrey({q:g})")
 
 
 def pointwise_product(m: WeightSequence, n: WeightSequence, name: str = "") -> WeightSequence:
     _require_shared_window(m, n)
-    return WeightSequence(m.log_values + n.log_values, name)
+    return WeightSequence(_frozen(m.log_values + n.log_values), name)
 
 
 def pointwise_quotient(m: WeightSequence, n: WeightSequence, name: str = "") -> WeightSequence:
     _require_shared_window(m, n)
-    return WeightSequence(m.log_values - n.log_values, name)
+    return WeightSequence(_frozen(m.log_values - n.log_values), name)
 
 
 def factorial_sequence(p_max: int = DEFAULT_P_MAX) -> WeightSequence:
@@ -195,7 +240,7 @@ def _require_shared_window(m: WeightSequence, n: WeightSequence):
 def conjugate_sequence(m: WeightSequence) -> WeightSequence:
     """Conjugate sequence M*_p = p!/M_p = 1/m_p (an involution)."""
     name = f"{m.name}*" if m.name else ""
-    return WeightSequence(m.log_factorial - m.log_values, name)
+    return WeightSequence(_frozen(m.log_factorial - m.log_values), name)
 
 
 def is_log_convex(
@@ -208,10 +253,16 @@ def is_log_convex(
     p >= 2).
     """
     lv = m.log_values
-    defect = 2.0 * lv[1:-1] - lv[:-2] - lv[2:]
-    bad = np.flatnonzero(defect > tol)
-    if bad.size:
-        return False, int(bad[0]) + 2
+    n = lv.size - 2  # triples (p-1, p, p+1) for p = 1..P-1
+    scratch = np.empty(min(n, _SPLIT_CHUNK_CELLS))
+    for lo, hi in _blocks(0, n):
+        # 2 log M_p - log M_{p-1} - log M_{p+1}
+        defect = np.multiply(lv[lo + 1 : hi + 1], 2.0, out=scratch[: hi - lo])
+        defect -= lv[lo:hi]
+        defect -= lv[lo + 2 : hi + 2]
+        first = int((defect > tol).argmax())  # 0 when none is
+        if defect[first] > tol:
+            return False, lo + first + 2
     return True, None
 
 
@@ -226,8 +277,17 @@ def is_strong_log_convex(m: WeightSequence, tol: float = TOL_LOG_CONVEX) -> bool
 def small_is_log_concave(m: WeightSequence, tol: float = TOL_LOG_CONVEX) -> bool:
     """True iff m is log-concave, i.e. mu_p/p non-increasing (p >= 1)."""
     ls = m.log_small
-    defect = ls[:-2] + ls[2:] - 2.0 * ls[1:-1]
-    return bool(np.all(defect <= tol))
+    n = ls.size - 2
+    step = _SPLIT_CHUNK_CELLS // 2  # two scratch arrays
+    scratch = np.empty((2, min(n, step)))
+    for lo, hi in _blocks(0, n, step):
+        defect, twice = scratch[0, : hi - lo], scratch[1, : hi - lo]
+        # log m_{p-1} + log m_{p+1} - 2 log m_p
+        np.add(ls[lo:hi], ls[lo + 2 : hi + 2], out=defect)
+        defect -= np.multiply(ls[lo + 1 : hi + 1], 2.0, out=twice)
+        if not np.all(defect <= tol):
+            return False
+    return True
 
 
 def log_convex_minorant(m: WeightSequence) -> WeightSequence:
@@ -239,7 +299,7 @@ def log_convex_minorant(m: WeightSequence) -> WeightSequence:
     ``(lv[p2] - lv[p1]) * (p - p1) >= (lv[p] - lv[p1]) * (p2 - p1)``; the
     minorant interpolates linearly between the surviving vertices.
 
-    One numpy pass evaluates that test on every consecutive triple
+    One blocked numpy pass evaluates that test on every consecutive triple
     (q-1, q, q+1).  The points q where it holds (local convexity
     violations) are the only places where the scan can pop right after a
     run of consecutive pushes, so each run between violations is pushed in
@@ -254,11 +314,22 @@ def log_convex_minorant(m: WeightSequence) -> WeightSequence:
     lv = m.log_values
     n = lv.size
     name = f"{m.name}.lc" if m.name else ""
-    # the test with p1, p2, p = q-1, q, q+1 (so p2 - p1 = 1, p - p1 = 2)
-    local = (lv[1:-1] - lv[:-2]) * 2 >= lv[2:] - lv[:-2]
-    if not local.any():
+    violation = None  # violation[q] is 1 at a violation, from the first one on
+    step = _SPLIT_CHUNK_CELLS // 2  # two scratch arrays
+    scratch = np.empty((2, min(n - 2, step)))
+    for lo, hi in _blocks(0, n - 2, step):
+        # the test with p1, p2, p = q-1, q, q+1 (so p2 - p1 = 1, p - p1 = 2)
+        rise = np.subtract(lv[lo + 1 : hi + 1], lv[lo:hi], out=scratch[0, : hi - lo])
+        rise *= 2
+        local = rise >= np.subtract(lv[lo + 2 : hi + 2], lv[lo:hi], out=scratch[1, : hi - lo])
+        if violation is None:
+            if not local.any():
+                continue
+            violation = bytearray(n)
+            flags = np.frombuffer(violation, dtype=bool)
+        flags[lo + 1 : hi + 1] = local
+    if violation is None:
         return WeightSequence(lv, name)
-    violation = b"\0" + local.tobytes() + b"\0"  # violation[q] is 1 at a violation
     hull = np.empty(n, dtype=np.intp)
     val, hull_at, next_violation = lv.item, hull.item, violation.find
     hull[:2] = 0, 1
@@ -288,10 +359,12 @@ def log_convex_minorant(m: WeightSequence) -> WeightSequence:
         top += 1
         p1, y1, p2, y2 = p2, y2, p, y
         p += 1
-    vertices = hull[:top]
-    out = np.interp(np.arange(n, dtype=float), vertices.astype(float), lv[vertices])
-    out.flags.writeable = False
-    return WeightSequence(out, name)
+    xs, ys = hull[:top].astype(float), lv[hull[:top]]
+    del hull, hull_at  # the stack goes before the output comes
+    out = np.empty(n)
+    for lo, hi in _blocks(0, n):
+        out[lo:hi] = np.interp(np.arange(lo, hi, dtype=float), xs, ys)
+    return WeightSequence(_frozen(out), name)
 
 
 def max_split_deficit(
@@ -384,9 +457,25 @@ class RelationVerdict:
         }
 
 
-def _root_gaps(m: WeightSequence, n: WeightSequence, p0: int) -> np.ndarray:
-    ps = np.arange(p0, m.p_max + 1, dtype=float)
-    return (m.log_values[p0:] - n.log_values[p0:]) / ps
+def _gap_quarters(
+    top: np.ndarray, bottom: np.ndarray, p0: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maxima and minima, over the quarters of ``quarter_maxima``, of the
+    root gaps (top[p] - bottom[p]) / p on the window p = p0..P, computed
+    block by block."""
+    size, extra = divmod(top.size - p0, 4)
+    edges = [p0 + i * size + min(i, extra) for i in range(5)]
+    qmax, qmin = np.empty(4), np.empty(4)
+    step = _SPLIT_CHUNK_CELLS // 2  # the gaps and their divisors
+    scratch = np.empty(min(size + 1, step))
+    for i in range(4):
+        best, least = -math.inf, math.inf
+        for lo, hi in _blocks(edges[i], edges[i + 1], step):
+            gaps = np.subtract(top[lo:hi], bottom[lo:hi], out=scratch[: hi - lo])
+            gaps /= np.arange(lo, hi, dtype=float)
+            best, least = max(best, gaps.max()), min(least, gaps.min())
+        qmax[i], qmin[i] = best, least
+    return qmax, qmin
 
 
 def relation(
@@ -405,20 +494,26 @@ def relation(
             p0=p0,
             p_max=m.p_max,
         )
-    gaps = _root_gaps(m, n, p0)
-    rev_gaps = -gaps
-    sup_gap = float(np.max(gaps))
-    tail_gap = float(gaps[-1])
+    mv, nv = m.log_values, n.log_values
+    qm, qmin = _gap_quarters(mv, nv, p0)
+    rev_qm = -qmin  # the quarter maxima of the reversed gaps -gaps
+    sup_gap = float(qm.max())
+    tail_gap = float((mv[-1] - nv[-1]) / m.p_max)
 
-    preceq = sup_gap <= log_r_cap and not diverges(gaps)
-    preceq_rev = float(np.max(rev_gaps)) <= log_r_cap and not diverges(rev_gaps)
+    preceq = sup_gap <= log_r_cap and not diverges(qm)
+    preceq_rev = float(rev_qm.max()) <= log_r_cap and not diverges(rev_qm)
     approx = preceq and preceq_rev
 
-    qm = quarter_maxima(gaps)
     triangle = (
         preceq and tail_gap <= math.log(eps_triangle) and bool(np.all(np.diff(qm) < 0))
     )
-    leq = bool(np.all(m.log_values[p0:] <= n.log_values[p0:] + 1e-12))
+    leq = True
+    scratch = np.empty(min(mv.size - p0, _SPLIT_CHUNK_CELLS))
+    for lo, hi in _blocks(p0, mv.size):
+        bound = np.add(nv[lo:hi], 1e-12, out=scratch[: hi - lo])
+        if not np.all(mv[lo:hi] <= bound):
+            leq = False
+            break
 
     if approx:
         kind = KIND_APPROX
@@ -474,8 +569,16 @@ def almost_monotone_log_witness(log_vals: np.ndarray) -> float:
     ``almost_monotone_log_witness(-log_vals)``.
     """
     vals = np.asarray(log_vals, dtype=float)
-    prefix_min = np.minimum.accumulate(vals)
-    return max(float(np.max(vals - prefix_min)), 0.0)
+    worst, low = -np.inf, np.inf  # numpy scalars, so that NaN propagates
+    scratch = np.empty(min(vals.size, _SPLIT_CHUNK_CELLS))
+    for lo, hi in _blocks(0, vals.size):
+        chunk = vals[lo:hi]
+        rise = np.minimum.accumulate(chunk, out=scratch[: chunk.size])
+        np.minimum(rise, low, out=rise)  # the running minimum
+        low = rise[-1]
+        np.subtract(chunk, rise, out=rise)
+        worst = np.maximum(worst, rise.max())
+    return max(float(worst), 0.0)
 
 
 def _almost_monotone_violating_pair(log_vals: np.ndarray, offset: int) -> tuple[int, int]:
@@ -559,6 +662,12 @@ def matuszewska(
 # ---------------------------------------------------------------------------
 
 
+def _log_range(lo: int, hi: int) -> np.ndarray:
+    """log p for p = lo..hi-1, in one fresh array."""
+    out = np.arange(lo, hi, dtype=float)
+    return np.log(out, out=out)
+
+
 def almost_decreasing_regularize(
     m: WeightSequence, log_h_cap: float = LOG_H_CAP
 ) -> tuple[WeightSequence, float]:
@@ -569,8 +678,13 @@ def almost_decreasing_regularize(
     lambda_p/p is non-increasing by construction (l log-concave), L_0 = 1,
     L is equivalent to M, and L inherits log-convexity from M.
     """
-    log_ps = np.log(np.arange(1, m.p_max + 1, dtype=float))
-    ratio = m.log_quotients[1:] - log_ps
+    lv, p_max = m.log_values, m.p_max
+    # out[1:] holds log(mu_p/p), p = 1..P, until log lambda_p replaces it
+    out = np.empty_like(lv)
+    ratio = out[1:]
+    np.subtract(lv[1:], lv[:-1], out=ratio)
+    for lo, hi in _blocks(0, p_max):
+        ratio[lo:hi] -= _log_range(lo + 1, hi + 1)
     log_h = almost_monotone_log_witness(ratio)
     if log_h > log_h_cap:
         p, q = _almost_monotone_violating_pair(ratio, offset=1)
@@ -582,11 +696,19 @@ def almost_decreasing_regularize(
             q=q,
             log_h=log_h,
         )
-    suffix_max = np.maximum.accumulate(ratio[::-1])[::-1]
-    log_lambda = np.concatenate(([0.0], -log_h + log_ps + suffix_max))
-    log_l = np.concatenate(([0.0], np.cumsum(log_lambda[1:])))
+    # log lambda_p = -log H + log p + max_{q>=p} log(mu_q/q), from the end
+    step = _SPLIT_CHUNK_CELLS // 2  # the suffix maxima and log p
+    scratch = np.empty(min(p_max, step))
+    top = -math.inf
+    for lo, hi in reversed(_blocks(0, p_max, step)):
+        suffix_max = scratch[: hi - lo]
+        np.maximum.accumulate(ratio[lo:hi][::-1], out=suffix_max[::-1])
+        np.maximum(suffix_max, top, out=suffix_max)
+        top = suffix_max[0]
+        log_lambda = np.add(_log_range(lo + 1, hi + 1), -log_h, out=ratio[lo:hi])
+        log_lambda += suffix_max
     name = f"{m.name}.reg" if m.name else ""
-    return WeightSequence(log_l, name), math.exp(log_h)
+    return WeightSequence(_frozen(_cumsum_tail(out)), name), math.exp(log_h)
 
 
 def normalize_head(l: WeightSequence) -> WeightSequence:
@@ -597,14 +719,19 @@ def normalize_head(l: WeightSequence) -> WeightSequence:
     equivalent to the input, keeps lambda_p/p non-increasing whenever the
     input had it, and is log-convex whenever the input is.
     """
-    log_lambda = l.log_quotients.copy()
-    above = log_lambda[1:] >= 0.0
-    first = int(np.argmax(above))  # stops at the first True
-    first_ok = first + 1 if above[first] else l.p_max + 1
-    log_lambda[1:first_ok] = np.maximum(log_lambda[1:first_ok], 0.0)
-    out = np.concatenate(([0.0], np.cumsum(log_lambda[1:])))
+    lv = l.log_values
+    out = np.empty_like(lv)  # log lambda_p in out[1:], then log L_p
+    np.subtract(lv[1:], lv[:-1], out=out[1:])
+    first_ok = out.size  # the first p with lambda_p >= 1, else P + 1
+    for lo, hi in _blocks(1, out.size):
+        block = out[lo:hi]
+        first = int((block >= 0.0).argmax())  # 0 when none is
+        if block[first] >= 0.0:
+            first_ok = lo + first
+            break
+    np.maximum(out[1:first_ok], 0.0, out=out[1:first_ok])
     name = f"{l.name}.head" if l.name else ""
-    return WeightSequence(out, name)
+    return WeightSequence(_frozen(_cumsum_tail(out)), name)
 
 
 # ---------------------------------------------------------------------------
@@ -634,19 +761,23 @@ class UniformBoundResult:
 
 def small_roots_vanish(m: WeightSequence, threshold: float = math.log(0.8)) -> bool:
     """Finite-window proxy for (m_p)^(1/p) -> 0."""
-    roots = m.log_roots(small=True)
-    qm = quarter_maxima(roots)
-    return bool(np.all(np.diff(qm) < 0) and roots[-1] <= threshold)
+    lv, lf = m.log_values, m.log_factorial
+    # the roots log m_p / p, p = 1..P, by blocks: only their quarter maxima
+    qm, _ = _gap_quarters(lv, lf, 1)
+    last = (lv[-1] - lf[-1]) / m.p_max
+    return bool(np.all(np.diff(qm) < 0) and last <= threshold)
 
 
 def has_divergent_roots(m: WeightSequence, p0: int = DEFAULT_P0) -> bool:
     """Finite-window proxy for (M_p/M_0)^(1/p) -> +infinity (weight sequence)."""
-    roots = m.log_roots()
-    if roots.size <= p0:
+    lv, p_max = m.log_values, m.p_max
+    if p_max <= p0:
         return False
-    window = roots[p0 - 1 :]
-    three_quarter = window[3 * window.size // 4]
-    return float(window[-1] - three_quarter) > 0.01
+    # the two roots (log M_p - log M_0) / p read on the window p = p0..P_max
+    p = p0 + 3 * (p_max - p0 + 1) // 4
+    three_quarter = (lv[p] - lv[0]) / p
+    last = (lv[-1] - lv[0]) / p_max
+    return float(last - three_quarter) > 0.01
 
 
 def uniform_bound(

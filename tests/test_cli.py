@@ -165,6 +165,21 @@ def test_matrix_csv_export(tmp_path):
     assert path.read_text().splitlines()[0] == "p,logM,logmu,logm"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--ells", "0.5,1,2", "--csv-ell", "3"], "--csv-ell 3 is not one of --ells 0.5,1,2"),
+        (["--ells", "0.5,1,2", "--csv-ell", "abc"], "--csv-ell: 'abc' is not a number"),
+        (["--ells", "0.5,x"], "--ells: 'x' is not a number"),
+    ],
+    ids=["csv-ell-not-an-ell", "csv-ell-not-a-number", "ells-not-numbers"],
+)
+def test_matrix_bad_ell_is_a_usage_error(flags, message, capsys):
+    argv = ["matrix", "--family", "power", "--alpha", "0.5", "--p-max", "40", "--format", "csv"]
+    assert run(argv + flags) == 2
+    assert capsys.readouterr().err.strip() == f"weightcalc: error: {message}"
+
+
 def test_regularize_precondition_exit_code(capsys):
     code = run(["regularize", "--family", "gevrey", "--s", "2", "--p-max", "3000"])
     assert code == 2

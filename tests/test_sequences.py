@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +175,15 @@ def test_minorant_fixes_nothing_when_convex():
     for g in (sq.gevrey(1, 300), sq.gevrey(0.5, 200_000)):
         lc = sq.log_convex_minorant(g)
         assert np.array_equal(lc.log_values, g.log_values)
+
+
+def test_cached_tables_are_read_only():
+    # every caller of a sequence shares its cached tables, so none may be
+    # written through: conjugate_sequence reads the shared log p! table
+    m = sq.gevrey(1.0, 20)
+    for name in ("log_factorial", "log_quotients", "log_small"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(m, name)[5] = 0.0
 
 
 def test_minorant_and_renaming_share_the_log_values():
@@ -551,3 +562,166 @@ def test_minorant_is_lower_log_convex(m):
 @given(log_convex_sequences())
 def test_relation_self_is_approx_property(m):
     assert sq.relation(m, m, p0=1).approx
+
+
+# ---------------------------------------------------------------------------
+# memory: results plus one block of scratch, blocked scans bit for bit
+# ---------------------------------------------------------------------------
+
+MEM_P = 1_000_000
+ARRAY_BYTES = (MEM_P + 1) * 8
+BLOCK = sq._SPLIT_CHUNK_CELLS
+# one block of float64 scratch, boolean masks of up to a block in all, and
+# small objects
+SCRATCH_BYTES = BLOCK * 8 + BLOCK + 32 * 1024
+
+
+def _peak_bytes(call):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _convex_input():
+    return sq.from_log_values(sq.gevrey(0.5, MEM_P).log_values, name="m")
+
+
+def _with_cached(*names):
+    def make():
+        m = _convex_input()
+        for name in names:
+            getattr(m, name)
+        return m
+
+    return make
+
+
+_OTHER = sq.gevrey(0.9, MEM_P)
+
+# (routine, input maker, call, P-length arrays it returns or caches)
+MEMORY_CASES = {
+    "log_factorials": (None, lambda _: sq.log_factorials(MEM_P), 1),
+    "gevrey": (None, lambda _: sq.gevrey(0.5, MEM_P), 1),
+    "exp_power": (None, lambda _: sq.exp_power(0.5, MEM_P), 1),
+    "qgevrey": (None, lambda _: sq.qgevrey(1.5, MEM_P), 1),
+    "log_quotients": (_convex_input, lambda m: m.log_quotients, 1),
+    "log_roots": (_convex_input, lambda m: m.log_roots(), 1),
+    "conjugate_sequence": (_with_cached("log_factorial"), sq.conjugate_sequence, 1),
+    "pointwise_product": (_convex_input, lambda m: sq.pointwise_product(m, _OTHER), 1),
+    "has_divergent_roots": (_convex_input, sq.has_divergent_roots, 0),
+    "is_log_convex": (_convex_input, sq.is_log_convex, 0),
+    "small_is_log_concave": (_with_cached("log_small"), sq.small_is_log_concave, 0),
+    "small_roots_vanish": (_with_cached("log_factorial"), sq.small_roots_vanish, 0),
+    "log_convex_minorant": (_convex_input, sq.log_convex_minorant, 0),
+    "associated": (_convex_input, fn.associated, 1),
+    "relation": (_convex_input, lambda m: sq.relation(m, _OTHER), 0),
+    "almost_monotone_log_witness": (
+        _convex_input, lambda m: sq.almost_monotone_log_witness(m.log_values), 0
+    ),
+    "almost_decreasing_regularize": (_convex_input, sq.almost_decreasing_regularize, 1),
+    "normalize_head": (_convex_input, sq.normalize_head, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_CASES))
+def test_routine_allocates_its_results_plus_one_block(name):
+    make, call, arrays = MEMORY_CASES[name]
+    m = make() if make else None
+    peak = _peak_bytes(lambda: call(m))
+    assert peak <= arrays * ARRAY_BYTES + SCRATCH_BYTES, peak / ARRAY_BYTES
+
+
+@pytest.mark.parametrize("p_max", [0, 1, 8, 1000, BLOCK - 1, BLOCK, BLOCK + 1, MEM_P])
+def test_log_factorials_bit_equal_to_cumulative_log_sums(p_max):
+    old = np.zeros(p_max + 1)
+    if p_max >= 1:
+        old[1:] = np.cumsum(np.log(np.arange(1, p_max + 1, dtype=float)))
+    assert sq.log_factorials(p_max).tobytes() == old.tobytes()
+
+
+def _divergent_roots_reference(m, p0):
+    roots = (m.log_values[1:] - m.log_values[0]) / np.arange(1, m.p_max + 1, dtype=float)
+    if roots.size <= p0:
+        return False
+    window = roots[p0 - 1 :]
+    return float(window[-1] - window[3 * window.size // 4]) > 0.01
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=False),
+        min_size=9,
+        max_size=300,
+    ),
+    st.integers(min_value=1, max_value=310),
+)
+def test_has_divergent_roots_matches_full_roots(values, p0):
+    m = sq.from_log_values(values)
+    assert sq.has_divergent_roots(m, p0) == _divergent_roots_reference(m, p0)
+
+
+def _block_edges(start, stop, step):
+    """k*step - 1, k*step, k*step + 1 from ``start`` on, inside [1, stop)."""
+    return [
+        q
+        for edge in range(start + step, stop, step)
+        for q in (edge - 1, edge, edge + 1)
+        if 1 <= q < stop
+    ]
+
+
+def _quarter_starts(p_max):
+    """First index p of each quarter of the root window p = 1..P_max."""
+    size, extra = divmod(p_max, 4)
+    return [1 + i * size + min(i, extra) for i in range(4)]
+
+
+@st.composite
+def edge_violations(draw, p_max):
+    """Gevrey log values with bumps at block edges of the blocked scans: the
+    full blocks, the half blocks, and the half blocks of each quarter of the
+    root window p = 1..P_max."""
+    edges = _block_edges(0, p_max, BLOCK) + _block_edges(0, p_max, BLOCK // 2)
+    for start in _quarter_starts(p_max):
+        edges += _block_edges(start, p_max, BLOCK // 2) + [start - 1, start, start + 1]
+    at = draw(st.lists(st.sampled_from(sorted(set(edges))), min_size=1, max_size=4))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.3, 0.95) * sq.log_factorials(p_max)
+    for q in at:
+        # triples centred on a bump fail convexity; a large one lifts its
+        # roots above the next quarter's maximum
+        values[q] += rng.choice([1e-13, 0.5, 1e3]) * rng.uniform(0.5, 2.0) * q
+    return values
+
+
+EDGE_P_MAX = 2 * BLOCK + 9
+
+
+@settings(max_examples=15, deadline=None)
+@given(edge_violations(EDGE_P_MAX))
+def test_blocked_convexity_and_root_scans_match_full_arrays(values):
+    m = sq.from_log_values(values)
+    lv = m.log_values
+    defect = 2.0 * lv[1:-1] - lv[:-2] - lv[2:]
+    bad = np.flatnonzero(defect > sq.TOL_LOG_CONVEX)
+    assert sq.is_log_convex(m) == ((False, int(bad[0]) + 2) if bad.size else (True, None))
+    roots = m.log_small[1:] / np.arange(1, m.p_max + 1, dtype=float)
+    qm = np.maximum.reduceat(roots, [q - 1 for q in _quarter_starts(m.p_max)])
+    for threshold in (math.log(0.8), float(roots[-1])):
+        want = bool(np.all(np.diff(qm) < 0) and roots[-1] <= threshold)
+        assert sq.small_roots_vanish(m, threshold) == want
+
+
+@settings(max_examples=6, deadline=None)
+@given(edge_violations(BLOCK + 9))
+def test_minorant_with_violations_at_block_edges_matches_reference_scan(values):
+    lc = sq.log_convex_minorant(sq.from_log_values(values))
+    assert np.array_equal(lc.log_values, _reference_minorant(values))
