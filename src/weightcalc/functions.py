@@ -27,13 +27,13 @@ piecewise linear in log t (``log_kinks``).  A transform of such operands
 and between two kinks its objective is convex in y = log t: s e^y minus a
 linear function for the conjugate, linear for the envelopes, sequence
 recovery and phi*.  A bracket's maximum then sits at one of its ends or
-kinks, and a row whose bracket holds at most 60 kinks is answered exactly
-by evaluating them all at once; a row with more kinks takes golden
-section.  Operands without kinks are refined by safeguarded parabolic
-interpolation, which removes the grid bias down to machine precision for
-objectives concave near their maximum.  A normalized operand kinks at
-t = 1 (``_breaks``): brackets are cut there and each piece refined on its
-own.
+kinks, and every row is answered by evaluating them all at once, after a
+run of more than 60 kinks of one operand is narrowed by bisection on that
+operand's kink values.  Operands without kinks are refined by safeguarded
+parabolic interpolation, which removes the grid bias down to machine
+precision for objectives concave near their maximum.  A normalized
+operand kinks at t = 1 (``_breaks``): brackets are cut there and each
+piece refined on its own.
 """
 
 from __future__ import annotations

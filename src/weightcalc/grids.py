@@ -11,11 +11,11 @@ passes in: one run per row, with ends non-decreasing in the argument.  A
 row whose run is empty is refused before any scan.  Refinement takes the
 best of the cell's bracket ends and the kinks inside it when the objective
 is piecewise convex with known kinks (operands piecewise linear in log t,
-such as associated functions) and the bracket holds at most 60 of them,
-the breakpoint view of Lucet (1997), and golden section when it holds
-more.  An objective without known kinks takes safeguarded successive
-parabolic interpolation (Brent 1973), seeded with the three grid cells
-around the winner and stopped by a bound that concavity proves.
+such as associated functions), the breakpoint view of Lucet (1997), once
+bisection has narrowed each set's run of kinks to at most 60.  An
+objective without known kinks takes safeguarded successive parabolic
+interpolation (Brent 1973), seeded with the three grid cells around the
+winner and stopped by a bound that concavity proves.
 
 Every set of cells the kernel evaluates (the dense scan, each level of the
 windowed search, the edge cells, the kink candidates) is one run of cells
@@ -83,8 +83,8 @@ DIVERGENCE_RISE = 0.05
 _SCAN_CHUNK_CELLS = 4_000_000
 #: A row whose grid maximum comes this close to the exact cap is answered by it.
 _CAP_TOL = 1e-12
-#: Iterations of a refinement in ``grid_sup``, and the most kinks a row's
-#: bracket may hold to be refined at its kinks instead.
+#: Iterations of a parabolic refinement in ``grid_sup``, and the most kinks
+#: of one set a bracket keeps: a longer run is halved first.
 _REFINE_ITERS = 60
 #: Golden-section iterations run before the convergence test may stop the loop.
 _GOLDEN_MIN_ITERS = 20
@@ -240,6 +240,9 @@ def bisect_edge(test, passing, failing, witness, resolution):
 
 def golden_max_vec(f, lo, hi, iters=60):
     """Vectorised golden-section maximisation (Kiefer 1953) of many rows.
+
+    ``grid_sup`` no longer calls it; it stays as the cost reference of the
+    tests of ``parabolic_max_vec``, and for tracing that wraps it by name.
 
     ``lo``/``hi`` are 1-D arrays of per-row brackets and ``f`` maps a 1-D
     array of points, one per row, to their values.  Returns (argmax array,
@@ -697,33 +700,39 @@ def _search(xs, n, scan, lo, hi, cap, both_ends, windowed, groups=None):
     return j, at_cap, refused_by
 
 
-def _kink_candidates(xs, lo, hi, kinks):
-    """The rows of ``xs`` whose bracket (lo, hi) holds at most
-    ``_REFINE_ITERS`` kinks (a mask), and their candidates laid end to end
-    with their widths: each row's two ends, then its kinks, 2 + count
-    points.  ``kinks`` is as in ``grid_sup``."""
+def _kink_candidates(refine, xs, lo, hi, kinks):
+    """Every row's candidates laid end to end, with their widths: the ends
+    of its bracket (lo, hi), then each set's kinks inside it (``kinks`` as
+    in ``grid_sup``).  A set's run of more than ``_REFINE_ITERS`` kinks is
+    first halved until it holds at most that many, keeping the half beside
+    the larger ``refine`` value of its two middle kinks (left on a tie)."""
     parts = []
-    count = np.zeros(xs.size, dtype=np.intp)
+    width = np.full(xs.size, 2)
     for knots, shifted in kinks:
         shift = np.log(xs) if shifted else np.zeros(xs.size)
         # a NaN row finds every end past the last knot, so holds no kink
         first = np.searchsorted(knots, lo - shift, side="right")
-        last = np.searchsorted(knots, hi - shift, side="left")
-        parts.append((knots, shift, first, last - first))
-        count += last - first
-    exact = count <= _REFINE_ITERS
-    width = 2 + count[exact]
+        count = np.searchsorted(knots, hi - shift, side="left") - first
+        rows = np.flatnonzero(count > _REFINE_ITERS)
+        while rows.size:
+            half = count[rows] // 2
+            left = first[rows] + half - 1  # the last kink of the left half
+            pair = np.concatenate((knots[left], knots[left + 1])) + np.tile(shift[rows], 2)
+            values = refine(np.tile(xs[rows], 2), pair)
+            right = values[rows.size :] > values[: rows.size]
+            first[rows] = np.where(right, left + 1, first[rows])
+            count[rows] = np.where(right, count[rows] - half, half)
+            rows = rows[count[rows] > _REFINE_ITERS]
+        parts.append((knots, shift, first, count))
+        width += count
     starts = np.cumsum(width) - width
     cells = np.empty(width.sum())
-    cells[starts], cells[starts + 1] = lo[exact], hi[exact]
+    cells[starts], cells[starts + 1] = lo, hi
     at = starts + 2
-    for knots, shift, first, inside in parts:
-        inside = inside[exact]
-        cells[_ranges(at, inside)] = (
-            knots[_ranges(first[exact], inside)] + np.repeat(shift[exact], inside)
-        )
-        at = at + inside
-    return exact, cells, width
+    for knots, shift, first, count in parts:
+        cells[_ranges(at, count)] = knots[_ranges(first, count)] + np.repeat(shift, count)
+        at = at + count
+    return cells, width
 
 
 def _piecewise_max(refine, xs, lo, mid, hi, breaks):
@@ -731,7 +740,7 @@ def _piecewise_max(refine, xs, lo, mid, hi, breaks):
     (lo, hi) cut at the ``breaks`` strictly inside it, one call for all the
     pieces; each piece is seeded with its ends and ``mid`` (its centre when
     ``mid`` lies outside it)."""
-    _, cells, width = _kink_candidates(xs, lo, hi, breaks)
+    cells, width = _kink_candidates(refine, xs, lo, hi, breaks)
     row = np.repeat(np.arange(xs.size), width)
     order = np.lexsort((cells, row))
     cells, row = cells[order], row[order]
@@ -747,28 +756,18 @@ def _refined(xs, ys, j, at_cap, refine, floor, cap, kinks=None, breaks=None):
     """Refinement of the grid argmax ``j`` of every row not ``at_cap`` on
     [ys[j-1], ys[j+1]]: without ``kinks``, one ``parabolic_max_vec`` seeded
     with the cells j-1, j and j+1, over the pieces of the bracket cut at
-    ``breaks`` (``_piecewise_max``); with them, one ``_run_max`` over the
-    candidates of the rows with at most ``_REFINE_ITERS`` kinks
-    (``_kink_candidates``) and one ``golden_max_vec`` call for the other
-    rows."""
+    ``breaks`` (``_piecewise_max``); with them, one ``_run_max`` over every
+    row's candidates (``_kink_candidates``)."""
     n = ys.size
     rows = np.flatnonzero(~at_cap)
     x, jr = xs[rows], j[rows]
     lo, hi = ys[np.maximum(jr - 1, 0)], ys[np.minimum(jr + 1, n - 1)]
-    best = np.empty(rows.size)
-    if kinks is None and breaks is None:
-        best[:] = parabolic_max_vec(refine, x, lo, ys[jr], hi, _REFINE_ITERS)
-    elif kinks is None:
-        best[:] = _piecewise_max(refine, x, lo, ys[jr], hi, breaks)
+    if kinks is not None:
+        _, best = _run_max(refine, x, *_kink_candidates(refine, x, lo, hi, kinks))
+    elif breaks is not None:
+        best = _piecewise_max(refine, x, lo, ys[jr], hi, breaks)
     else:
-        exact, cells, width = _kink_candidates(x, lo, hi, kinks)
-        if exact.any():
-            _, best[exact] = _run_max(refine, x[exact], cells, width)
-        if not exact.all():
-            rest = x[~exact]
-            _, best[~exact] = golden_max_vec(
-                lambda y: refine(rest, y), lo[~exact], hi[~exact], _REFINE_ITERS
-            )
+        best = parabolic_max_vec(refine, x, lo, ys[jr], hi, _REFINE_ITERS)
     out = np.full(xs.size, cap)
     out[rows] = np.minimum(np.maximum(best, floor), cap)
     out[np.isnan(xs)] = np.nan
@@ -805,13 +804,13 @@ def grid_sup(
     ``kinks`` lists where the objective may change slope, as (knots,
     shifted) pairs of sorted arrays: row x may kink at y = knot, plus log x
     when ``shifted``.  The caller promises that between consecutive kinks
-    the objective is convex in y.  A row whose bracket holds at most 60
-    kinks is then answered exactly by the best of the bracket's ends and
-    its kinks: every such row of the call shares one ``refine`` call of
-    2 + count points per row.  Other rows take golden section
-    (``golden_max_vec``: one ``refine`` call per iteration, until the row's
-    bracket values agree to rounding or 60 iterations), which assumes the
-    objective unimodal near its maximum.
+    the objective is convex in y, so a row's maximum on its bracket is the
+    best of the bracket's ends and its kinks, evaluated for every row of
+    the call in one shared ``refine`` call.  A run of more than 60 kinks of
+    one set is first halved by the sign of the objective's rise between its
+    two middle kinks (2 points per row per step) until it holds at most 60,
+    which assumes the objective's values at each set's kinks unimodal, as
+    they are when it is concave.
 
     Without ``kinks``, rows take safeguarded parabolic refinement
     (``parabolic_max_vec``) seeded with the cells j-1, j and j+1, which

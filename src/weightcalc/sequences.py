@@ -808,26 +808,30 @@ def uniform_bound(
     # log roots of the small sequences, index [k][j], j >= 1
     base_small = multiplier_base.log_small if multiplier_base is not None else None
     ps = np.arange(1, p_max + 1, dtype=float)
+
+    def small(k, lo, hi):
+        """log_small of member k on [lo, hi), divided by the base's."""
+        ls = family[k].log_small[lo:hi]
+        return ls if base_small is None else ls - base_small[lo:hi]
+
     log_roots = []
-    smalls = []
-    for member in family:
-        ls = member.log_small.copy()
-        if base_small is not None:
-            ls = ls - base_small
-        smalls.append(ls)
-        log_roots.append(ls[1:] / ps)
+    for k in range(len(family)):
+        roots = np.empty(p_max)
+        for lo, hi in _blocks(1, p_max + 1):
+            np.divide(small(k, lo, hi), ps[lo - 1 : hi - 1], out=roots[lo - 1 : hi - 1])
+        log_roots.append(roots)
 
     for k in range(len(family) - 1):
-        gap = smalls[k] - smalls[k + 1]
-        if np.any(gap > 1e-9):
-            bad = int(np.flatnonzero(gap > 1e-9)[0])
-            raise PreconditionError(
-                f"pointwise order violated between members {k + 1} and {k + 2} at p={bad}",
-                member=k + 1,
-                p=bad,
-            )
-    for k, member in enumerate(family):
-        roots = log_roots[k]
+        for lo, hi in _blocks(0, p_max + 1):
+            bad = np.flatnonzero(small(k, lo, hi) - small(k + 1, lo, hi) > 1e-9)
+            if bad.size:
+                p = int(lo + bad[0])
+                raise PreconditionError(
+                    f"pointwise order violated between members {k + 1} and {k + 2} at p={p}",
+                    member=k + 1,
+                    p=p,
+                )
+    for k, roots in enumerate(log_roots):
         qm = quarter_maxima(roots)
         if not (np.all(np.diff(qm) < 0) and roots[-1] < 0):
             raise PreconditionError(
@@ -850,16 +854,18 @@ def uniform_bound(
         target = block_roots[-1] - math.log(k) if k > 1 else block_roots[-1]
         # smallest j > j_k with root_{k+1}(j) < root_k(j_k) - log k  (strict)
         j_prev = breakpoints[-1]
-        candidates = np.flatnonzero(log_roots[nxt][j_prev:] < target) + j_prev + 1
         found = None
-        for j in candidates:
-            if k >= 2:
-                prev_member = member_index(k - 1)
-                # (n^(k)_{j_k})^(1/j_k) must dominate member k-1 roots from j on
-                if suffix_maxima[prev_member][j - 1] > block_roots[-1]:
-                    continue
-            found = int(j)
-            break
+        for lo, hi in _blocks(j_prev, p_max):
+            for j in np.flatnonzero(log_roots[nxt][lo:hi] < target) + lo + 1:
+                if k >= 2:
+                    prev_member = member_index(k - 1)
+                    # (n^(k)_{j_k})^(1/j_k) must dominate member k-1 roots from j on
+                    if suffix_maxima[prev_member][j - 1] > block_roots[-1]:
+                        continue
+                found = int(j)
+                break
+            if found is not None:
+                break
         if found is None:
             truncated = k < len(family)
             break
@@ -880,10 +886,12 @@ def uniform_bound(
     bounds = breakpoints + [p_max + 1]
     for i, value in enumerate(block_roots):
         a_log_roots[bounds[i] - 1 : bounds[i + 1] - 1] = value
-    log_a = np.concatenate(([0.0], a_log_roots * ps))
+    log_a = np.empty(p_max + 1)
+    log_a[0] = 0.0
+    np.multiply(a_log_roots, ps, out=log_a[1:])
     if base_small is not None:
-        log_a = log_a + multiplier_base.log_small
-        a_log_roots = log_a[1:] / ps
+        log_a += base_small
+        np.divide(log_a[1:], ps, out=a_log_roots)
     return UniformBoundResult(
         log_values=log_a,
         log_roots=a_log_roots,

@@ -1,6 +1,8 @@
+from unittest import mock
+
 import pytest
 
-from weightcalc import checks
+from weightcalc import checks, grids
 from weightcalc.errors import UsageError
 
 
@@ -68,3 +70,14 @@ def test_every_registered_check_passes_at_defaults(check_id):
         f"{check_id}: {report.status} ({report.detail}); "
         f"margins={report.witnesses.get('margins')}"
     )
+
+
+@pytest.mark.parametrize("check_id", ["GROWTHREL_SEQ", "ENVELOPE_ID", "SEQ_FN_CONJ_BRIDGE"])
+def test_checks_on_associated_operands_take_no_golden_section(check_id):
+    # every bracket of their kinked operands is refined at its kinks
+    def golden(*args, **kwargs):
+        raise AssertionError("golden section ran")
+
+    with mock.patch.object(grids, "golden_max_vec", golden):
+        report = checks.run_check(check_id)
+    assert report.status == "PASS", report.detail

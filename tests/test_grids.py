@@ -541,15 +541,20 @@ def _refined_alone(xs, ys, j, refine, kinks):
                           -math.inf, math.inf, kinks)
 
 
-def _golden_alone(xs, ys, j, refine):
-    """Golden section of every row on its bracket [ys[j-1], ys[j+1]]."""
-    return grids.golden_max_vec(lambda y: refine(xs, y), ys[j - 1], ys[j + 1])[1]
+def _full_scan(xs, ys, j, refine, kinks):
+    """The best of every row's ends and kinks on its bracket [ys[j-1], ys[j+1]]."""
+    best = []
+    for x, i in zip(xs, j):
+        at = _candidates(x, ys[i - 1], ys[i + 1], kinks)
+        best.append(np.max(refine(np.full(at.size, x), at)))
+    return np.array(best)
 
 
-def test_rows_with_more_than_iters_kinks_take_golden_section():
+def test_rows_with_more_than_iters_kinks_are_narrowed_by_bisection():
     # brackets [0, 1], [1.5, 2.5] and [2.5, 3.5] holding iters + 1, three
-    # and no kinks: golden section for the first row, and one shared call of
-    # 2 + 3 and 2 + 0 points for the others
+    # and no kinks: one bisection step of 2 points for the first row, whose
+    # peak lies in the left half, then one shared call of 2 + half, 2 + 3
+    # and 2 + 0 points
     ys = 0.5 * np.arange(8)
     xs, j = np.arange(3.0), np.array([1, 4, 6])
     knots = np.concatenate((np.linspace(0.01, 0.99, grids._REFINE_ITERS + 1),
@@ -562,20 +567,22 @@ def test_rows_with_more_than_iters_kinks_take_golden_section():
         return -np.abs(y - centre[x.astype(int)])
 
     got = _refined_alone(xs, ys, j, _recorded(refine, calls), kinks)
-    assert calls.count(7) == 1 and set(calls) == {1, 7}
+    half = (grids._REFINE_ITERS + 1) // 2
+    assert calls == [2, (2 + half) + 5 + 2]
     assert got[1] == 0.0 and got[2] == -0.5
-    golden = _golden_alone(xs[:1], ys, j[:1], refine)
-    assert got[0] == golden[0]
-    # a call whose every row is over the limit makes no shared call
+    full = _full_scan(xs, ys, j, refine, kinks)
+    assert got.tobytes() == full.tobytes()
+    # alone, the long row makes the same bisection step and its own call
     calls.clear()
     alone = _refined_alone(xs[:1], ys, j[:1], _recorded(refine, calls), kinks)
-    assert alone.tobytes() == golden.tobytes() and set(calls) == {1}
+    assert alone.tobytes() == full[:1].tobytes() and calls == [2, 2 + half]
 
 
-def test_refinement_routes_each_row_by_its_kink_count():
+def test_refinement_narrows_only_the_rows_with_more_than_iters_kinks():
     # x y - g(e^y) for a g sampled 500 times per grid step past y = 1 and
-    # about once per step below: the row refined on the dense stretch takes
-    # golden section, the two others share one call of 2 + count points each
+    # about once per step below: the row refined on the dense stretch is
+    # halved by 2-point bisection calls until it holds at most iters kinks,
+    # then every row shares one call of its ends and remaining kinks
     log_ts = np.concatenate((np.linspace(-3.0, 0.9, 40), np.linspace(1.0, 3.0, 10_000)))
     g = fn.from_samples(np.exp(log_ts), np.cumsum(np.linspace(0.0, 0.01, log_ts.size)))
     ys = np.linspace(-3.0, 3.0, 61)
@@ -588,20 +595,94 @@ def test_refinement_routes_each_row_by_its_kink_count():
 
     got = _refined_alone(xs, ys, j, _recorded(refine, calls), kinks)
     points = [_candidates(x, ys[i - 1], ys[i + 1], kinks).size for x, i in zip(xs, j)]
-    assert points[2] > 2 + grids._REFINE_ITERS
-    shared = points[0] + points[1]
-    assert calls.count(shared) == 1
-    assert len(calls) > 2 and set(calls) == {1, shared}
-    assert got[2] == _golden_alone(xs[2:], ys, j[2:], refine)[0]
+    # the dense row takes several bisection steps
+    assert points[2] > 2 + 8 * grids._REFINE_ITERS
+    *steps, shared = calls
+    assert set(steps) == {2} and len(steps) >= math.log2((points[2] - 2) / grids._REFINE_ITERS)
+    kept = shared - points[0] - points[1] - 2
+    assert grids._REFINE_ITERS // 2 <= kept <= grids._REFINE_ITERS
+    assert got.tobytes() == _full_scan(xs, ys, j, refine, kinks).tobytes()
 
 
-@pytest.mark.parametrize("with_kinks", [True, False], ids=["kinks", "golden"])
+def _convex_samples(rng, lo, hi, spacing):
+    """A sampled function convex in log t (slopes that do not fall) with one
+    knot in each step of ``spacing`` on [lo, hi], at a random place."""
+    steps = np.arange(lo, hi, spacing)
+    knots = steps + rng.uniform(0.05, 0.95, steps.size) * spacing
+    slopes = np.sort(rng.uniform(0.0, 5.0, knots.size - 1))
+    values = np.concatenate(([0.0], np.cumsum(slopes * np.diff(knots))))
+    return fn.from_samples(np.exp(knots), values)
+
+
+@st.composite
+def long_kinked_refinements(draw):
+    """Rows of the concave objectives x y - g(e^y) and -(g(e^y) + h(x / e^y))
+    of sampled g and h convex in log t, whose brackets [ys[j-1], ys[j+1]]
+    hold 61 to about 600 kinks of each set."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ys = np.linspace(-2.0, 2.0, draw(st.integers(3, 12)))
+    # at least ``per_bracket`` knots strictly inside any bracket
+    per_bracket = draw(st.integers(grids._REFINE_ITERS + 1, 600))
+    spacing = 2.0 * (ys[1] - ys[0]) / (per_bracket + 1)
+    k = draw(st.integers(1, 8))
+    j = rng.integers(1, ys.size - 1, k)
+    xs = rng.uniform(0.2, 6.0, k)
+    g = _convex_samples(rng, -2.2, 2.2, spacing)
+    k_g = fn.log_kinks(g)
+    if draw(st.booleans()):
+        return xs, ys, j, lambda x, y: x * y - g.evaluate_many(np.exp(y)), [(k_g, False)]
+    # log x - y runs over [-3.7, 3.8]
+    h = _convex_samples(rng, -4.0, 4.0, spacing)
+
+    def objective(x, y):
+        s = np.exp(y)
+        return -(g.evaluate_many(s) + h.evaluate_many(x / s))
+
+    return xs, ys, j, objective, [(k_g, False), (-fn.log_kinks(h)[::-1], True)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(long_kinked_refinements())
+def test_bisection_of_long_kink_runs_equals_the_full_scan(problem):
+    xs, ys, j, objective, kinks = problem
+    counts = [_candidates(x, ys[i - 1], ys[i + 1], [one]).size - 2
+              for x, i in zip(xs, j) for one in kinks]
+    assert min(counts) > grids._REFINE_ITERS
+    got = _refined_alone(xs, ys, j, objective, kinks)
+    assert got.tobytes() == _full_scan(xs, ys, j, objective, kinks).tobytes()
+
+
+def _unnarrowed(evaluate):
+    """``evaluate()`` with every bracket's kinks scanned in full."""
+    with mock.patch.object(grids, "_REFINE_ITERS", 10**9):
+        return evaluate()
+
+
+def test_conjugate_of_an_associated_function_equals_its_full_kink_scan():
+    # GROWTHREL_SEQ's operand, whose brackets hold up to thousands of kinks
+    star = fn.conjugate(fn.associated(sq.gevrey(0.5, 100_000)))
+    ss = np.exp(np.linspace(0.0, math.log(200.0), 400))
+    got = star.evaluate_many(ss)
+    assert got.tobytes() == _unnarrowed(lambda: star.evaluate_many(ss)).tobytes()
+
+
+def test_upper_envelope_of_associated_functions_equals_its_full_kink_scan():
+    # ENVELOPE_ID clause (iv): two kink sets, sigma's and tau's shifted ones
+    m = sq.gevrey(0.75, 200_000)
+    env = fn.envelope_upper(fn.associated(m), fn.associated(sq.conjugate_sequence(m)))
+    ts = np.exp(np.linspace(math.log(4.0), math.log(64.0), 400))
+    got = env.evaluate_many(ts)
+    assert got.tobytes() == _unnarrowed(lambda: env.evaluate_many(ts)).tobytes()
+
+
+@pytest.mark.parametrize("with_kinks", [True, False], ids=["kinks", "parabolic"])
 @pytest.mark.parametrize("monotone", [True, False], ids=["windowed", "dense"])
 def test_grid_sup_hands_scan_and_refine_equal_length_flat_arrays(
     monotone, with_kinks, monkeypatch
 ):
-    # rows refined at a few kinks, at a dozen and at over a hundred (golden
-    # section); the windowed route also compares both edge cells of each row
+    # rows refined at a few kinks, at a dozen and at over a hundred (halved
+    # by bisection first); the windowed route also compares both edge cells
+    # of each row
     log_ts = np.concatenate(
         (np.linspace(-3.0, -0.01, 40), np.linspace(0.0, 1.49, 300), np.linspace(1.5, 3.0, 2000))
     )
@@ -653,8 +734,8 @@ def test_dense_argmax_is_the_leftmost_argmax_of_each_run(problem):
 
 
 def test_breakpoint_refinement_does_not_depend_on_the_batch():
-    # rows with a few kinks, a dozen and over a hundred (golden section),
-    # refined together and one by one
+    # rows with a few kinks, a dozen and over a hundred (halved by bisection
+    # first), refined together and one by one
     log_ts = np.concatenate(
         (np.linspace(-3.0, -0.01, 40), np.linspace(0.0, 1.49, 300), np.linspace(1.5, 3.0, 2000))
     )

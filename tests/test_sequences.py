@@ -637,6 +637,17 @@ def test_routine_allocates_its_results_plus_one_block(name):
     assert peak <= arrays * ARRAY_BYTES + SCRATCH_BYTES, peak / ARRAY_BYTES
 
 
+def test_uniform_bound_allocates_its_results_two_arrays_per_member_and_one_block():
+    # the results, each member's roots and their suffix maxima, the index
+    # array ps and one block of scratch
+    family = [sq.gevrey(alpha, MEM_P) for alpha in (1 / 4, 1 / 3, 1 / 2)]
+    for member in family:
+        member.log_small
+    peak = _peak_bytes(lambda: sq.uniform_bound(family))
+    arrays = 2 + 2 * len(family) + 1
+    assert peak <= arrays * ARRAY_BYTES + SCRATCH_BYTES, peak / ARRAY_BYTES
+
+
 @pytest.mark.parametrize("p_max", [0, 1, 8, 1000, BLOCK - 1, BLOCK, BLOCK + 1, MEM_P])
 def test_log_factorials_bit_equal_to_cumulative_log_sums(p_max):
     old = np.zeros(p_max + 1)
