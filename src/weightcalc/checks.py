@@ -13,6 +13,7 @@ identities 1e-3 relative, index estimates +-0.05, inequality margins
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -114,7 +115,15 @@ def run_check(check_id: str, params: Optional[dict] = None) -> CheckReport:
         raise UsageError(
             f"unknown check id {check_id!r}; known: {', '.join(available_checks())}"
         )
-    return _REGISTRY[check_id](**(params or {}))
+    check = _REGISTRY[check_id]
+    accepted = inspect.signature(check).parameters
+    unknown = sorted(set(params or {}) - set(accepted))
+    if unknown:
+        raise UsageError(
+            f"check {check_id} takes no parameter {', '.join(unknown)}; "
+            f"accepted: {', '.join(accepted) or 'none'}"
+        )
+    return check(**(params or {}))
 
 
 def run_all(ids=None) -> list[CheckReport]:

@@ -284,7 +284,9 @@ def _cmd_verify(args) -> int:
         try:
             params[key] = json.loads(value)
         except json.JSONDecodeError:
-            params[key] = value
+            raise UsageError(
+                f"bad --param {item!r}; the value must be JSON, such as clauses='[\"iv\"]'"
+            ) from None
     reports = []
     for cid in ids:
         reports.append(checks.run_check(cid, params if args.check and params else None))
@@ -425,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "verify", _cmd_verify, "run the verification suite", "--output")
     p.add_argument("--all", action="store_true")
     p.add_argument("--check", action="append")
-    p.add_argument("--param", action="append", help="key=value for a single check")
+    p.add_argument("--param", action="append", help="key=value for a single check, the value JSON")
 
     p = _command(sub, "batch", _cmd_batch, "run a manifest of invocations")
     p.add_argument("manifest")

@@ -46,12 +46,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    DomainExhaustedError,
-    PreconditionError,
-    WellDefinednessError,
-)
+from .errors import DomainError, PreconditionError, WellDefinednessError
 from .grids import (
     DEFAULT_GRID,
     DEFAULT_TAIL,
@@ -84,6 +79,8 @@ FN_ADDITIVE_CAP = 1000.0
 _EXPENSIVE_KINDS = frozenset(
     {"conjugate", "biconjugate", "envelope_lower", "envelope_upper"}
 )
+#: Wrapper kinds that are grid transforms when their operand ``of`` is one.
+_WRAPPER_KINDS = frozenset({"normalized", "power_substitution"})
 
 #: Dilations h searched by ``relation_fn``.
 H_GRID = 2.0 ** np.arange(-10, 11)
@@ -139,27 +136,32 @@ class WeightFunction:
 
         A grid transform raises :class:`DomainExhaustedError` naming the
         first argument whose optimum escapes its searched range.  With
-        ``groups``, one integer label in [0, G) per argument, it refuses the
-        arguments by group in one grid search instead
-        (``grids.grid_sup``): it returns (values, refused), where
-        ``refused[g]`` tells whether group g was refused, as a call on that
-        group's arguments alone would be, and the values of a refused group
-        are NaN.  Only grid transforms (``is_expensive``) take labels.
+        ``groups``, one integer label in [0, G) per argument, it returns
+        (values, refused) instead: ``refused[g]`` tells whether group g was
+        refused, as a call on that group's arguments alone would be, and
+        the values of a refused group are NaN.  A function that is not
+        ``is_expensive`` refuses no argument, and returns its values with
+        an all-False ``refused``.
         """
         ts = np.asarray(ts, dtype=float)
         if groups is None:
             return self._fn(ts)
-        if not self.is_expensive:
-            raise TypeError(f"a {self.kind} function takes no group labels")
-        return self._fn(ts, groups=np.asarray(groups, dtype=np.intp))
+        groups = np.asarray(groups, dtype=np.intp)
+        if self.is_expensive:
+            return self._fn(ts, groups=groups)
+        return self._fn(ts), np.zeros(int(groups.max(initial=-1)) + 1, dtype=bool)
 
     def __call__(self, t: float) -> float:
         return float(self._fn(np.asarray([t], dtype=float))[0])
 
     @property
     def is_expensive(self) -> bool:
-        """Whether this is a grid transform: each evaluation is a grid
-        search, and ``evaluate_many`` takes ``groups``."""
+        """Whether each evaluation is a grid search whose arguments can be
+        refused, and ``evaluate_many`` refuses them by group: a grid
+        transform, or a ``normalized`` or ``power_substitution`` of one,
+        which passes the labels on to its operand."""
+        if self.kind in _WRAPPER_KINDS and "of" in self.params:
+            return self.params["of"].is_expensive
         return self.kind in _EXPENSIVE_KINDS
 
     def __repr__(self):
@@ -214,9 +216,9 @@ def power_substitution(omega: WeightFunction, alpha: float) -> WeightFunction:
     expo = 1.0 / alpha
     hint = omega.domain_hint**alpha if math.isfinite(omega.domain_hint) else math.inf
 
-    def fn(ts):
+    def fn(ts, groups=None):
         args = np.maximum(ts, 0.0)
-        return inner(np.power(args, expo, out=args))
+        return inner(np.power(args, expo, out=args), groups=groups)
 
     return WeightFunction(
         "power_substitution",
@@ -232,8 +234,11 @@ def normalized(omega: WeightFunction) -> WeightFunction:
     inner = omega.evaluate_many
     shift = omega(1.0)
 
-    def fn(ts):
-        return np.maximum(inner(ts) - shift, 0.0)
+    def fn(ts, groups=None):
+        if groups is None:
+            return np.maximum(inner(ts) - shift, 0.0)
+        values, refused = inner(ts, groups=groups)
+        return np.maximum(values - shift, 0.0), refused
 
     return WeightFunction(
         "normalized",
@@ -871,38 +876,19 @@ def _evaluate_dilations(
 ) -> list[Optional[np.ndarray]]:
     """sigma at each dilation's arguments, or None for a dilation it refuses.
 
-    A grid transform sigma (``is_expensive``) makes one call on the
-    concatenated arguments, labelled by dilation, and refuses dilations by
-    group: each refused dilation is one that a call of its own would refuse.
-    Any other kind makes one call and, after a refusal, one call per
-    dilation: its refusal names no dilation, since a wrapper such as
-    ``power_substitution`` transforms its arguments before a transform
-    refuses one.
+    One call on the concatenated arguments, labelled by dilation: each
+    refused dilation is one that a call of its own would refuse, and only
+    a grid transform or its wrapper (``is_expensive``) refuses any.
     """
     if not dilations:
         return []
     sizes = [d.size for d in dilations]
-    args = np.concatenate(dilations)
-    splits = np.cumsum(sizes[:-1])
-    if sigma.is_expensive:
-        labels = np.repeat(np.arange(len(dilations)), sizes)
-        values, refused = sigma.evaluate_many(args, groups=labels)
-        return [
-            None if gone else part
-            for part, gone in zip(np.split(values, splits), refused)
-        ]
-    try:
-        return np.split(sigma.evaluate_many(args), splits)
-    except DomainExhaustedError:
-        if len(dilations) == 1:
-            return [None]
-    outcomes = []
-    for d in dilations:
-        try:
-            outcomes.append(sigma.evaluate_many(d))
-        except DomainExhaustedError:
-            outcomes.append(None)
-    return outcomes
+    labels = np.repeat(np.arange(len(dilations)), sizes)
+    values, refused = sigma.evaluate_many(np.concatenate(dilations), groups=labels)
+    return [
+        None if gone else part
+        for part, gone in zip(np.split(values, np.cumsum(sizes[:-1])), refused)
+    ]
 
 
 def _dilation_scan(
@@ -919,11 +905,11 @@ def _dilation_scan(
     A dilation is tested when at least half of its arguments h t (and at
     least 8) lie inside the coverage of ``sigma``.  The arguments of all
     tested dilations go to sigma in one evaluation (``_evaluate_dilations``),
-    so a transform sigma runs one grid search and one refinement for the
-    whole scan, refusals included.  Dilations whose arguments escape the
-    coverage of ``sigma`` (by the domain hint, or by an exhausted search
-    grid, which refuses exactly the dilations that a call of their own
-    would refuse) cannot be certified and are skipped.
+    so a transform sigma, wrapped or not, runs one grid search and one
+    refinement for the whole scan, refusals included.  Dilations whose
+    arguments escape the coverage of ``sigma`` (by the domain hint, or by an
+    exhausted search grid, which refuses exactly the dilations that a call
+    of their own would refuse) cannot be certified and are skipped.
     """
     accepted = np.zeros(hs.size, dtype=bool)
     cs = np.full(hs.size, np.inf)

@@ -79,8 +79,10 @@ DECAY_EXPONENT = 0.15
 #: Log-scale rise of the last quarter required to call a sequence divergent.
 DIVERGENCE_RISE = 0.05
 
-#: Objective cells of one dense-scan chunk in ``grid_sup``.
-_SCAN_CHUNK_CELLS = 4_000_000
+#: Scratch budget of a blocked kernel, in float64 values (2 MiB): the
+#: dense scan of ``grid_sup``, the row slices of a parabolic refinement and
+#: the blocked scans of ``sequences``.
+_SCRATCH_CELLS = 1 << 18
 #: A row whose grid maximum comes this close to the exact cap is answered by it.
 _CAP_TOL = 1e-12
 #: Iterations of a parabolic refinement in ``grid_sup``, and the most kinks
@@ -95,8 +97,6 @@ _GOLDEN_RTOL = 1e-15
 _PARABOLIC_RTOL = 7e-16
 #: Steps after which the parabolic rows still moving take golden steps only.
 _PARABOLIC_STEPS = 20
-#: Most rows one parabolic refinement works on at a time.
-_PARABOLIC_ROWS = 4096
 
 
 def _check_count(n, least, what):
@@ -405,9 +405,11 @@ def _fallback_step(points, values, tol, curv, larger, kinked):
         right_higher = on_right & ~(on_left & (top_left > top_right))
         peak = np.where(right_higher, to_right, to_left)
         top = np.where(right_higher, top_right, top_left)
-        # a peak that promises no gain beyond noise teaches nothing new:
-        # golden then
-        kink = kinked & (on_left | on_right) & (top - fx > 16.0 * tol)
+        # a peak that promises no gain beyond noise teaches nothing new,
+        # nor does one within 1e-9 of the bracket's width of x, whose value
+        # compares with fx by rounding: golden then
+        far = np.abs(peak) > 1e-9 * (left + right)
+        kink = kinked & (on_left | on_right) & (top - fx > 16.0 * tol) & far
         step = np.where(kink, peak, step)
     better = np.maximum(fa, fb) > fx
     if better.any():
@@ -436,8 +438,8 @@ def parabolic_max_vec(f, xs, lo, mid, hi, iters=60):
     the other rows of the call.  Returns the best value evaluated per row,
     never below the seeds' values; no row costs more than ``iters + 2``
     points (``iters`` >= 1), and a NaN value stops its row, which returns
-    NaN.  Rows go ``_PARABOLIC_ROWS`` at a time, which bounds the memory of
-    one call.
+    NaN.  Rows go ``_SCRATCH_CELLS // 64`` (4,096) at a time, which bounds
+    the memory of one call.
 
     Each row keeps a bracket (a, b) around a point x: the best point
     evaluated and its two neighbours, or an end and the next two points
@@ -456,7 +458,8 @@ def parabolic_max_vec(f, xs, lo, mid, hi, iters=60):
       four times better than the parabola does, so that the bracket holds a
       kink, the point where the chords on the two sides of the kink meet
       (the peak of a two-piece linear model) if it promises a gain beyond
-      noise;
+      noise and lies more than 1e-9 of the bracket's width from x, where
+      the values of the two points no longer compare by rounding;
     * otherwise a golden step into the larger segment.
 
     The stop rule is a proof under concavity.  The supremum over [a, x] is
@@ -476,15 +479,17 @@ def parabolic_max_vec(f, xs, lo, mid, hi, iters=60):
     of a kink.
     """
     xs, lo, mid, hi = (np.asarray(v, dtype=float) for v in (xs, lo, mid, hi))
-    # a slice of rows at a time bounds the memory the state takes
+    # a slice of rows at a time bounds the memory the state takes: about
+    # 60 float64 values per row with a step's temporaries
+    rows = _SCRATCH_CELLS // 64
     return np.concatenate([
-        _parabolic_rows(f, *(v[i : i + _PARABOLIC_ROWS] for v in (xs, lo, mid, hi)), iters)
-        for i in range(0, max(xs.size, 1), _PARABOLIC_ROWS)
+        _parabolic_rows(f, *(v[i : i + rows] for v in (xs, lo, mid, hi)), iters)
+        for i in range(0, max(xs.size, 1), rows)
     ])
 
 
 def _parabolic_rows(f, xs, a, x, b, iters):
-    """``parabolic_max_vec`` on at most ``_PARABOLIC_ROWS`` rows."""
+    """``parabolic_max_vec`` on one slice of rows."""
     x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
     k = a.size
     seeds = f(np.tile(xs, 3), np.concatenate((a, x, b)))
@@ -557,10 +562,10 @@ def _run_max(f, xs, cells, width):
 def _dense_argmax(xs, n, scan, lo, hi):
     """Leftmost grid argmax and grid maximum of every row within its
     non-empty run of columns [lo, hi], scanning the runs of
-    ``_SCAN_CHUNK_CELLS // n`` rows at a time."""
+    ``_SCRATCH_CELLS // n`` rows (at least one) at a time."""
     j = np.empty(xs.size, dtype=np.intp)
     top = np.empty(xs.size)
-    chunk = max(1, _SCAN_CHUNK_CELLS // n)
+    chunk = max(1, _SCRATCH_CELLS // n)
     for start in range(0, xs.size, chunk):
         rows = slice(start, start + chunk)
         width = hi[rows] - lo[rows] + 1

@@ -14,7 +14,7 @@ shared table also makes the product law log M_p + log M*_p = log p! hold to
 the last bit.
 
 Memory: every O(P) routine allocates its result arrays plus at most one
-block of scratch, about ``_SPLIT_CHUNK_CELLS`` float64 values (2 MiB) and
+block of scratch, about ``grids._SCRATCH_CELLS`` float64 values (2 MiB) and
 boolean masks of a block.  Fresh results are filled in place and handed to
 ``WeightSequence`` read-only, which shares them instead of copying; scans
 that reduce (maxima, minima, "any", first index) run block by block, and
@@ -37,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapacityError, DomainError, FormatError, PreconditionError
-from .grids import bisect_edge, diverges, quarter_maxima
+from .grids import _SCRATCH_CELLS, bisect_edge, diverges, quarter_maxima
 
 MIN_P_MAX = 8
 
@@ -56,9 +56,6 @@ LOG_C_CAP = 10.0
 EPS_TRIANGLE = 0.05
 #: Absolute tolerance for log-convexity tests (log domain).
 TOL_LOG_CONVEX = 1e-12
-#: Elements per block of the blocked scans: cells (p, q) of the O(P^2)
-#: split-deficit scan, float64 scratch values of the O(P) scans.
-_SPLIT_CHUNK_CELLS = 1 << 18
 
 
 def log_factorials(p_max: int) -> np.ndarray:
@@ -71,7 +68,7 @@ def log_factorials(p_max: int) -> np.ndarray:
 
 
 def _blocks(
-    start: int, stop: int, step: int = _SPLIT_CHUNK_CELLS
+    start: int, stop: int, step: int = _SCRATCH_CELLS
 ) -> list[tuple[int, int]]:
     """Bounds (lo, hi) of the blocks of ``step`` indices that cover [start, stop)."""
     return [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
@@ -254,7 +251,7 @@ def is_log_convex(
     """
     lv = m.log_values
     n = lv.size - 2  # triples (p-1, p, p+1) for p = 1..P-1
-    scratch = np.empty(min(n, _SPLIT_CHUNK_CELLS))
+    scratch = np.empty(min(n, _SCRATCH_CELLS))
     for lo, hi in _blocks(0, n):
         # 2 log M_p - log M_{p-1} - log M_{p+1}
         defect = np.multiply(lv[lo + 1 : hi + 1], 2.0, out=scratch[: hi - lo])
@@ -278,7 +275,7 @@ def small_is_log_concave(m: WeightSequence, tol: float = TOL_LOG_CONVEX) -> bool
     """True iff m is log-concave, i.e. mu_p/p non-increasing (p >= 1)."""
     ls = m.log_small
     n = ls.size - 2
-    step = _SPLIT_CHUNK_CELLS // 2  # two scratch arrays
+    step = _SCRATCH_CELLS // 2  # two scratch arrays
     scratch = np.empty((2, min(n, step)))
     for lo, hi in _blocks(0, n, step):
         defect, twice = scratch[0, : hi - lo], scratch[1, : hi - lo]
@@ -315,7 +312,7 @@ def log_convex_minorant(m: WeightSequence) -> WeightSequence:
     n = lv.size
     name = f"{m.name}.lc" if m.name else ""
     violation = None  # violation[q] is 1 at a violation, from the first one on
-    step = _SPLIT_CHUNK_CELLS // 2  # two scratch arrays
+    step = _SCRATCH_CELLS // 2  # two scratch arrays
     scratch = np.empty((2, min(n - 2, step)))
     for lo, hi in _blocks(0, n - 2, step):
         # the test with p1, p2, p = q-1, q, q+1 (so p2 - p1 = 1, p - p1 = 2)
@@ -373,7 +370,7 @@ def max_split_deficit(
     """max over p + q <= P of log_total[p+q] - log_part[p] - log_part[q].
 
     With ``per_length`` every deficit is divided by p + q + 1 first.  Rows p
-    are scanned in blocks of about _SPLIT_CHUNK_CELLS cells; each deficit is
+    are scanned in blocks of about _SCRATCH_CELLS cells; each deficit is
     computed from the same operands in the same order as a per-row loop
     would, and a maximum does not depend on order, so the result is
     bit-identical to that loop.
@@ -384,7 +381,7 @@ def max_split_deficit(
         np.concatenate((log_total, np.full(pmax, -np.inf))), pmax + 1
     )
     lengths = sliding_window_view(np.arange(1.0, 2 * pmax + 2), pmax + 1)
-    rows = max(1, _SPLIT_CHUNK_CELLS // (pmax + 1))
+    rows = max(1, _SCRATCH_CELLS // (pmax + 1))
     best = -math.inf
     for start in range(0, pmax + 1, rows):
         stop, cols = min(start + rows, pmax + 1), pmax + 1 - start
@@ -466,7 +463,7 @@ def _gap_quarters(
     size, extra = divmod(top.size - p0, 4)
     edges = [p0 + i * size + min(i, extra) for i in range(5)]
     qmax, qmin = np.empty(4), np.empty(4)
-    step = _SPLIT_CHUNK_CELLS // 2  # the gaps and their divisors
+    step = _SCRATCH_CELLS // 2  # the gaps and their divisors
     scratch = np.empty(min(size + 1, step))
     for i in range(4):
         best, least = -math.inf, math.inf
@@ -508,7 +505,7 @@ def relation(
         preceq and tail_gap <= math.log(eps_triangle) and bool(np.all(np.diff(qm) < 0))
     )
     leq = True
-    scratch = np.empty(min(mv.size - p0, _SPLIT_CHUNK_CELLS))
+    scratch = np.empty(min(mv.size - p0, _SCRATCH_CELLS))
     for lo, hi in _blocks(p0, mv.size):
         bound = np.add(nv[lo:hi], 1e-12, out=scratch[: hi - lo])
         if not np.all(mv[lo:hi] <= bound):
@@ -570,7 +567,7 @@ def almost_monotone_log_witness(log_vals: np.ndarray) -> float:
     """
     vals = np.asarray(log_vals, dtype=float)
     worst, low = -np.inf, np.inf  # numpy scalars, so that NaN propagates
-    scratch = np.empty(min(vals.size, _SPLIT_CHUNK_CELLS))
+    scratch = np.empty(min(vals.size, _SCRATCH_CELLS))
     for lo, hi in _blocks(0, vals.size):
         chunk = vals[lo:hi]
         rise = np.minimum.accumulate(chunk, out=scratch[: chunk.size])
@@ -697,7 +694,7 @@ def almost_decreasing_regularize(
             log_h=log_h,
         )
     # log lambda_p = -log H + log p + max_{q>=p} log(mu_q/q), from the end
-    step = _SPLIT_CHUNK_CELLS // 2  # the suffix maxima and log p
+    step = _SCRATCH_CELLS // 2  # the suffix maxima and log p
     scratch = np.empty(min(p_max, step))
     top = -math.inf
     for lo, hi in reversed(_blocks(0, p_max, step)):

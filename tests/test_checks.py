@@ -11,6 +11,11 @@ def test_unknown_check_id():
         checks.run_check("NO_SUCH_CHECK")
 
 
+def test_unknown_parameter_is_a_usage_error_naming_the_accepted_ones():
+    with pytest.raises(UsageError, match="takes no parameter foo; accepted: alpha, n_samples"):
+        checks.run_check("GEVREY_CONJ", {"foo": 1})
+
+
 def test_registry_lists_all_registered_checks():
     ids = checks.available_checks()
     assert "GEVREY_CONJ" in ids

@@ -260,6 +260,20 @@ def test_verify_param_without_value_is_a_usage_error(capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+def test_verify_unknown_param_is_a_usage_error(capsys):
+    assert run(["verify", "--check", "GEVREY_CONJ", "--param", "foo=1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("weightcalc: error:") and "accepted: alpha, n_samples" in err
+
+
+def test_verify_param_value_that_is_not_json_is_a_usage_error(capsys):
+    # read as the string "iv", it would run clauses (i) and (v)
+    assert run(["verify", "--check", "ENVELOPE_ID", "--param", "clauses=iv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("weightcalc: error:") and "JSON" in captured.err
+    assert captured.out == ""
+
+
 def test_batch_manifest(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     out1 = tmp_path / "a.json"

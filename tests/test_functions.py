@@ -1,5 +1,8 @@
+import gc
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -336,6 +339,24 @@ def test_envelopes_of_sampled_operands_are_exact_at_their_kinks(which):
     np.testing.assert_allclose(got, exact, rtol=1e-12, atol=1e-12)
 
 
+def test_dense_envelope_scan_keeps_to_the_scratch_budget():
+    # log(1+t)^0.5 is not convex in log t, so the envelope takes the dense
+    # scan: 2,000 rows of 2,048 cells, which it scans a block at a time
+    env = fn.envelope_lower(fn.power_weight(0.5), fn.normalized(fn.log_power_weight(0.5)))
+    ts = np.geomspace(1.0, 1e3, 2000)
+    dense = mock.patch.object(grids, "_dense_argmax", wraps=grids._dense_argmax)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with dense as scanned:
+            env.evaluate_many(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scanned.called
+    assert peak <= 16 * grids._SCRATCH_CELLS * 8
+
+
 def test_envelope_upper_calculus_oracle():
     # sup_s sqrt(s) - s/t peaks at s = t^2/4 with value t/4
     env = fn.envelope_upper(fn.power_weight(2.0), fn.identity_weight())
@@ -528,10 +549,13 @@ def _tested_dilations(sigma, window):
     ids=["associated", "power", "log_power"],
 )
 def test_batched_dilation_scan_of_cheap_operands_is_bit_identical(sigma, tau):
-    got, want, calls = _batched_and_per_h_scans(sigma, tau, TailWindow(10.0, 1e3, 256))
+    window = TailWindow(10.0, 1e3, 256)
+    got, want, calls = _batched_and_per_h_scans(sigma, tau, window)
     assert got[:2] == want[:2]
     np.testing.assert_array_equal(got[2], want[2])
-    assert len(calls) == 1 and calls[0][1] is None
+    # one call, whose refused mask holds one False per tested dilation
+    ((_, refused),) = calls
+    assert refused.tolist() == [False] * _tested_dilations(sigma, window)
 
 
 @pytest.mark.parametrize("ulp_lower_at", [1.0, 2.0])
@@ -649,31 +673,45 @@ def test_dilation_scan_of_a_transform_makes_one_call(sigma, window):
         assert refused.any() and not refused.all()
 
 
-def test_grouped_evaluation_only_for_grid_transforms():
-    labels = np.zeros(3, dtype=np.intp)
-    with pytest.raises(TypeError):
-        fn.power_weight(1.0).evaluate_many([1.0, 2.0, 3.0], groups=labels)
+def test_every_function_takes_group_labels():
+    ts, labels = [1.0, 2.0, 3.0], np.array([0, 0, 1])
+    power = fn.power_weight(1.0)
+    values, refused = power.evaluate_many(ts, groups=labels)
+    assert not power.is_expensive and refused.tolist() == [False, False]
+    np.testing.assert_array_equal(values, power.evaluate_many(ts))
     star = _kinked_conjugate()
-    values, refused = star.evaluate_many([1.0, 2.0, 3.0], groups=labels)
-    assert star.is_expensive and refused.tolist() == [False]
-    np.testing.assert_array_equal(values, star.evaluate_many([1.0, 2.0, 3.0]))
+    values, refused = star.evaluate_many(ts, groups=labels)
+    assert star.is_expensive and refused.tolist() == [False, False]
+    np.testing.assert_array_equal(values, star.evaluate_many(ts))
 
 
-def test_batched_dilation_scan_falls_back_when_a_wrapper_changes_the_argument():
-    # the conjugate of a weight whose slope drops from 20 to 5 at t = 10
-    # refuses every s in (5, 20) at the grid's right end; the substitution
-    # hands it the square roots of the dilated arguments, so its refusal
-    # names no argument of the batch and every dilation gets its own call
-    kinked = fn.WeightFunction(
-        "kinked", lambda t: np.where(t <= 10.0, t**2, 100.0 + 5.0 * (t - 10.0))
-    )
-    sigma = fn.power_substitution(fn.conjugate(kinked, check=False), 2.0)
+@pytest.mark.parametrize(
+    "wrap",
+    [fn.normalized, lambda omega: fn.power_substitution(omega, 2.0)],
+    ids=["normalized", "power_substitution"],
+)
+def test_a_wrapper_is_expensive_when_its_operand_is(wrap):
+    assert wrap(_kinked_conjugate()).is_expensive
+    assert wrap(wrap(_kinked_conjugate())).is_expensive
+    assert not wrap(fn.power_weight(0.5)).is_expensive
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [fn.normalized, lambda omega: fn.power_substitution(omega, 2.0)],
+    ids=["normalized", "power_substitution"],
+)
+def test_batched_dilation_scan_of_a_wrapped_transform_makes_one_call(wrap):
+    # the conjugate refuses every s in (5, 20); the wrapper passes the labels
+    # on with the arguments it hands the conjugate, so the one call refuses
+    # exactly the dilations that a call of their own would refuse
+    sigma = wrap(_kinked_conjugate())
     window = TailWindow(1.0, 50.0, 256)
     got, want, calls = _batched_and_per_h_scans(sigma, fn.power_weight(1.0), window)
     _assert_same_scan(got, want)
-    assert calls[0][1] is not None
-    assert len(calls) == 1 + _tested_dilations(sigma, window)
-    assert got[2].any() and any(details is not None for _, details in calls[1:])
+    ((_, refused),) = calls
+    np.testing.assert_array_equal(refused, _refused_alone(sigma, window))
+    assert refused.any() and not refused.all() and got[2].any()
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +733,17 @@ def test_gamma_indices_power_substitution_law():
     for a in (0.5, 2.0):
         est = fn.gamma_indices(fn.power_substitution(base, a))
         assert est.gamma == pytest.approx(a * base_est.gamma, abs=0.1)
+
+
+def test_gamma_indices_tabulates_a_wrapped_transform():
+    # the conjugate is evaluated once, on the 8,192 points of the
+    # tabulation, and not once per dilation K of every candidate gamma
+    alpha = 0.3
+    star = _Recorder(fn.conjugate(fn.power_weight(alpha), GridSpec(1e-2, 1e16, 4096)))
+    est = fn.gamma_indices(fn.power_substitution(star, 2.0))
+    assert star.calls == [(8192, None)]
+    assert est.gamma == pytest.approx(2.0 * (1.0 - alpha), abs=0.05)
+    assert est.gamma_bar == pytest.approx(2.0 * (1.0 - alpha), abs=0.05)
 
 
 def test_gamma_indices_slowly_varying_saturates():

@@ -334,6 +334,32 @@ def test_parabolic_refinement_is_never_below_golden_section(problem):
         assert np.all(got >= objective(seed))
 
 
+def test_parabolic_refinement_takes_no_kink_step_within_rounding_of_x():
+    # a phi*-shaped row x y - max_p (p y - c_p) whose terms are near 57 for
+    # a value of 1.43: a kink step 3.9e-14 from x compared with x by noise
+    # and dropped the side holding the maximum, the kink 0.1 away
+    steps = [
+        -1.9999999999999998, -1.8528999313170582, -1.785962269589925,
+        -1.6162732321139064, -1.5225717280027666, -0.5703419655757429,
+        -0.27827977974116, 0.0, 0.0, 0.0, 0.019999999999999574,
+        0.07247647286530601, 0.6940876256485566, 0.9157510829640696,
+        1.8103986842258104, 1.8662001290695178, 2.8170816151051925,
+        3.423959478299758, 4.339167894779662, 4.400294846862979,
+        4.531153924262048, 4.6780245360348385, 5.6971386216654665,
+    ]
+    cs = np.concatenate(([0.0], np.cumsum(steps)))
+    ps = np.arange(cs.size, dtype=float)
+
+    def f(x, y):
+        return x * y - np.max(ps[:, None] * y - cs[:, None], axis=0)
+
+    x = np.array([17.000682772717564])
+    lo, hi = np.array([2.7935541177316283]), np.array([3.552527573594681])
+    got = grids.parabolic_max_vec(f, x, lo, 0.5 * (lo + hi), hi)
+    at_kink = f(x, np.array([3.423959478299758]))
+    assert got[0] >= at_kink[0] - 1e-12 * abs(at_kink[0])
+
+
 @pytest.mark.parametrize("iters", [1, 5, 20, 60])
 def test_parabolic_refinement_spends_at_most_iters_plus_two_points_per_row(iters):
     # kinked rows, smooth ones and a row whose maximum is a bracket end
@@ -727,7 +753,7 @@ def test_dense_argmax_is_the_leftmost_argmax_of_each_run(problem):
     want_j = np.array([a + np.argmax(row[a : b + 1]) for row, a, b in zip(table, lo, hi)])
     want_top = table[np.arange(k), want_j]
     scan = _recorded(lambda x, j: table[x.astype(np.intp), j], [])
-    with mock.patch.object(grids, "_SCAN_CHUNK_CELLS", chunk_cells):
+    with mock.patch.object(grids, "_SCRATCH_CELLS", chunk_cells):
         j, top = grids._dense_argmax(np.arange(k, dtype=float), n, scan, lo, hi)
     np.testing.assert_array_equal(j, want_j)
     np.testing.assert_array_equal(top, want_top)

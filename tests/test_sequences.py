@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weightcalc import functions as fn
+from weightcalc import grids
 from weightcalc import sequences as sq
 from weightcalc.errors import (
     CapacityError,
@@ -570,7 +571,7 @@ def test_relation_self_is_approx_property(m):
 
 MEM_P = 1_000_000
 ARRAY_BYTES = (MEM_P + 1) * 8
-BLOCK = sq._SPLIT_CHUNK_CELLS
+BLOCK = grids._SCRATCH_CELLS
 # one block of float64 scratch, boolean masks of up to a block in all, and
 # small objects
 SCRATCH_BYTES = BLOCK * 8 + BLOCK + 32 * 1024
