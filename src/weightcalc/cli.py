@@ -276,6 +276,8 @@ def _cmd_verify(args) -> int:
         ids = checks.available_checks()
     else:
         raise UsageError("verify needs --all or --check ID")
+    if args.param and not args.check:
+        raise UsageError("--param sets the parameters of the checks named by --check")
     params = {}
     for item in args.param or []:
         if "=" not in item:
@@ -287,9 +289,7 @@ def _cmd_verify(args) -> int:
             raise UsageError(
                 f"bad --param {item!r}; the value must be JSON, such as clauses='[\"iv\"]'"
             ) from None
-    reports = []
-    for cid in ids:
-        reports.append(checks.run_check(cid, params if args.check and params else None))
+    reports = [checks.run_check(cid, params) for cid in ids]
     width = max(len(r.check_id) for r in reports)
     for r in reports:
         line = f"{r.check_id:<{width}}  {r.status:<8} margin={r.worst_margin:+.3e}"

@@ -1079,6 +1079,21 @@ class GrowthIndexEstimate:
 K_GRID = 2.0 ** (np.arange(1, 41) / 4.0)
 
 
+def _certify(fast, ts, base, passes, gamma: float) -> Optional[float]:
+    """The first K of ``K_GRID`` whose dilation ratios fast(K^gamma t) / base
+    on the samples ``ts`` all satisfy ``passes(ratios, K)``, or None; the K
+    refuted at ``ts[-1]`` alone are never evaluated on the whole window."""
+    # scalar powers: an array power may round differently
+    factors = np.array([k**gamma for k in K_GRID])
+    inside = factors * ts[-1] <= fast.domain_hint
+    ks, factors = K_GRID[inside], factors[inside]
+    alive = passes(fast.evaluate_many(factors * ts[-1]) / base[-1], ks)
+    for k, factor in zip(ks[alive], factors[alive]):
+        if passes(fast.evaluate_many(factor * ts) / base, k).all():
+            return float(k)
+    return None
+
+
 def gamma_indices(
     omega: WeightFunction,
     window: Optional[TailWindow] = None,
@@ -1095,6 +1110,16 @@ def gamma_indices(
     min > A(1+delta) gives the upper index as the smallest certifiable
     gamma, with +infinity sentinel (and flag) when no gamma at the cap is
     certified, which is the slowly-varying signature.
+
+    Each candidate gamma first refutes K at the window's last sample alone:
+    every K whose dilation stays inside the domain hint is evaluated there
+    in one call, and a K whose ratio already fails (for the limsup, ratio
+    >= K(1-delta) or NaN; for the liminf, ratio <= A(1+delta) or NaN) is
+    dropped, because a window with that ratio in it fails too.  Only the
+    surviving K are evaluated on the whole window, in grid order, up to the
+    first that passes.  The decisions are those of trying every K on the
+    whole window: evaluation is pointwise, so the point value is the
+    window call's last entry, and K^gamma is the same scalar power for both.
     """
     # reserve room for one full dilation step (K_max) above the window top,
     # otherwise a finite coverage hint silently disables every candidate K
@@ -1111,21 +1136,9 @@ def gamma_indices(
     if int(good.sum()) < 32:
         raise PreconditionError("index window has too few usable samples")
     ts, base = ts[good], base[good]
-    hint = fast.domain_hint
 
-    def certify(holds, gamma: float) -> Optional[float]:
-        """The first K of the grid whose dilation ratios omega(K^gamma t) /
-        omega(t) on the window satisfy ``holds(ratios, K)``, or None."""
-        for k in K_GRID:
-            factor = k**gamma
-            if factor * ts[-1] > hint:
-                continue
-            if holds(fast.evaluate_many(factor * ts) / base, k):
-                return float(k)
-        return None
-
-    limsup = partial(certify, lambda r, k: float(np.max(r)) < k * (1.0 - delta))
-    liminf = partial(certify, lambda r, a: float(np.min(r)) > a * (1.0 + delta))
+    limsup = partial(_certify, fast, ts, base, lambda r, k: r < k * (1.0 - delta))
+    liminf = partial(_certify, fast, ts, base, lambda r, a: r > a * (1.0 + delta))
 
     # lower index: certifiable gammas form an interval (0, gamma*]
     gamma, k_witness, gamma_saturated = 0.0, limsup(resolution), False

@@ -274,6 +274,15 @@ def test_verify_param_value_that_is_not_json_is_a_usage_error(capsys):
     assert captured.out == ""
 
 
+def test_verify_param_without_check_is_a_usage_error(capsys):
+    # with --all the parameters would name no check, and the suite would run
+    # at its defaults as if they had been read
+    assert run(["verify", "--all", "--param", "foo=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("weightcalc: error:") and "--check" in captured.err
+    assert captured.out == ""
+
+
 def test_batch_manifest(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     out1 = tmp_path / "a.json"

@@ -752,6 +752,69 @@ def test_gamma_indices_slowly_varying_saturates():
     assert est.gamma_bar_infinite and math.isinf(est.gamma_bar)
 
 
+def _certify_every_k(fast, ts, base, passes, gamma):
+    """The K loop without the refutation step: every K whose dilation stays
+    inside the domain hint, on the whole window, in grid order."""
+    for k in fn.K_GRID:
+        factor = k**gamma
+        if factor * ts[-1] > fast.domain_hint:
+            continue
+        if passes(fast.evaluate_many(factor * ts) / base, k).all():
+            return float(k)
+    return None
+
+
+def _stepped_samples():
+    # omega(t) = t with a step to 3t at t = 1e5: for gamma near 1 the
+    # largest K passes at the window's top, where the ratio is K^gamma, but
+    # the window fails it, where a dilation crosses the step
+    ts = np.geomspace(1.0, 1e11, 1101)
+    return fn.from_samples(ts, np.where(ts < 1e5, ts, 3.0 * ts), name="stepped")
+
+
+_INDEX_OPERANDS = {
+    **{f"power{a}": (lambda a=a: fn.power_weight(a)) for a in (0.25, 0.5, 0.95, 1.5, 4.0)},
+    "log_power": lambda: fn.log_power_weight(2.0),
+    "associated": lambda: fn.associated(sq.gevrey(2.0, 20000)),
+    "normalized": lambda: fn.normalized(fn.power_weight(0.5)),
+    "power_substitution": lambda: fn.power_substitution(fn.power_weight(0.5), 2.0),
+    "conjugate": lambda: fn.conjugate(fn.power_weight(0.3), GridSpec(1e-2, 1e16, 4096)),
+    "stepped_samples": _stepped_samples,
+}
+
+
+@pytest.mark.parametrize("make", _INDEX_OPERANDS.values(), ids=_INDEX_OPERANDS.keys())
+def test_gamma_indices_refutation_step_keeps_every_bit(make):
+    got = fn.gamma_indices(make())
+    with mock.patch.object(fn, "_certify", _certify_every_k):
+        want = fn.gamma_indices(make())
+    assert got == want
+
+
+def test_gamma_indices_associated_hint_skips_dilations():
+    # the refutation step must leave out the dilations beyond a finite hint
+    omega = fn.associated(sq.gevrey(2.0, 20000))
+    top = fn.gamma_indices(omega).tail_window[1]
+    assert top * float(fn.K_GRID[-1]) ** 8.0 > omega.domain_hint  # gamma_cap
+
+
+def test_gamma_indices_stepped_samples_refute_a_survivor_on_the_window():
+    recorder = _Recorder(_stepped_samples())
+    fn.gamma_indices(recorder)
+    sizes = [size for size, _ in recorder.calls]
+    # one call per candidate gamma has at most one point per K; two window
+    # calls in a row are a K that passed at the top and failed on the window
+    assert any(min(a, b) > fn.K_GRID.size for a, b in zip(sizes[1:], sizes[2:]))
+
+
+def test_gamma_indices_of_a_power_weight_evaluates_few_points():
+    # trying every K on the whole window took 660 calls on 338 K points
+    recorder = _Recorder(fn.power_weight(0.5))
+    fn.gamma_indices(recorder)
+    sizes = [size for size, _ in recorder.calls]
+    assert len(sizes) <= 60 and sum(sizes) <= 16_000
+
+
 @pytest.mark.parametrize("alpha", [0.25, 0.3, 0.75])
 def test_index_transfer_inequalities(alpha):
     # estimator-level transfer: gamma(sigma*) >= 1 - gammabar(sigma) - 0.05
