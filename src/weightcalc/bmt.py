@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .functions import (
     WeightFunction,
-    _fixed_kinks,
+    _kink_options,
     _ratio_diverges_fn,
     _tail_ratio_decays,
     c2_proxy,
@@ -95,7 +95,7 @@ def phi_star_many(
     live = ~(xs <= 0)
     out[live] = grid_sup(
         xs[live], ys, scan, refine, ("phi_star", "x"), floor=endpoint,
-        monotone=True, kinks=_fixed_kinks(omega),
+        monotone=True, **_kink_options((omega, 0)),
     )
     return out
 

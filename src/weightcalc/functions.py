@@ -21,19 +21,22 @@ convex on the range the scan touches, so that the grid search costs
 O((n + k) log k) cells instead of k x n.  Envelopes whose tau is of
 another kind take the dense scan.
 
-Associated functions, their integral form and sampled functions are
-piecewise linear in log t (``log_kinks``).  A transform of such operands
-(both of them, for the envelopes) passes their kinks to the refinement,
-and between two kinks its objective is convex in y = log t: s e^y minus a
+Every function describes its kinks once (``log_kinks``): its knots in
+log t, and whether it is linear in log t between them, as associated
+functions, their integral form, sampled functions and the ``normalized``
+and ``power_substitution`` wrappers of these are.  A transform whose
+operands are all piecewise linear passes their knots as kinks, and
+between two kinks its objective is convex in y = log t: s e^y minus a
 linear function for the conjugate, linear for the envelopes, sequence
 recovery and phi*.  A bracket's maximum then sits at one of its ends or
 kinks, and every row is answered by evaluating them all at once, after a
 run of more than 60 kinks of one operand is narrowed by bisection on that
-operand's kink values.  Operands without kinks are refined by safeguarded
-parabolic interpolation, which removes the grid bias down to machine
-precision for objectives concave near their maximum.  A normalized
-operand kinks at t = 1 (``_breaks``): brackets are cut there and each
-piece refined on its own.
+operand's kink values.  When only some operands are (an associated
+function with a power weight, a normalized power weight), brackets are
+cut at all the operands' knots and each piece refined on its own.  Smooth
+pieces are refined by safeguarded parabolic interpolation, which removes
+the grid bias down to machine precision for objectives concave near their
+maximum.
 """
 
 from __future__ import annotations
@@ -396,45 +399,59 @@ def _require_log_convex(m: WeightSequence):
         )
 
 
-def log_kinks(omega: WeightFunction) -> Optional[np.ndarray]:
-    """Sorted log t at which omega may change slope, for the kinds that are
-    piecewise linear in log t, and None for every other kind.
+def log_kinks(omega: WeightFunction) -> tuple[Optional[np.ndarray], bool]:
+    """Where omega may change slope: the sorted knots in log t (None when
+    none are known), and whether omega is linear in log t between them.
 
     An associated function and its integral form have slope p in log t
-    between log mu_p and log mu_(p+1), so their kinks are log mu_p, p >= 1
+    between log mu_p and log mu_(p+1), so their knots are log mu_p, p >= 1
     (of the log-convex minorant for ``associated``); a sampled function is
-    linear in log t between its samples, so its kinks are log t_i.
+    linear in log t between its samples, so its knots are log t_i.  The
+    wrappers keep their operand's linearity: ``normalized`` adds a knot at
+    t = 1, where it leaves 0, and ``power_substitution`` with exponent
+    alpha moves each knot u to alpha u, where (log t) / alpha = u.  Every
+    other kind has no known knot and is not linear.
     """
     # kinds are those of this module's constructors; a function built
     # directly under such a kind without its parameters has none
     kind, params = omega.kind, omega.params
+    if kind in _WRAPPER_KINDS and "of" in params:
+        knots, linear = log_kinks(params["of"])
+        if kind == "normalized":
+            return np.union1d([] if knots is None else knots, 0.0), linear
+        return (None if knots is None else params["alpha"] * knots), linear
     if kind == "sampled" and "ts" in params:
-        return np.log(params["ts"])
+        return np.log(params["ts"]), True
     if kind == "associated" and "minorant" in params:
         knots = params["minorant"].log_quotients[1:]
     elif kind == "integral_form" and "sequence" in params:
         knots = params["sequence"].log_quotients[1:]
     else:
-        return None
+        return None, False
     # rounding can leave near-equal quotients a few ulps out of order
     if np.any(knots[1:] < knots[:-1]):
         knots = np.maximum.accumulate(knots)
-    return knots
+    return knots, True
 
 
-def _fixed_kinks(omega: WeightFunction):
-    """The ``kinks`` argument of ``grid_sup`` for an objective that kinks
-    where omega does, at y = log t, or None when omega has no kinks."""
-    knots = log_kinks(omega)
-    return None if knots is None else [(knots, False)]
-
-
-def _breaks(*operands):
-    """The ``breaks`` argument of ``grid_sup`` for (omega, shifted) operands:
-    a normalized omega kinks at t = 1, where it leaves 0, with no promise
-    about its pieces; None when no operand does."""
-    found = [(np.zeros(1), shifted) for omega, shifted in operands if omega.kind == "normalized"]
-    return found or None
+def _kink_options(*placed):
+    """``grid_sup``'s ``kinks`` or ``breaks`` option, as keywords, for an
+    objective that kinks where its operands do.  ``placed`` holds (omega,
+    at) pairs: a knot u of omega lies at y = u for at = 0, at y = log x + u
+    for at = 1 and at y = log x - u for at = -1.  When every operand is
+    linear in log t between its knots, the objective is convex between
+    them (``kinks``); when some operand is not, each bracket is cut at every
+    knot and its pieces refined on their own (``breaks``); without knots,
+    neither."""
+    sets, linear = [], True
+    for omega, at in placed:
+        knots, piecewise_linear = log_kinks(omega)
+        linear &= piecewise_linear
+        if knots is not None:
+            sets.append((-knots[::-1] if at < 0 else knots, at != 0))
+    if not sets:
+        return {}
+    return {"kinks" if linear else "breaks": sets}
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +564,7 @@ def conjugate(
     slopes = np.diff(wvals) / np.diff(ts)
     slope_cap = float(np.max(slopes)) if np.all(np.isfinite(slopes)) else math.inf
     hint = 0.95 * slope_cap if math.isfinite(slope_cap) else math.inf
-    kinks = _fixed_kinks(omega)
-    breaks = _breaks((omega, False))
+    kink_options = _kink_options((omega, 0))
 
     def scan(s, j):
         return s * ts[j] - wvals[j]
@@ -561,7 +577,7 @@ def conjugate(
         live = ~(ss <= 0)
         return _transform_values(
             ss, live, -w0, groups, log_ts, scan, refine, ("conjugate", "s"),
-            floor=-w0, monotone=True, kinks=kinks, breaks=breaks,
+            floor=-w0, monotone=True, **kink_options,
         )
 
     return WeightFunction(
@@ -633,7 +649,7 @@ def _convex_in_log(tau: WeightFunction, u_lo: float, u_hi: float) -> bool:
     if kind == "sampled" and "ts" in params:
         # slopes[i] and slopes[i + 1] meet at knot i; the last segment is
         # continued beyond the last knot, which therefore is no kink
-        knots = log_kinks(tau)
+        knots = np.log(params["ts"])
         slopes = np.concatenate(([0.0], np.diff(params["values"]) / np.diff(knots)))
         inside = ((knots > u_lo) & (knots < u_hi))[:-1]
         left, right = slopes[:-1][inside], slopes[1:][inside]
@@ -666,11 +682,7 @@ def envelope_lower(
     sig_fn, tau_fn = sigma.evaluate_many, tau.evaluate_many
     # the objective kinks where sigma does, at y, and where tau does, at
     # log t - y
-    k_sig, k_tau = log_kinks(sigma), log_kinks(tau)
-    kinks = None
-    if k_sig is not None and k_tau is not None:
-        kinks = [(k_sig, False), (-k_tau[::-1], True)]
-    breaks = _breaks((sigma, False), (tau, True))
+    kink_options = _kink_options((sigma, 0), (tau, -1))
 
     # the infimum is the negated supremum of -(sigma(s) + tau(t/s)); since
     # sigma(s) >= sigma(0) and tau(t/s) >= tau(0), -value_at_0 is an exact
@@ -703,9 +715,8 @@ def envelope_lower(
             cap=-value_at_0,
             both_ends=True,
             monotone=_convex_in_log(tau, u_lo, u_hi),
-            kinks=kinks,
-            breaks=breaks,
             runs=(lo, np.full_like(lo, ss.size - 1)),
+            **kink_options,
         )
 
     return WeightFunction(
@@ -752,11 +763,7 @@ def envelope_upper(
     sig_fn, tau_fn = sigma.evaluate_many, tau.evaluate_many
     # the objective kinks where sigma does, at y, and where tau does, at
     # y - log t
-    k_sig, k_tau = log_kinks(sigma), log_kinks(tau)
-    kinks = None
-    if k_sig is not None and k_tau is not None:
-        kinks = [(k_sig, False), (k_tau, True)]
-    breaks = _breaks((sigma, False), (tau, True))
+    kink_options = _kink_options((sigma, 0), (tau, 1))
 
     def scan(t, j):
         return sig_vals[j] - tau_fn(ss[j] / t)
@@ -788,9 +795,8 @@ def envelope_upper(
             ("envelope_upper", "t"),
             floor=value_at_0,
             monotone=_convex_in_log(tau, u_lo, u_hi),
-            kinks=kinks,
-            breaks=breaks,
             runs=(np.zeros_like(hi), hi),
+            **kink_options,
         )
 
     return WeightFunction(
@@ -1322,7 +1328,7 @@ def recover_sequence(
     ps = np.arange(1, p_count + 1, dtype=float)
     best[1:] = grid_sup(
         ps, log_ts, scan, refine, ("recover_sequence", "p"), monotone=True,
-        kinks=_fixed_kinks(omega), breaks=_breaks((omega, False)),
+        **_kink_options((omega, 0)),
     )
     values = math.log(m0) + best
     return WeightSequence(values, name=f"recovered({omega.name})")

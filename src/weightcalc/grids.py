@@ -12,10 +12,13 @@ row whose run is empty is refused before any scan.  Refinement takes the
 best of the cell's bracket ends and the kinks inside it when the objective
 is piecewise convex with known kinks (operands piecewise linear in log t,
 such as associated functions), the breakpoint view of Lucet (1997), once
-bisection has narrowed each set's run of kinks to at most 60.  An
-objective without known kinks takes safeguarded successive parabolic
-interpolation (Brent 1973), seeded with the three grid cells around the
-winner and stopped by a bound that concavity proves.
+bisection has narrowed each set's run of kinks to at most 60, which
+assumes the objective's values at each set's kinks unimodal.  An objective
+with known kinks but no promise about its pieces has its bracket cut at
+them, long runs narrowed the same way under the same assumption.  Smooth
+pieces, and objectives without known kinks, take safeguarded successive
+parabolic interpolation (Brent 1973), seeded with the three grid cells
+around the winner and stopped by a bound that concavity proves.
 
 Every set of cells the kernel evaluates (the dense scan, each level of the
 windowed search, the edge cells, the kink candidates) is one run of cells
@@ -95,7 +98,9 @@ _GOLDEN_MIN_ITERS = 20
 _GOLDEN_RTOL = 1e-15
 #: Relative excess over the best value that a parabolic row must prove to stop.
 _PARABOLIC_RTOL = 7e-16
-#: Steps after which the parabolic rows still moving take golden steps only.
+#: Steps after which the parabolic rows still moving take golden steps only,
+#: which end the creep of parabolic steps along a nearly flat side of a kink
+#: that nothing declared.
 _PARABOLIC_STEPS = 20
 
 
@@ -298,10 +303,10 @@ def golden_max_vec(f, lo, hi, iters=60):
 def _parabolic_step(points, values, step_before, curv_seed, golden):
     """The next point of each row of ``parabolic_max_vec`` (see there), the
     rows' f[a, x, b] and best values, and whether each has stopped.
-    ``points`` and ``values`` hold the rows' (dl, a, x, b, dr) and their
-    values; ``golden`` allows golden steps only."""
-    a, x, b = points[1:4]
-    fa, fx, fb = values[1:4]
+    ``points`` and ``values`` hold the rows' (a, x, b) and their values;
+    ``golden`` allows golden steps only."""
+    a, x, b = points
+    fa, fx, fb = values
     left, right = x - a, b - x
     width = left + right
     best = np.maximum(np.maximum(fa, fb), fx)
@@ -318,16 +323,7 @@ def _parabolic_step(points, values, step_before, curv_seed, golden):
             left[rows], right[rows], s_left[rows], s_right[rows], fa[rows], fx[rows],
             fb[rows], best[rows], tol[rows],
         )
-    # a bracket whose curvature has grown past the seed's may hold a kink:
-    # the points beyond it tell, if the chord of their side, extended,
-    # predicts them four times better than the parabola through (a, x, b)
-    kinked = np.abs(curv) > 1.5 * curv_seed
-    rows = np.flatnonzero(kinked)
-    if rows.size:
-        kinked[rows] = _kinked(points[:, rows], values[:, rows], curv[rows], tol[rows])
-    parabolic = (curv < 0) & (to_vertex > -left) & (to_vertex < right) & ~kinked
-    if golden:
-        kinked[:] = parabolic[:] = False
+    parabolic = (curv < 0) & (to_vertex > -left) & (to_vertex < right) & (not golden)
     near = parabolic & (to_vertex * to_vertex < delta_sq)
     parabolic &= near | (np.abs(to_vertex) < 0.5 * step_before)
     step = to_vertex
@@ -339,7 +335,7 @@ def _parabolic_step(points, values, step_before, curv_seed, golden):
     rows = np.flatnonzero(~(parabolic | stop))
     if rows.size:
         step[rows] = _fallback_step(
-            points[:, rows], values[:, rows], tol[rows], curv[rows], larger[rows], kinked[rows]
+            points[:, rows], values[:, rows], tol[rows], curv[rows], larger[rows]
         )
     # a bracket at the resolution of y has no new point to offer, nor has
     # a NaN row
@@ -364,53 +360,13 @@ def _proven(left, right, s_left, s_right, fa, fx, fb, best, tol):
         return (up <= tol + (best - fx)) | (spread & balanced)
 
 
-def _kinked(points, values, curv, tol):
-    """Whether the chord beside each side of the bracket, extended,
-    predicts the point beyond it four times better than the parabola
-    through (a, x, b) does: a kink between x and the other side."""
-    dl, a, x, b, dr = points
-    fdl, fa, fx, fb, fdr = values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_left, s_right = (fx - fa) / (x - a), (fb - fx) / (b - x)
-        off_l, off_r = fdl - fa - s_left * (dl - a), fdr - fb - s_right * (dr - b)
-        par_l = np.abs(off_l - curv * (dl - a) * (dl - x))
-        par_r = np.abs(off_r - curv * (dr - b) * (dr - x))
-        return ((par_l > 4.0 * tol) & (4.0 * np.abs(off_l) < par_l)) | (
-            (par_r > 4.0 * tol) & (4.0 * np.abs(off_r) < par_r)
-        )
-
-
-def _fallback_step(points, values, tol, curv, larger, kinked):
+def _fallback_step(points, values, tol, curv, larger):
     """The step of the rows of ``_parabolic_step`` without a parabolic one:
-    inwards from a better end; at a kink, to the peak of the better
-    two-piece linear model; else golden."""
-    _, a, x, b, _ = points
-    fa, fx, fb = values[1:4]
+    inwards from a better end, else golden."""
+    a, x, b = points
+    fa, fx, fb = values
     left, right = x - a, b - x
     step = INV_PHI_SQ * larger
-    if kinked.any():
-        rises = values[1:] - values[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s_dl, s_left, s_right, s_dr = rises / (points[1:] - points[:-1])
-            # the chords through two points on either side of a kink meet
-            # at its peak: in (a, x) for the chords beyond a and through (x,
-            # b), in (x, b) for the chords through (a, x) and beyond b; a
-            # chord whose values differ by less than tol has no reliable slope
-            sure = np.abs(rises) > tol
-            to_left = (fx - fa - s_right * left) / (s_dl - s_right) - left
-            to_right = (fb - fx - s_dr * right) / (s_left - s_dr)
-            top_left, top_right = fx + s_right * to_left, fx + s_left * to_right
-            on_left = (to_left > -left) & (to_left < 0) & sure[0] & sure[2]
-            on_right = (to_right > 0) & (to_right < right) & sure[1] & sure[3]
-        right_higher = on_right & ~(on_left & (top_left > top_right))
-        peak = np.where(right_higher, to_right, to_left)
-        top = np.where(right_higher, top_right, top_left)
-        # a peak that promises no gain beyond noise teaches nothing new,
-        # nor does one within 1e-9 of the bracket's width of x, whose value
-        # compares with fx by rounding: golden then
-        far = np.abs(peak) > 1e-9 * (left + right)
-        kink = kinked & (on_left | on_right) & (top - fx > 16.0 * tol) & far
-        step = np.where(kink, peak, step)
     better = np.maximum(fa, fb) > fx
     if better.any():
         # from a better end, the step whose bound has excess about tol / 2,
@@ -441,10 +397,12 @@ def parabolic_max_vec(f, xs, lo, mid, hi, iters=60):
     NaN.  Rows go ``_SCRATCH_CELLS // 64`` (4,096) at a time, which bounds
     the memory of one call.
 
-    Each row keeps a bracket (a, b) around a point x: the best point
-    evaluated and its two neighbours, or an end and the next two points
-    when that end is the best, and the nearest point evaluated beyond each
-    end.  Each step evaluates one point per row:
+    The kernel is meant for smooth pieces: callers cut a bracket at every
+    kink they know of (``grid_sup``'s ``breaks``) or refine at the kinks
+    (``kinks``).  Each row keeps a bracket (a, b) around a point x: the
+    best point evaluated and its two neighbours, or an end and the next two
+    points when that end is the best.  Each step evaluates one point per
+    row:
 
     * the vertex of the parabola through (a, x, b) when f[a, x, b] < 0, the
       vertex lies inside the bracket and the step to it is less than half
@@ -453,13 +411,6 @@ def parabolic_max_vec(f, xs, lo, mid, hi, iters=60):
       of x) of x moves delta to the side of the larger segment: this
       collapses the far end, as Brent's tolerance step does;
     * otherwise, when an end is the best point, a step inwards from it;
-    * otherwise, when |f[a, x, b]| has grown past 1.5 times the seed's and
-      the chord beside the bracket, extended, predicts the point beyond it
-      four times better than the parabola does, so that the bracket holds a
-      kink, the point where the chords on the two sides of the kink meet
-      (the peak of a two-piece linear model) if it promises a gain beyond
-      noise and lies more than 1e-9 of the bracket's width from x, where
-      the values of the two points no longer compare by rounding;
     * otherwise a golden step into the larger segment.
 
     The stop rule is a proof under concavity.  The supremum over [a, x] is
@@ -470,17 +421,19 @@ def parabolic_max_vec(f, xs, lo, mid, hi, iters=60):
     values defeats that proof, golden section's test serves: both end
     values within 1e-15 of the best, with segments within a factor 3, which
     bounds the excess by 3e-15.  Either needs the bracket narrow for the
-    seed's curvature, |f[a, x, b]| (b - a)^2 <= 4 tol, so that a kink beside
-    a convex piece, where the chords of one side need not bound the other,
-    does not stop a wide bracket.  Rows still moving after
-    ``_PARABOLIC_STEPS`` steps take golden steps only (inwards from a better
-    end, else into the larger segment), which shrink the bracket by a fixed
-    ratio: parabolic and kink steps alone can creep along a nearly flat side
-    of a kink.
+    seed's curvature, |f[a, x, b]| (b - a)^2 <= 4 tol.  Rows still moving
+    after ``_PARABOLIC_STEPS`` steps take golden steps only (inwards from a
+    better end, else into the larger segment), which shrink the bracket by
+    a fixed ratio.  These two guards are kept for objectives that kink
+    where nothing says so, such as those of a user-built
+    ``WeightFunction``: the narrow bracket keeps a kink beside a convex
+    piece, where the chords of one side need not bound the other, from
+    stopping a wide bracket, and the golden steps end the creep of
+    parabolic steps along a nearly flat side of a kink.
     """
     xs, lo, mid, hi = (np.asarray(v, dtype=float) for v in (xs, lo, mid, hi))
-    # a slice of rows at a time bounds the memory the state takes: about
-    # 60 float64 values per row with a step's temporaries
+    # a slice of rows at a time bounds the memory the state takes: under
+    # 64 float64 values per row with a step's temporaries
     rows = _SCRATCH_CELLS // 64
     return np.concatenate([
         _parabolic_rows(f, *(v[i : i + rows] for v in (xs, lo, mid, hi)), iters)
@@ -495,16 +448,14 @@ def _parabolic_rows(f, xs, a, x, b, iters):
     seeds = f(np.tile(xs, 3), np.concatenate((a, x, b)))
     out = np.empty(k)
     # one column per row: row index, argument, the last two steps, |f[a,
-    # x, b]| at the seed, (dl, a, x, b, dr) and their values; dl and dr, the
-    # nearest points evaluated beyond the bracket, start unknown
-    nan, inf = np.full(k, np.nan), np.full(k, np.inf)
-    state = np.stack((
-        np.arange(k), xs, inf, inf, inf, nan, a, x, b, nan,
-        nan, seeds[:k], seeds[k : 2 * k], seeds[2 * k :], nan,
-    ))
+    # x, b]| at the seed, (a, x, b) and their values
+    inf = np.full(k, np.inf)
+    state = np.stack(
+        (np.arange(k), xs, inf, inf, inf, a, x, b, seeds[:k], seeds[k : 2 * k], seeds[2 * k :])
+    )
     for i in range(iters):
         u, curv, best, stop = _parabolic_step(
-            state[5:10], state[10:], state[3], state[4], i > _PARABOLIC_STEPS
+            state[5:8], state[8:], state[3], state[4], i > _PARABOLIC_STEPS
         )
         if i == 0:
             state[4] = np.abs(curv)
@@ -517,21 +468,19 @@ def _parabolic_rows(f, xs, a, x, b, iters):
             break
         fu = f(state[1], u)
         # keep the best of the four points with its neighbours (on a tie,
-        # the wider of the two brackets): the window (dl, a, x, b, dr) moves
-        # left to (dl, a, p1, p2, b) or right to (a, p1, p2, b, dr)
-        first = u < state[7]
-        p1, p2 = np.minimum(u, state[7]), np.maximum(u, state[7])
-        f1, f2 = np.where(first, fu, state[12]), np.where(first, state[12], fu)
-        top_l, top_r = np.maximum(state[11], f1), np.maximum(f2, state[13])
-        kl = (top_l > top_r) | ((top_l == top_r) & (p2 - state[6] > state[8] - p1))
+        # the wider of the two brackets): (a, x, b) becomes (a, p1, p2) or
+        # (p1, p2, b)
+        first = u < state[6]
+        p1, p2 = np.minimum(u, state[6]), np.maximum(u, state[6])
+        f1, f2 = np.where(first, fu, state[9]), np.where(first, state[9], fu)
+        top_l, top_r = np.maximum(state[8], f1), np.maximum(f2, state[10])
+        kl = (top_l > top_r) | ((top_l == top_r) & (p2 - state[5] > state[7] - p1))
+        state[3], state[2] = state[2], np.abs(u - state[6])
         kr = ~kl
-        state[3], state[2] = state[2], np.abs(u - state[7])
-        for at, inner, outer in ((5, p1, p2), (10, f1, f2)):
-            np.copyto(state[at], state[at + 1], where=kr)
-            np.copyto(state[at + 1], inner, where=kr)
-            np.copyto(state[at + 4], state[at + 3], where=kl)
-            np.copyto(state[at + 3], outer, where=kl)
-            state[at + 2] = np.where(kl, inner, outer)
+        for at, inner, outer in ((5, p1, p2), (8, f1, f2)):
+            np.copyto(state[at], inner, where=kr)
+            np.copyto(state[at + 2], outer, where=kl)
+            state[at + 1] = np.where(kl, inner, outer)
     return out
 
 
@@ -818,11 +767,13 @@ def grid_sup(
     they are when it is concave.
 
     Without ``kinks``, rows take safeguarded parabolic refinement
-    (``parabolic_max_vec``) seeded with the cells j-1, j and j+1, which
-    assumes the objective concave near its maximum and smooth but for few
-    kinks.  ``breaks``, in the form of ``kinks``, lists where the objective
-    may kink with no promise about the pieces between: a row's bracket is
-    cut there and each piece refined on its own.
+    (``parabolic_max_vec``) seeded with the cells j-1, j and j+1, which is
+    meant for smooth pieces: it assumes the objective concave near its
+    maximum and without kinks in the bracket.  ``breaks``, in the form of
+    ``kinks``, lists where the objective may kink with no promise about the
+    pieces between: a row's bracket is cut there and each piece refined on
+    its own, after a run of more than 60 breaks of one set is halved as
+    for ``kinks``, which assumes the same unimodality.
 
     The best cell is the leftmost grid argmax within the run.  ``monotone``
     states that it is non-decreasing in x, which holds (Topkis) when the

@@ -293,7 +293,7 @@ def test_envelope_lower_of_associated_functions_is_that_of_the_product():
         objective = lambda y: sigma.evaluate_many(np.exp(y)) + tau.evaluate_many(t / np.exp(y))
         masked = t / np.exp(log_ss) > tau.domain_hint
         j = int(np.argmin(np.where(masked, np.inf, objective(log_ss))))
-        ys = np.concatenate((fn.log_kinks(sigma), math.log(t) - fn.log_kinks(tau)))
+        ys = np.concatenate((fn.log_kinks(sigma)[0], math.log(t) - fn.log_kinks(tau)[0]))
         ys = ys[objective(ys) <= exact[i] + 1e-13 * max(1.0, exact[i])]
         right[i] = ys.min() <= log_ss[j + 1] and ys.max() >= log_ss[j - 1]
     tol = 1e-12 * np.maximum(1.0, exact)
@@ -322,7 +322,7 @@ def test_envelopes_of_sampled_operands_are_exact_at_their_kinks(which):
     ts = np.exp(np.linspace(0.0, math.log(1e3), 50))
     sign = -1.0 if which == "lower" else 1.0
     ys = np.concatenate(
-        (np.tile(fn.log_kinks(sigma), (ts.size, 1)), np.log(ts)[:, None] + sign * fn.log_kinks(tau)),
+        (np.tile(fn.log_kinks(sigma)[0], (ts.size, 1)), np.log(ts)[:, None] + sign * fn.log_kinks(tau)[0]),
         axis=1,
     )
     ss = np.exp(ys)
@@ -337,6 +337,101 @@ def test_envelopes_of_sampled_operands_are_exact_at_their_kinks(which):
         # the s = 0 endpoint, sigma(0) - tau(0) = 0, competes
         exact = np.maximum(0.0, np.max(np.where(inside, values, -np.inf), axis=1))
     np.testing.assert_allclose(got, exact, rtol=1e-12, atol=1e-12)
+
+
+def _lower_envelope_closed_form(m, alpha, ts):
+    """inf_s omega_M(s) + (t / s)^(1/alpha) in closed form.  On the piece
+    s in [mu_p, mu_(p+1)], y = log s, the objective p y - (log M_p - log M_0)
+    + (t e^-y)^(1/alpha) is convex, least at y = log t - alpha log(alpha p)
+    clipped to the piece; on [0, mu_1] omega_M is 0 and the least value is
+    at s = mu_1."""
+    lv, log_mu = m.log_values, m.log_quotients
+    p = np.arange(1.0, lv.size - 1)
+    log_t = np.log(ts)[:, None]
+    y = np.clip(log_t - alpha * np.log(alpha * p), log_mu[1:-1], log_mu[2:])
+    pieces = p * y - (lv[1:-1] - lv[0]) + np.exp((log_t - y) / alpha)
+    return np.minimum(pieces.min(axis=1), np.exp((np.log(ts) - log_mu[1]) / alpha))
+
+
+@pytest.mark.parametrize("swapped", [False, True], ids=["associated_sigma", "associated_tau"])
+def test_lower_envelope_of_an_associated_and_a_power_weight_is_its_closed_form(swapped):
+    # a mixed pair: the associated operand's kinks cut the brackets, and
+    # the power weight's smooth pieces take parabolic refinement
+    m, alpha = sq.gevrey(0.5, 8000), 2.0
+    pair = (fn.associated(m), fn.power_weight(alpha))
+    ts = np.exp(np.linspace(math.log(2.0), math.log(60.0), 200))
+    got = fn.envelope_lower(*(pair[::-1] if swapped else pair)).evaluate_many(ts)
+    exact = _lower_envelope_closed_form(m, alpha, ts)
+    assert np.max(np.abs(got - exact) / exact) <= 2e-15
+
+
+def test_kink_description_follows_the_wrappers():
+    m, alpha = sq.gevrey(0.5, 8000), 0.5
+    omega = fn.associated(m)
+    log_mu = omega.params["minorant"].log_quotients[1:]
+    knots, linear = fn.log_kinks(fn.power_substitution(omega, alpha))
+    assert linear and knots.tobytes() == (alpha * log_mu).tobytes()
+    # omega(t^(1/alpha)) has slope p / alpha in log t past alpha log mu_p
+    sub = fn.power_substitution(omega, alpha)
+    for p in (1, 4, 100):
+        y = alpha * log_mu[p - 1] + np.array([-2e-4, -1e-4, 1e-4, 2e-4])
+        v = sub.evaluate_many(np.exp(y))
+        slopes = np.diff(v)[[0, 2]] / 1e-4
+        np.testing.assert_allclose(slopes, [(p - 1) / alpha, p / alpha], rtol=1e-6)
+    knots, linear = fn.log_kinks(fn.normalized(omega))
+    assert linear and knots.tobytes() == np.union1d(log_mu, 0.0).tobytes()
+    assert fn.log_kinks(fn.power_weight(alpha)) == (None, False)
+    knots, linear = fn.log_kinks(fn.normalized(fn.power_weight(alpha)))
+    assert not linear and knots.tolist() == [0.0]
+
+
+def _pieces_given_to_parabolic_refinement(evaluate):
+    """(xs, lo, hi) of every call ``evaluate()`` makes of
+    ``grids.parabolic_max_vec``."""
+    pieces = []
+    kernel = grids.parabolic_max_vec
+
+    def recording(f, xs, lo, mid, hi, iters=60):
+        pieces.append((xs, lo, hi))
+        return kernel(f, xs, lo, mid, hi, iters)
+
+    with mock.patch.object(grids, "parabolic_max_vec", recording):
+        evaluate()
+    return pieces
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["envelope_sigma", "envelope_tau", "conjugate_normalized", "conjugate_power_substitution"],
+)
+def test_parabolic_refinement_gets_no_piece_holding_a_known_kink(case):
+    # knots in y = log s: log mu_p of an associated sigma; log t - log mu_p
+    # of an associated tau; log mu_p and 0 of a normalized operand; alpha
+    # log mu_p of a power substitution
+    m, alpha = sq.gevrey(0.5, 8000), 0.5
+    omega, log_mu = fn.associated(m), m.log_quotients[1:]
+    ts = np.exp(np.linspace(math.log(2.0), math.log(60.0), 200))
+    sign, knots = 1.0, log_mu
+    if case == "envelope_sigma":
+        transform = fn.envelope_lower(omega, fn.power_weight(2.0))
+    elif case == "envelope_tau":
+        transform, sign = fn.envelope_lower(fn.power_weight(2.0), omega), -1.0
+    elif case == "conjugate_normalized":
+        transform, knots = fn.conjugate(fn.normalized(omega)), np.union1d(log_mu, 0.0)
+    else:
+        # the tail window of c2_proxy lies mostly below the operand's
+        # coverage, which ends at mu_P^alpha = 9.5
+        transform = fn.conjugate(fn.power_substitution(omega, alpha), check=False)
+        knots = alpha * log_mu
+    pieces = _pieces_given_to_parabolic_refinement(lambda: transform.evaluate_many(ts))
+    if case.startswith("envelope"):
+        assert pieces
+    for xs, lo, hi in pieces:
+        # the knots u of the row with argument x whose y lies in (lo, hi),
+        # beyond the rounding of log x - u
+        ends = (lo, hi) if sign > 0 else (np.log(xs) - hi, np.log(xs) - lo)
+        first = np.searchsorted(knots, ends[0] + 1e-13, "right")
+        assert np.all(np.searchsorted(knots, ends[1] - 1e-13, "left") == first)
 
 
 def test_dense_envelope_scan_keeps_to_the_scratch_budget():

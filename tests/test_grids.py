@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -209,36 +210,51 @@ def _golden_two_evaluations(f, lo, hi, iters=60):
     return np.where(yc >= yd, c, d), np.maximum(yc, yd)
 
 
+def _phi_star_rows(steps, xs, lo, hi):
+    """A refinement problem of phi*-shaped rows x y - max_p (p y - c_p), c_p
+    the sums of the sorted ``steps`` from c_0 = 0, as ``refinement_problems``
+    draws it; its kinks are the steps, where p y - c_p and (p - 1) y -
+    c_(p-1) cross."""
+    steps, xs = np.asarray(steps, dtype=float), np.asarray(xs, dtype=float)
+    cs = np.concatenate(([0.0], np.cumsum(steps)))
+    ps = np.arange(cs.size, dtype=float)
+
+    def f(x, y):
+        return x * y - np.max(ps[:, None] * y - cs[:, None], axis=0)
+
+    return partial(f, xs), np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), (f, xs, steps)
+
+
 @st.composite
 def refinement_problems(draw):
     """Rows of a concave quadratic or of a phi*-shaped objective
-    x y - max_p (p y - c_p), with brackets that contain the maximum."""
+    x y - max_p (p y - c_p), with brackets that contain the maximum:
+    (objective, lo, hi, kinked), where ``kinked`` is None for the quadratic
+    and (f, xs, kinks) for phi* (``_phi_star_rows``)."""
     k = draw(st.integers(1, 12))
     real = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
     if draw(st.booleans()):
         peak = np.array(draw(st.lists(real(-5.0, 5.0), min_size=k, max_size=k)))
         curv = np.array(draw(st.lists(real(1e-3, 1e3), min_size=k, max_size=k)))
         top = np.array(draw(st.lists(real(-1e3, 1e3), min_size=k, max_size=k)))
-        objective = lambda y: top - curv * (y - peak) ** 2
+        problem = lambda lo, hi: ((lambda y: top - curv * (y - peak) ** 2), lo, hi, None)
     else:
         # log M_p - log M_0 of a log-convex sequence: convex in p, so phi* is
         # its linear interpolation and the objective is concave in y
         steps = np.sort(draw(st.lists(real(-2.0, 6.0), min_size=2, max_size=30)))
-        cs = np.concatenate(([0.0], np.cumsum(steps)))
-        ps = np.arange(cs.size, dtype=float)
-        xs = np.array(draw(st.lists(real(0.1, cs.size - 1.1), min_size=k, max_size=k)))
+        xs = np.array(draw(st.lists(real(0.1, steps.size - 0.1), min_size=k, max_size=k)))
         peak = steps[np.floor(xs).astype(int)]
-        objective = lambda y: xs * y - np.max(ps[:, None] * y - cs[:, None], axis=0)
+        problem = partial(_phi_star_rows, steps, xs)
     offset = np.array(draw(st.lists(real(0.05, 0.95), min_size=k, max_size=k)))
     width = np.array(draw(st.lists(real(1e-3, 4.0), min_size=k, max_size=k)))
     lo = peak - offset * width
-    return objective, lo, lo + width
+    return problem(lo, lo + width)
 
 
 @settings(max_examples=200, deadline=None)
 @given(refinement_problems())
 def test_golden_section_matches_the_two_evaluation_loop(problem):
-    objective, lo, hi = problem
+    objective, lo, hi, _ = problem
     _, got = grids.golden_max_vec(objective, lo, hi)
     _, ref = _golden_two_evaluations(objective, lo, hi)
     assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
@@ -321,43 +337,44 @@ def _counted(f, xs, counts):
 
 @settings(max_examples=200, deadline=None)
 @given(refinement_problems())
+# a phi*-shaped row that parabolic refinement ended 9.1e-12 short, and one
+# whose maximum, at a kink 0.1 from x, a kink step 3.9e-14 from x dropped
+@example(_phi_star_rows(
+    [-1.270008520046141, -1.2251092395577432, 0.0429631958507084, 0.18004424624777737,
+     0.3739970910174133, 1.4312174520958996, 3.9882755598711537, 4.030919360895303,
+     4.721987236776419],
+    [6.007419307316419], [3.2220590423371473], [7.040749975397804],
+))
+@example(_phi_star_rows(
+    [-1.9999999999999998, -1.8528999313170582, -1.785962269589925, -1.6162732321139064,
+     -1.5225717280027666, -0.5703419655757429, -0.27827977974116, 0.0, 0.0, 0.0,
+     0.019999999999999574, 0.07247647286530601, 0.6940876256485566, 0.9157510829640696,
+     1.8103986842258104, 1.8662001290695178, 2.8170816151051925, 3.423959478299758,
+     4.339167894779662, 4.400294846862979, 4.531153924262048, 4.6780245360348385,
+     5.6971386216654665],
+    [17.000682772717564], [2.7935541177316283], [3.552527573594681],
+))
 def test_parabolic_refinement_is_never_below_golden_section(problem):
-    # seeded as grid_sup seeds it, from a bracket's ends and its centre
-    objective, lo, hi = problem
+    # quadratic rows take parabolic refinement, seeded as grid_sup seeds it
+    # from a bracket's ends and its centre; phi*-shaped rows take grid_sup's
+    # kink route on the same brackets, with their kinks known
+    objective, lo, hi, kinked = problem
     mid = 0.5 * (lo + hi)
-    rows = np.arange(lo.size, dtype=float)
-    got = grids.parabolic_max_vec(_per_row(objective, lo), rows, lo, mid, hi)
+    if kinked is None:
+        rows = np.arange(lo.size, dtype=float)
+        got = grids.parabolic_max_vec(_per_row(objective, lo), rows, lo, mid, hi)
+        seeds = (lo, mid, hi)
+    else:
+        f, xs, kinks = kinked
+        ys, j = np.stack((lo, mid, hi), axis=1).ravel(), 3 * np.arange(xs.size) + 1
+        got = _refined_alone(xs, ys, j, f, [(kinks, False)])
+        seeds = (lo, hi)
     _, ref = _golden_two_evaluations(objective, lo, hi)
     assert np.all(got >= ref - 1e-12 * np.maximum(1.0, np.abs(ref)))
-    # never below the seeds, the grid cell among them
-    for seed in (lo, mid, hi):
+    # never below the points it starts from: the seeds, the grid cell among
+    # them, or the bracket's ends
+    for seed in seeds:
         assert np.all(got >= objective(seed))
-
-
-def test_parabolic_refinement_takes_no_kink_step_within_rounding_of_x():
-    # a phi*-shaped row x y - max_p (p y - c_p) whose terms are near 57 for
-    # a value of 1.43: a kink step 3.9e-14 from x compared with x by noise
-    # and dropped the side holding the maximum, the kink 0.1 away
-    steps = [
-        -1.9999999999999998, -1.8528999313170582, -1.785962269589925,
-        -1.6162732321139064, -1.5225717280027666, -0.5703419655757429,
-        -0.27827977974116, 0.0, 0.0, 0.0, 0.019999999999999574,
-        0.07247647286530601, 0.6940876256485566, 0.9157510829640696,
-        1.8103986842258104, 1.8662001290695178, 2.8170816151051925,
-        3.423959478299758, 4.339167894779662, 4.400294846862979,
-        4.531153924262048, 4.6780245360348385, 5.6971386216654665,
-    ]
-    cs = np.concatenate(([0.0], np.cumsum(steps)))
-    ps = np.arange(cs.size, dtype=float)
-
-    def f(x, y):
-        return x * y - np.max(ps[:, None] * y - cs[:, None], axis=0)
-
-    x = np.array([17.000682772717564])
-    lo, hi = np.array([2.7935541177316283]), np.array([3.552527573594681])
-    got = grids.parabolic_max_vec(f, x, lo, 0.5 * (lo + hi), hi)
-    at_kink = f(x, np.array([3.423959478299758]))
-    assert got[0] >= at_kink[0] - 1e-12 * abs(at_kink[0])
 
 
 @pytest.mark.parametrize("iters", [1, 5, 20, 60])
@@ -398,8 +415,8 @@ def test_parabolic_row_does_not_depend_on_its_batch():
 
 def test_parabolic_row_beside_a_nearly_flat_side_converges():
     # a phi*-shaped row rising with slope 1e-5 to its kink at 0 and falling
-    # with slope -4 after it; parabolic and kink steps alone creep along the
-    # flat side and end 1.4e-7 low, so rows still moving after 20 steps take
+    # with slope -4 after it, its kink not given; parabolic steps alone
+    # creep along the flat side, so rows still moving after 20 steps take
     # golden steps only
     cs = np.array([0.0, -1.0, -2.0, -2.0, -2.0, -2.0, -2.0, -1.984375])
     ps = np.arange(cs.size, dtype=float)
@@ -513,11 +530,11 @@ def kinked_refinements(draw):
     ys = np.linspace(-2.5, 2.5, draw(st.integers(3, 40)))
     j = np.array(draw(st.lists(st.integers(1, ys.size - 2), min_size=k, max_size=k)))
     xs = np.array(draw(st.lists(real(0.2, 6.0), min_size=k, max_size=k)))
-    k_g = fn.log_kinks(g)
+    k_g = fn.log_kinks(g)[0]
     if draw(st.booleans()):
         return xs, ys, j, lambda x, y: x * y - g.evaluate_many(np.exp(y)), [(k_g, False)]
     h = draw(sampled_operands())
-    k_h = fn.log_kinks(h)
+    k_h = fn.log_kinks(h)[0]
 
     def objective(x, y):
         s = np.exp(y)
@@ -613,7 +630,7 @@ def test_refinement_narrows_only_the_rows_with_more_than_iters_kinks():
     g = fn.from_samples(np.exp(log_ts), np.cumsum(np.linspace(0.0, 0.01, log_ts.size)))
     ys = np.linspace(-3.0, 3.0, 61)
     xs, j = np.array([0.01, 1.5, 9.0]), np.array([5, 20, 45])
-    kinks = [(fn.log_kinks(g), False)]
+    kinks = [(fn.log_kinks(g)[0], False)]
     calls = []
 
     def refine(x, y):
@@ -654,7 +671,7 @@ def long_kinked_refinements(draw):
     j = rng.integers(1, ys.size - 1, k)
     xs = rng.uniform(0.2, 6.0, k)
     g = _convex_samples(rng, -2.2, 2.2, spacing)
-    k_g = fn.log_kinks(g)
+    k_g = fn.log_kinks(g)[0]
     if draw(st.booleans()):
         return xs, ys, j, lambda x, y: x * y - g.evaluate_many(np.exp(y)), [(k_g, False)]
     # log x - y runs over [-3.7, 3.8]
@@ -664,7 +681,7 @@ def long_kinked_refinements(draw):
         s = np.exp(y)
         return -(g.evaluate_many(s) + h.evaluate_many(x / s))
 
-    return xs, ys, j, objective, [(k_g, False), (-fn.log_kinks(h)[::-1], True)]
+    return xs, ys, j, objective, [(k_g, False), (-fn.log_kinks(h)[0][::-1], True)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -724,7 +741,7 @@ def test_grid_sup_hands_scan_and_refine_equal_length_flat_arrays(
     xs = np.exp(np.linspace(-2.0, 1.5, 48))
     got = grid_sup(
         xs, ys, scan, _recorded(refine, refines), ("test", "x"), both_ends=True,
-        monotone=monotone, kinks=[(fn.log_kinks(g), False)] if with_kinks else None,
+        monotone=monotone, kinks=[(fn.log_kinks(g)[0], False)] if with_kinks else None,
     )
     assert np.all(np.isfinite(got)) and scans and refines
     assert bool(searches) == monotone
@@ -767,7 +784,7 @@ def test_breakpoint_refinement_does_not_depend_on_the_batch():
     )
     g = fn.from_samples(np.exp(log_ts), np.exp(0.8 * log_ts))
     ys = np.linspace(-3.0, 3.0, 128)
-    kinks = [(fn.log_kinks(g), False)]
+    kinks = [(fn.log_kinks(g)[0], False)]
 
     def refine(x, y):
         return x * y - g.evaluate_many(np.exp(y))
