@@ -469,16 +469,32 @@ def _tail_ratio_decays(ts: np.ndarray, ratios: np.ndarray) -> bool:
 
 
 def c2_proxy(omega: WeightFunction, window: Optional[TailWindow] = None) -> bool:
-    """Finite-window proxy for t = o(omega(t))."""
+    """Finite-window proxy for t = o(omega(t)).
+
+    When the window refuses ``power_substitution(w, alpha)`` with alpha <=
+    1, the verdict is w's own, on the window mapped by t -> t^(1/alpha):
+    with s = t^(1/alpha) the ratio is s^alpha / w(s) <= s / w(s) for s >= 1,
+    so t = o(w(t)) carries over, and the mapped window spans 1/alpha times
+    the decades, within w's coverage.  A mapped window beyond the float
+    range decides nothing.
+    """
     # samples where omega has not yet reached one natural unit say nothing
     # about the tail and their near-zero denominators fake a decay
     win = (window or DEFAULT_TAIL).clipped(omega.domain_hint)
     ts = win.samples()
     w = omega.evaluate_many(ts)
     pos = w >= 1.0
-    if int(pos.sum()) < 32:
+    if int(pos.sum()) >= 32 and _tail_ratio_decays(ts[pos], ts[pos] / w[pos]):
+        return True
+    params = omega.params
+    if omega.kind != "power_substitution" or "of" not in params or params["alpha"] > 1.0:
         return False
-    return _tail_ratio_decays(ts[pos], ts[pos] / w[pos])
+    expo = 1.0 / params["alpha"]
+    try:
+        mapped = TailWindow(win.t_lo**expo, win.t_hi**expo, win.n)
+    except OverflowError:
+        return False
+    return c2_proxy(params["of"], mapped)
 
 
 def log_o_proxy(omega: WeightFunction, window: Optional[TailWindow] = None) -> bool:

@@ -27,12 +27,13 @@ leftmost maximum taken by ``np.maximum.reduceat`` (``_run_max``): the
 objective callbacks only ever see equal-length 1-D arrays.
 
 The argmax search has two routes.  The dense scan evaluates k x n cells
-and is correct for any objective.  The sorted-window divide and
-conquer (the monotone-matrix search of Aggarwal et al., 1987) scans about
-(n + k) log2(k) cells and, in exact arithmetic, finds the same cell when
-the leftmost argmax is non-decreasing in the argument x (rounding is
-handled in ``grid_sup``).  By Topkis's monotone comparative statics
-that holds when the objective has increasing differences in (x, y):
+and is correct for any objective.  The sorted-window divide and conquer
+(the monotone-matrix search of Aggarwal et al., 1987), its blocks of rows
+scheduled once per row count, scans about (n + k) log2(k) cells and, in
+exact arithmetic, finds the same cell when the leftmost argmax is
+non-decreasing in the argument x (rounding is handled in ``grid_sup``).
+By Topkis's monotone comparative statics that holds when the objective
+has increasing differences in (x, y):
 
 * x * phi(y) - psi(y) with phi increasing, whatever psi is: the conjugate,
   sequence recovery and phi* take the windowed route whenever it saves
@@ -65,7 +66,9 @@ shared by the sequence, function and BMT layers are:
 
 from __future__ import annotations
 
+import functools
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +105,8 @@ _PARABOLIC_RTOL = 7e-16
 #: which end the creep of parabolic steps along a nearly flat side of a kink
 #: that nothing declared.
 _PARABOLIC_STEPS = 20
+#: The most rows whose windowed-search schedule is cached: 32, under 80 KiB each.
+_SCHEDULE_ROWS = 4096
 
 
 def _check_count(n, least, what):
@@ -314,25 +319,23 @@ def _parabolic_step(points, values, step_before, curv_seed, golden):
     with np.errstate(divide="ignore", invalid="ignore"):
         s_left, s_right = (fx - fa) / left, (fb - fx) / right
         curv = (s_right - s_left) / width  # f[a, x, b]
-        to_vertex = -0.5 * (left + s_left / curv)
-        delta_sq = 0.25 * tol / -curv
         stop = curv_seed * width * width <= 4.0 * tol
-    rows = np.flatnonzero(stop)
-    if rows.size:
-        stop[rows] = _proven(
-            left[rows], right[rows], s_left[rows], s_right[rows], fa[rows], fx[rows],
-            fb[rows], best[rows], tol[rows],
-        )
-    parabolic = (curv < 0) & (to_vertex > -left) & (to_vertex < right) & (not golden)
-    near = parabolic & (to_vertex * to_vertex < delta_sq)
-    parabolic &= near | (np.abs(to_vertex) < 0.5 * step_before)
-    step = to_vertex
-    larger = np.where(right > left, right, -left)
-    rows = np.flatnonzero(near)
-    if rows.size:
-        delta = np.maximum(np.sqrt(delta_sq[rows]), 4.0 * np.spacing(np.abs(x[rows])))
-        step[rows] = np.copysign(np.minimum(delta, 0.5 * np.abs(larger[rows])), larger[rows])
-    rows = np.flatnonzero(~(parabolic | stop))
+        if np.count_nonzero(stop):
+            stop &= _proven(left, right, s_left, s_right, fa, fx, fb, best, tol)
+        minus_left = -left
+        larger = np.where(right > left, right, minus_left)
+        step = -0.5 * (left + s_left / curv)  # to the vertex
+        parabolic = stop
+        if not golden:
+            delta_sq = 0.25 * tol / -curv
+            parabolic = (curv < 0) & (step > minus_left) & (step < right)
+            near = parabolic & (step * step < delta_sq)
+            parabolic = (parabolic & (near | (np.abs(step) < 0.5 * step_before))) | stop
+            if np.count_nonzero(near):
+                delta = np.maximum(np.sqrt(delta_sq), 4.0 * np.spacing(np.abs(x)))
+                delta = np.copysign(np.minimum(delta, 0.5 * np.abs(larger)), larger)
+                np.putmask(step, near, delta)
+    rows = (~parabolic).nonzero()[0]
     if rows.size:
         step[rows] = _fallback_step(
             points[:, rows], values[:, rows], tol[rows], curv[rows], larger[rows]
@@ -347,17 +350,16 @@ def _parabolic_step(points, values, step_before, curv_seed, golden):
 def _proven(left, right, s_left, s_right, fa, fx, fb, best, tol):
     """Whether concavity proves each row of ``_parabolic_step`` within tol
     of its supremum, or noise defeats the proof and golden section's test
-    passes (see ``parabolic_max_vec``)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # the chords extended over the other segment, each value allowed an
-        # error of tol / 8
-        noise = 0.25 * tol
-        up = np.maximum((noise / right - s_right) * left, (s_left + noise / left) * right)
-        # both end values within 1e-15 of the best and segments within a
-        # factor 3 bound the excess by 3e-15
-        spread = best - np.minimum(fa, fb) <= (_GOLDEN_RTOL / _PARABOLIC_RTOL) * tol
-        balanced = (3.0 * right >= left) & (3.0 * left >= right)
-        return (up <= tol + (best - fx)) | (spread & balanced)
+    passes (see ``parabolic_max_vec``); run under the step's errstate."""
+    # the chords extended over the other segment, each value allowed an
+    # error of tol / 8
+    noise = 0.25 * tol
+    up = np.maximum((noise / right - s_right) * left, (s_left + noise / left) * right)
+    # both end values within 1e-15 of the best and segments within a factor
+    # 3 bound the excess by 3e-15
+    spread = best - np.minimum(fa, fb) <= (_GOLDEN_RTOL / _PARABOLIC_RTOL) * tol
+    balanced = (3.0 * right >= left) & (3.0 * left >= right)
+    return (up <= tol + (best - fx)) | (spread & balanced)
 
 
 def _fallback_step(points, values, tol, curv, larger):
@@ -368,7 +370,7 @@ def _fallback_step(points, values, tol, curv, larger):
     left, right = x - a, b - x
     step = INV_PHI_SQ * larger
     better = np.maximum(fa, fb) > fx
-    if better.any():
+    if np.count_nonzero(better):
         # from a better end, the step whose bound has excess about tol / 2,
         # but at least a thousandth of the segment, so that the chord beside
         # the end gets a reliable slope
@@ -445,14 +447,12 @@ def _parabolic_rows(f, xs, a, x, b, iters):
     """``parabolic_max_vec`` on one slice of rows."""
     x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
     k = a.size
-    seeds = f(np.tile(xs, 3), np.concatenate((a, x, b)))
+    seeds = f(np.concatenate((xs, xs, xs)), np.concatenate((a, x, b)))
     out = np.empty(k)
     # one column per row: row index, argument, the last two steps, |f[a,
     # x, b]| at the seed, (a, x, b) and their values
     inf = np.full(k, np.inf)
-    state = np.stack(
-        (np.arange(k), xs, inf, inf, inf, a, x, b, seeds[:k], seeds[k : 2 * k], seeds[2 * k :])
-    )
+    state = np.array((np.arange(k), xs, inf, inf, inf, a, x, b, *seeds.reshape(3, k)))
     for i in range(iters):
         u, curv, best, stop = _parabolic_step(
             state[5:8], state[8:], state[3], state[4], i > _PARABOLIC_STEPS
@@ -461,26 +461,29 @@ def _parabolic_rows(f, xs, a, x, b, iters):
             state[4] = np.abs(curv)
         if i == iters - 1:
             stop[:] = True
-        if stop.any():
+        if np.count_nonzero(stop):
             out[state[0, stop].astype(np.intp)] = best[stop]
-            state, u = state[:, ~stop], u[~stop]
+            state, u = state.compress(~stop, axis=1), u[~stop]
         if not u.size:
             break
-        fu = f(state[1], u)
+        _, arg, last, before, _, a, x, b, fa, fx, fb = state
+        fu = f(arg, u)
         # keep the best of the four points with its neighbours (on a tie,
         # the wider of the two brackets): (a, x, b) becomes (a, p1, p2) or
         # (p1, p2, b)
-        first = u < state[6]
-        p1, p2 = np.minimum(u, state[6]), np.maximum(u, state[6])
-        f1, f2 = np.where(first, fu, state[9]), np.where(first, state[9], fu)
-        top_l, top_r = np.maximum(state[8], f1), np.maximum(f2, state[10])
-        kl = (top_l > top_r) | ((top_l == top_r) & (p2 - state[5] > state[7] - p1))
-        state[3], state[2] = state[2], np.abs(u - state[6])
+        first = u < x
+        p1, p2 = np.minimum(u, x), np.maximum(u, x)
+        f1, f2 = np.where(first, fu, fx), np.where(first, fx, fu)
+        top_l, top_r = np.maximum(fa, f1), np.maximum(f2, fb)
+        kl, tie = top_l > top_r, top_l == top_r
+        if np.count_nonzero(tie):
+            kl |= tie & (p2 - a > b - p1)
+        before[...], last[...] = last, np.abs(u - x)
         kr = ~kl
-        for at, inner, outer in ((5, p1, p2), (8, f1, f2)):
-            np.copyto(state[at], inner, where=kr)
-            np.copyto(state[at + 2], outer, where=kl)
-            state[at + 1] = np.where(kl, inner, outer)
+        for lo_end, middle, hi_end, inner, outer in ((a, x, b, p1, p2), (fa, fx, fb, f1, f2)):
+            np.putmask(lo_end, kr, inner)
+            np.putmask(hi_end, kl, outer)
+            middle[...] = np.where(kl, inner, outer)
     return out
 
 
@@ -489,23 +492,25 @@ def _ranges(first, width):
     return np.arange(width.sum()) + np.repeat(first - (np.cumsum(width) - width), width)
 
 
-def _run_max(f, xs, cells, width):
+def _run_max(f, xs, width, cells=None, first=None):
     """Leftmost maximum of ``f`` over each row's run of cells.
 
-    ``cells`` lays the runs of the rows ``xs`` end to end and ``width``
-    holds their lengths, each at least 1.  ``f(x, cells)`` is called once,
-    on equal-length 1-D arrays, ``x`` repeating each row's argument over its
-    run.  Returns the cell at each row's leftmost maximum and the maximum;
-    a NaN cell wins, as in ``np.argmax``.
+    ``cells`` lays the runs of the rows ``xs`` end to end (else the runs of
+    one row or more are [first, first + width)), ``width`` their lengths,
+    each at least 1.  ``f(x, cells)`` is called once, on equal-length 1-D
+    arrays, ``x`` repeating each row's argument over its run.  Returns the
+    cell at each row's leftmost maximum and the maximum; a NaN cell wins.
     """
-    starts = np.cumsum(width) - width
-    obj = f(np.repeat(xs, width), cells)
+    starts = width.cumsum() - width
+    if cells is None:
+        cells = np.arange(starts[-1] + width[-1]) + (first - starts).repeat(width)
+    obj = f(xs.repeat(width), cells)
     best = np.maximum.reduceat(obj, starts)
-    hit = obj == np.repeat(best, width)
-    if np.isnan(best).any():
+    hit = obj == best.repeat(width)
+    if np.count_nonzero(np.isnan(best)):
         hit |= np.isnan(obj)
-    hits = np.flatnonzero(hit)
-    return cells[hits[np.searchsorted(hits, starts)]], best
+    hits = hit.nonzero()[0]
+    return cells[hits[hits.searchsorted(starts)]], best
 
 
 def _dense_argmax(xs, n, scan, lo, hi):
@@ -518,8 +523,28 @@ def _dense_argmax(xs, n, scan, lo, hi):
     for start in range(0, xs.size, chunk):
         rows = slice(start, start + chunk)
         width = hi[rows] - lo[rows] + 1
-        j[rows], top[rows] = _run_max(scan, xs[rows], _ranges(lo[rows], width), width)
+        j[rows], top[rows] = _run_max(scan, xs[rows], width, first=lo[rows])
     return j, top
+
+
+@functools.lru_cache(maxsize=32)
+def _schedule(k):
+    """The levels of ``_sorted_window_argmax`` on k rows, read-only int32
+    indices into its flat array (the blocks' middle rows, their window
+    bounds and the middle rows' run ends) in one anonymous memory map: in
+    the malloc heap a cached array would keep the memory freed below it
+    resident."""
+    levels, flat = [], np.frombuffer(mmap.mmap(-1, 20 * k + 4), dtype=np.int32)
+    a, b = np.zeros(min(k, 1), dtype=np.int32), np.full(min(k, 1), k, dtype=np.int32)
+    while a.size:
+        mid = (a + b) // 2
+        level, flat = flat[: 5 * mid.size].reshape(5, mid.size), flat[5 * mid.size :]
+        level[...] = (mid + 1, a, b + 1, mid + (k + 3), mid + (2 * k + 5))
+        level.flags.writeable = False
+        levels.append(level)
+        a, b = np.concatenate((a, mid + 1)), np.concatenate((mid, b))
+        a, b = a[a < b], b[a < b]
+    return tuple(levels)
 
 
 def _sorted_window_argmax(xs, n, scan, lo, hi):
@@ -535,26 +560,30 @@ def _sorted_window_argmax(xs, n, scan, lo, hi):
     larger-x row, each inside its own run.  One level of the recursion is
     one ``_run_max`` over about n + k cells, and there are about log2(k)
     levels.  A NaN row reports column 0 and narrows nothing.
+
+    The blocks depend only on the number k of non-NaN rows: block [a, b)
+    has its window between the argmaxes at sorted positions a - 1 and b,
+    the grid's ends standing in for -1 and k.  ``_schedule`` lists them
+    once per k, so a level is one gather of window bounds and run ends from
+    one flat array, one ``_run_max`` and one scatter of the argmaxes.
     """
     j = np.zeros(xs.size, dtype=np.intp)
     top = np.full(xs.size, np.nan)
     order = np.argsort(xs, kind="stable")
     order = order[~np.isnan(xs[order])]
-    # one column per block [a, b) of ``order``, with its column window [wlo, whi]
-    blocks = np.array([[0], [order.size], [0], [n - 1]])
-    blocks = blocks[:, blocks[0] < blocks[1]]
-    while blocks.shape[1]:
-        a, b, wlo, whi = blocks
-        mid = (a + b) // 2
-        rows = order[mid]
-        first = np.maximum(wlo, lo[rows])
-        width = np.minimum(whi, hi[rows]) - first + 1
-        jm, top[rows] = _run_max(scan, xs[rows], _ranges(first, width), width)
-        j[rows] = jm
-        blocks = np.concatenate(
-            (np.stack((a, mid, wlo, jm)), np.stack((mid + 1, b, jm, whi))), axis=1
-        )
-        blocks = blocks[:, blocks[0] < blocks[1]]
+    k = order.size
+    cols = np.zeros(3 * (k + 2), dtype=np.intp)
+    cols[k + 1] = n - 1
+    cols[k + 3 : 2 * k + 3], cols[2 * k + 5 : 3 * k + 5] = lo[order], hi[order]
+    x, best = np.concatenate(([np.nan], xs[order])), np.empty(k + 1)
+    schedule = _schedule if k <= _SCHEDULE_ROWS else _schedule.__wrapped__
+    for level in schedule(k):
+        mid = level[0]
+        wlo, whi, rlo, rhi = cols[level[1:]]
+        first = np.maximum(wlo, rlo)
+        width = np.minimum(whi, rhi) - first + 1
+        cols[mid], best[mid] = _run_max(scan, x[mid], width, first=first)
+    j[order], top[order] = cols[1 : k + 1], best[1:]
     return j, top
 
 
@@ -573,8 +602,8 @@ def _with_edge_cells(xs, scan, lo, hi, both_ends, j, top):
         return j, top
     # in column order, so that the leftmost maximum is the leftmost cell
     ends = (lo, j, hi) if both_ends else (j, hi)
-    cells = np.stack([end[live] for end in ends], axis=1).ravel()
-    col, best = _run_max(scan, xs[live], cells, np.full(live.size, len(ends)))
+    cells = np.array(ends)[:, live].ravel(order="F")
+    col, best = _run_max(scan, xs[live], np.full(live.size, len(ends)), cells)
     keep = ~np.isnan(best)  # a NaN cell keeps the windowed answer
     j[live[keep]], top[live[keep]] = col[keep], best[keep]
     return j, top
@@ -600,9 +629,10 @@ def _saving(k, n):
 
 def _name_refusals(refused_by, groups, rows):
     """Record the first row of ``rows`` (a mask) in each group of its rows."""
-    rows = np.flatnonzero(rows)
-    named, first = np.unique(groups[rows], return_index=True)
-    refused_by[named] = rows[first]
+    rows = rows.nonzero()[0]
+    if rows.size:
+        named, first = np.unique(groups[rows], return_index=True)
+        refused_by[named] = rows[first]
 
 
 def _search(xs, n, scan, lo, hi, cap, both_ends, windowed, groups=None):
@@ -621,7 +651,7 @@ def _search(xs, n, scan, lo, hi, cap, both_ends, windowed, groups=None):
     refused_by = np.full(int(labels.max()) + 1, -1)
     _name_refusals(refused_by, labels, lo > hi)
     if groups is None:
-        rows = np.arange(refused_by[0] if refused_by[0] >= 0 else xs.size)
+        rows = slice(0, refused_by[0] if refused_by[0] >= 0 else xs.size)
     else:
         rows = np.flatnonzero(refused_by[labels] < 0)
     x, a, b = xs[rows], lo[rows], hi[rows]
@@ -655,7 +685,7 @@ def _search(xs, n, scan, lo, hi, cap, both_ends, windowed, groups=None):
 
 
 def _kink_candidates(refine, xs, lo, hi, kinks):
-    """Every row's candidates laid end to end, with their widths: the ends
+    """Every row's candidates laid end to end, after their widths: the ends
     of its bracket (lo, hi), then each set's kinks inside it (``kinks`` as
     in ``grid_sup``).  A set's run of more than ``_REFINE_ITERS`` kinks is
     first halved until it holds at most that many, keeping the half beside
@@ -686,7 +716,7 @@ def _kink_candidates(refine, xs, lo, hi, kinks):
     for knots, shift, first, count in parts:
         cells[_ranges(at, count)] = knots[_ranges(first, count)] + np.repeat(shift, count)
         at = at + count
-    return cells, width
+    return width, cells
 
 
 def _piecewise_max(refine, xs, lo, mid, hi, breaks):
@@ -694,7 +724,7 @@ def _piecewise_max(refine, xs, lo, mid, hi, breaks):
     (lo, hi) cut at the ``breaks`` strictly inside it, one call for all the
     pieces; each piece is seeded with its ends and ``mid`` (its centre when
     ``mid`` lies outside it)."""
-    cells, width = _kink_candidates(refine, xs, lo, hi, breaks)
+    width, cells = _kink_candidates(refine, xs, lo, hi, breaks)
     row = np.repeat(np.arange(xs.size), width)
     order = np.lexsort((cells, row))
     cells, row = cells[order], row[order]

@@ -223,6 +223,45 @@ def test_conjugate_satisfies_c2_automatically():
     assert fn.c2_proxy(star, TailWindow(1e2, 1e6, 256))
 
 
+def _recorded_c2_proxy(omega):
+    """c2_proxy(omega), and the (function, window) of each call it makes."""
+    calls, proxy = [], fn.c2_proxy
+
+    def recording(w, window=None):
+        calls.append((w, window))
+        return proxy(w, window)
+
+    with mock.patch.object(fn, "c2_proxy", recording):
+        return fn.c2_proxy(omega), calls
+
+
+def test_conjugate_of_a_short_power_substitution_is_certified_by_its_operand():
+    # the tail window clipped to the coverage mu_P^alpha = 9.46 holds under a
+    # decade of samples with omega >= 1, which decides nothing; with alpha
+    # <= 1 the operand's own verdict on the mapped window t^(1/alpha) holds
+    omega = fn.associated(sq.gevrey(0.5, 8000))
+    sub = fn.power_substitution(omega, 0.5)
+    verdict, calls = _recorded_c2_proxy(sub)
+    assert verdict and [w for w, _ in calls] == [sub, omega]
+    clipped, mapped = grids.DEFAULT_TAIL.clipped(sub.domain_hint), calls[1][1]
+    assert (mapped.t_lo, mapped.t_hi) == (clipped.t_lo**2.0, clipped.t_hi**2.0)
+    ss = np.exp(np.linspace(0.0, math.log(20.0), 16))
+    got = fn.conjugate(sub).evaluate_many(ss)
+    np.testing.assert_array_equal(got, fn.conjugate(sub, check=False).evaluate_many(ss))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_refused_power_substitution_consults_its_operand_only_for_alpha_at_most_one(alpha):
+    # t^(1/2) is not o(t), and neither are its substitutions t^(1/(2 alpha));
+    # beyond alpha = 1, s^alpha / omega(s) exceeds s / omega(s), so the
+    # operand's verdict says nothing and the direct route alone decides
+    omega = fn.power_weight(2.0)
+    sub = fn.power_substitution(omega, alpha)
+    verdict, calls = _recorded_c2_proxy(sub)
+    assert not verdict
+    assert [w for w, _ in calls] == ([sub, omega] if alpha <= 1.0 else [sub])
+
+
 def test_conjugate_domain_exhausted_at_edge():
     star = fn.conjugate(fn.power_weight(0.5), GridSpec(1e-2, 1e2, 256))
     with pytest.raises(DomainExhaustedError):

@@ -1,4 +1,5 @@
 import math
+import sys
 from functools import partial
 from unittest import mock
 
@@ -1390,3 +1391,359 @@ _CONCAVE_KINK = fn.from_samples([1.0, 2.0, 4.0], [0.0, 2.0, 3.0])
 )
 def test_kind_decides_convexity_in_log(tau, convex):
     assert fn._convex_in_log(tau, -5.0, 5.0) is convex
+
+
+# ---------------------------------------------------------------------------
+# bit identity and work against the reference kernels
+# ---------------------------------------------------------------------------
+#
+# The sorted-window search as first written, which rebuilt its blocks at
+# every level, and the parabolic loop before its numpy calls were cut.  The
+# kernels of ``grids`` reorganise the same arithmetic, so they must return
+# the same bits and do the same work: the same cells scanned, the same
+# objective points and the same number of steps.
+
+
+def _reference_parabolic_step(points, values, step_before, curv_seed, golden):
+    a, x, b = points
+    fa, fx, fb = values
+    left, right = x - a, b - x
+    width = left + right
+    best = np.maximum(np.maximum(fa, fb), fx)
+    tol = grids._PARABOLIC_RTOL * np.maximum(1.0, np.abs(best))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_left, s_right = (fx - fa) / left, (fb - fx) / right
+        curv = (s_right - s_left) / width
+        to_vertex = -0.5 * (left + s_left / curv)
+        delta_sq = 0.25 * tol / -curv
+        stop = curv_seed * width * width <= 4.0 * tol
+    rows = np.flatnonzero(stop)
+    if rows.size:
+        stop[rows] = _reference_proven(
+            left[rows], right[rows], s_left[rows], s_right[rows], fa[rows], fx[rows],
+            fb[rows], best[rows], tol[rows],
+        )
+    parabolic = (curv < 0) & (to_vertex > -left) & (to_vertex < right) & (not golden)
+    near = parabolic & (to_vertex * to_vertex < delta_sq)
+    parabolic &= near | (np.abs(to_vertex) < 0.5 * step_before)
+    step = to_vertex
+    larger = np.where(right > left, right, -left)
+    rows = np.flatnonzero(near)
+    if rows.size:
+        delta = np.maximum(np.sqrt(delta_sq[rows]), 4.0 * np.spacing(np.abs(x[rows])))
+        step[rows] = np.copysign(np.minimum(delta, 0.5 * np.abs(larger[rows])), larger[rows])
+    rows = np.flatnonzero(~(parabolic | stop))
+    if rows.size:
+        step[rows] = _reference_fallback_step(
+            points[:, rows], values[:, rows], tol[rows], curv[rows], larger[rows]
+        )
+    u = x + step
+    stop |= (u == x) | np.isnan(best)
+    return u, curv, best, stop
+
+
+def _reference_proven(left, right, s_left, s_right, fa, fx, fb, best, tol):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        noise = 0.25 * tol
+        up = np.maximum((noise / right - s_right) * left, (s_left + noise / left) * right)
+        spread = best - np.minimum(fa, fb) <= (grids._GOLDEN_RTOL / grids._PARABOLIC_RTOL) * tol
+        balanced = (3.0 * right >= left) & (3.0 * left >= right)
+        return (up <= tol + (best - fx)) | (spread & balanced)
+
+
+def _reference_fallback_step(points, values, tol, curv, larger):
+    a, x, b = points
+    fa, fx, fb = values
+    left, right = x - a, b - x
+    step = grids.INV_PHI_SQ * larger
+    better = np.maximum(fa, fb) > fx
+    if better.any():
+        on_a = fa >= fb
+        seg = np.where(on_a, left, right)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inward = 0.5 * tol / (-curv * seg)
+        floor = np.maximum(1e-3 * seg, 4.0 * np.spacing(np.abs(x)))
+        inward = np.minimum(np.maximum(inward, floor), 0.5 * seg)
+        step = np.where(better, np.where(on_a, inward - left, right - inward), step)
+    return step
+
+
+def _reference_parabolic_rows(f, xs, a, x, b, iters):
+    x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+    k = a.size
+    seeds = f(np.tile(xs, 3), np.concatenate((a, x, b)))
+    out = np.empty(k)
+    inf = np.full(k, np.inf)
+    state = np.stack(
+        (np.arange(k), xs, inf, inf, inf, a, x, b, seeds[:k], seeds[k : 2 * k], seeds[2 * k :])
+    )
+    for i in range(iters):
+        u, curv, best, stop = _reference_parabolic_step(
+            state[5:8], state[8:], state[3], state[4], i > grids._PARABOLIC_STEPS
+        )
+        if i == 0:
+            state[4] = np.abs(curv)
+        if i == iters - 1:
+            stop[:] = True
+        if stop.any():
+            out[state[0, stop].astype(np.intp)] = best[stop]
+            state, u = state[:, ~stop], u[~stop]
+        if not u.size:
+            break
+        fu = f(state[1], u)
+        first = u < state[6]
+        p1, p2 = np.minimum(u, state[6]), np.maximum(u, state[6])
+        f1, f2 = np.where(first, fu, state[9]), np.where(first, state[9], fu)
+        top_l, top_r = np.maximum(state[8], f1), np.maximum(f2, state[10])
+        kl = (top_l > top_r) | ((top_l == top_r) & (p2 - state[5] > state[7] - p1))
+        state[3], state[2] = state[2], np.abs(u - state[6])
+        kr = ~kl
+        for at, inner, outer in ((5, p1, p2), (8, f1, f2)):
+            np.copyto(state[at], inner, where=kr)
+            np.copyto(state[at + 2], outer, where=kl)
+            state[at + 1] = np.where(kl, inner, outer)
+    return out
+
+
+def _reference_ranges(first, width):
+    return np.arange(width.sum()) + np.repeat(first - (np.cumsum(width) - width), width)
+
+
+def _reference_run_max(f, xs, cells, width):
+    starts = np.cumsum(width) - width
+    obj = f(np.repeat(xs, width), cells)
+    best = np.maximum.reduceat(obj, starts)
+    hit = obj == np.repeat(best, width)
+    if np.isnan(best).any():
+        hit |= np.isnan(obj)
+    hits = np.flatnonzero(hit)
+    return cells[hits[np.searchsorted(hits, starts)]], best
+
+
+def _reference_sorted_window_argmax(xs, n, scan, lo, hi):
+    j = np.zeros(xs.size, dtype=np.intp)
+    top = np.full(xs.size, np.nan)
+    order = np.argsort(xs, kind="stable")
+    order = order[~np.isnan(xs[order])]
+    blocks = np.array([[0], [order.size], [0], [n - 1]])
+    blocks = blocks[:, blocks[0] < blocks[1]]
+    while blocks.shape[1]:
+        a, b, wlo, whi = blocks
+        mid = (a + b) // 2
+        rows = order[mid]
+        first = np.maximum(wlo, lo[rows])
+        width = np.minimum(whi, hi[rows]) - first + 1
+        jm, top[rows] = _reference_run_max(
+            scan, xs[rows], _reference_ranges(first, width), width
+        )
+        j[rows] = jm
+        blocks = np.concatenate(
+            (np.stack((a, mid, wlo, jm)), np.stack((mid + 1, b, jm, whi))), axis=1
+        )
+        blocks = blocks[:, blocks[0] < blocks[1]]
+    return j, top
+
+
+#: Row counts at the edges of the schedule's levels and of its cache, and
+#: beyond one parabolic slice of 4,096 rows.
+_EDGE_ROWS = [0, 1, 2, 3] + [2**m + d for m in range(2, 9) for d in (-1, 1)] + [4097, 4500]
+
+
+@st.composite
+def search_problems(draw):
+    """x * phi(y) - psi(y) with phi non-decreasing, in non-dyadic floats or
+    small integers (ties and plateaus), NaN and repeated arguments, and runs
+    [lo, hi] non-decreasing in x that may be empty: (phi, psi, xs, lo, hi),
+    NaN rows on the whole grid."""
+    k = draw(st.one_of(st.sampled_from(_EDGE_ROWS), st.integers(0, 300)))
+    n = draw(st.integers(3, 48 if k > 300 else 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phi, psi = np.cumsum(rng.uniform(0.0, 3.0, n)), rng.uniform(-6.0, 6.0, n)
+    xs = rng.uniform(-10.0, 10.0, k)
+    if draw(st.booleans()):
+        phi, psi, xs = np.round(phi), np.round(psi), np.round(4.0 * xs) / 4.0
+    if k and draw(st.booleans()):
+        xs = rng.choice(xs, k)
+    xs[rng.random(k) < draw(st.sampled_from([0.0, 0.1, 1.0]))] = math.nan
+    # runs cut by a x + c0 <= j <= a x + c1, a >= 0
+    a, c0, c1 = rng.uniform(0.0, 4.0), rng.uniform(-n, n), rng.uniform(0.0, 2.0 * n)
+    lo, hi = np.zeros(k, dtype=np.intp), np.full(k, n - 1)
+    with np.errstate(invalid="ignore"):
+        if draw(st.booleans()):
+            lo = np.clip(np.ceil(a * xs + c0), 0, n).astype(np.intp)
+        if draw(st.booleans()):
+            hi = np.clip(np.floor(a * xs + c1), -1, n - 1).astype(np.intp)
+    lo[np.isnan(xs)], hi[np.isnan(xs)] = 0, n - 1
+    return phi, psi, xs, lo, hi
+
+
+def _counted_scan(phi, psi, cells):
+    """The scan of a ``search_problems`` draw, adding the arguments and
+    cells of each call to ``cells``."""
+
+    def scan(x, j):
+        cells.append((x.tobytes(), j.astype(np.intp).tobytes()))
+        return x * phi[j] - psi[j]
+
+    return scan
+
+
+def _outcome(call):
+    """The bits a call returns, or the type and message of its error."""
+    try:
+        return [np.asarray(v).tobytes() for v in call()]
+    except Exception as err:  # both kernels must fail alike
+        return (type(err).__name__, str(err))
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_problems())
+def test_sorted_window_argmax_equals_the_reference_bit_for_bit(problem):
+    # the same argmax columns and maxima from the same cells, in the same
+    # order: one scan call per level
+    phi, psi, xs, lo, hi = problem
+    live = lo <= hi
+    xs, lo, hi = xs[live], lo[live], hi[live]
+    cells, ref_cells = [], []
+    got = _outcome(lambda: grids._sorted_window_argmax(
+        xs, phi.size, _counted_scan(phi, psi, cells), lo, hi
+    ))
+    want = _outcome(lambda: _reference_sorted_window_argmax(
+        xs, phi.size, _counted_scan(phi, psi, ref_cells), lo, hi
+    ))
+    assert got == want
+    assert cells == ref_cells
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_problems(), st.data())
+def test_grid_sup_equals_the_reference_kernels_per_group(problem, data):
+    # grouped refusals, refined values and the first refusal of an
+    # ungrouped call, with empty runs, fully masked groups and NaN rows
+    phi, psi, xs, lo, hi = problem
+    ys = np.arange(phi.size, dtype=float)
+    scan = _counted_scan(phi, psi, [])
+
+    def refine(x, y):
+        return x * np.interp(y, ys, phi) - np.interp(y, ys, psi)
+
+    labels = np.asarray(
+        data.draw(st.lists(st.integers(0, 3), min_size=xs.size, max_size=xs.size)),
+        dtype=np.intp,
+    )
+    both_ends = data.draw(st.booleans())
+
+    def run(groups):
+        try:
+            out = grid_sup(
+                xs, ys, scan, refine, ("test", "x"), both_ends=both_ends, monotone=True,
+                groups=groups, runs=(lo, hi),
+            )
+        except DomainExhaustedError as err:
+            return ("refused", err.details)
+        return [np.asarray(v).tobytes() for v in (out if groups is not None else (out,))]
+
+    got = [run(None), run(labels) if xs.size else None]
+    with mock.patch.object(grids, "_sorted_window_argmax", _reference_sorted_window_argmax), \
+            mock.patch.object(grids, "_parabolic_rows", _reference_parabolic_rows):
+        want = [run(None), run(labels) if xs.size else None]
+    assert got == want
+
+
+@st.composite
+def parabolic_problems(draw):
+    """Rows of concave quadratics, of quadratics with a ripple (not concave),
+    of kinks nothing declares (rows still moving after 20 steps) and of NaN,
+    with brackets around or beside the maximum: (f, xs, lo, mid, hi)."""
+    k = draw(st.one_of(st.sampled_from(_EDGE_ROWS), st.integers(0, 80)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    peak, curv = rng.uniform(-5.0, 5.0, k), 10.0 ** rng.uniform(-3.0, 3.0, k)
+    top, ripple = rng.uniform(-1e3, 1e3, k), rng.uniform(0.0, 0.3, k)
+    kind = rng.choice(4, k, p=draw(st.sampled_from([(1, 0, 0, 0), (0.4, 0.3, 0.2, 0.1)])))
+
+    def f(x, y):
+        r = x.astype(np.intp)
+        smooth = top[r] - curv[r] * (y - peak[r]) ** 2
+        values = np.where(kind[r] == 1, smooth + ripple[r] * np.sin(7.0 * y), smooth)
+        values = np.where(kind[r] == 2, top[r] - np.abs(y - peak[r]), values)
+        return np.where(kind[r] == 3, np.nan, values)
+
+    width = rng.uniform(1e-3, 4.0, k)
+    lo = peak - rng.uniform(-0.5, 1.5, k) * width
+    mid = lo + rng.uniform(-0.2, 1.2, k) * width
+    return f, np.arange(k, dtype=float), lo, mid, lo + width
+
+
+def _counted_refinement(reference, problem, iters):
+    """``parabolic_max_vec`` of a ``parabolic_problems`` draw, on the
+    reference loop or on that of ``grids``: the values' bits, the size of
+    each objective call and the number of steps."""
+    f, xs, lo, mid, hi = problem
+    if reference:
+        home, name = sys.modules[__name__], "_reference_parabolic_step"
+        rows = _reference_parabolic_rows
+    else:
+        rows, home, name = grids._parabolic_rows, grids, "_parabolic_step"
+    sizes, steps, step = [], [], getattr(home, name)
+
+    def counting_step(*args):
+        steps.append(1)
+        return step(*args)
+
+    def counting_f(x, y):
+        assert x.shape == y.shape and x.ndim == 1
+        sizes.append(x.size)
+        return f(x, y)
+
+    with mock.patch.object(grids, "_parabolic_rows", rows), mock.patch.object(
+        home, name, counting_step
+    ):
+        out = grids.parabolic_max_vec(counting_f, xs, lo, mid, hi, iters)
+    return out.tobytes(), sizes, len(steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(parabolic_problems(), st.sampled_from([1, 5, 21, 60]))
+def test_parabolic_refinement_equals_the_reference_bit_for_bit(problem, iters):
+    # the same values, NaN rows included, from the same objective points in
+    # the same number of steps
+    got = _counted_refinement(False, problem, iters)
+    want = _counted_refinement(True, problem, iters)
+    assert got == want
+
+
+def test_schedule_visits_every_position_once_between_solved_bounds():
+    # a level's middle positions are new; its window bounds are positions
+    # solved by an earlier level or the grid ends, 0 and k + 1 in the
+    # shifted positions, and its run ends sit at fixed offsets
+    for k in range(301):
+        levels = grids._schedule.__wrapped__(k)
+        solved = {0, k + 1}
+        for level in levels:
+            mid, bound_lo, bound_hi, run_lo, run_hi = (row.tolist() for row in level)
+            assert not solved & set(mid)
+            assert set(bound_lo) <= solved and set(bound_hi) <= solved
+            assert all(a < m < b for a, m, b in zip(bound_lo, mid, bound_hi))
+            assert run_lo == [m + k + 2 for m in mid]
+            assert run_hi == [m + 2 * (k + 2) for m in mid]
+            solved |= set(mid)
+        assert solved == set(range(k + 2))
+        assert len(levels) == k.bit_length()
+
+
+def test_cached_schedules_are_read_only_and_bounded():
+    grids._schedule.cache_clear()
+    for k in (1, 40, grids._SCHEDULE_ROWS):
+        for level in grids._schedule(k):
+            assert level.dtype == np.int32 and not level.flags.writeable
+            with pytest.raises(ValueError):
+                level[0, 0] = 0
+    assert grids._schedule.cache_info().maxsize == 32
+    # a search on more rows than the cache holds builds its schedule apart
+    k = grids._SCHEDULE_ROWS + 1
+    xs = np.linspace(0.0, 1.0, k)
+    before = grids._schedule.cache_info().currsize
+    grids._sorted_window_argmax(
+        xs, 64, lambda x, j: x * j - 0.01 * j * j, np.zeros(k, np.intp), np.full(k, 63)
+    )
+    assert grids._schedule.cache_info().currsize == before
