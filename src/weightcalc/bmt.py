@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .functions import (
     WeightFunction,
-    _kink_options,
+    _legendre,
     _ratio_diverges_fn,
     _tail_ratio_decays,
     c2_proxy,
@@ -30,7 +30,6 @@ from .grids import (
     DEFAULT_TAIL,
     GridSpec,
     TailWindow,
-    grid_sup,
     quarter_maxima,
 )
 from .sequences import (
@@ -80,24 +79,10 @@ def phi_star_many(
     y_hi = math.log(min(grid.t_max, omega.domain_hint))
     if y_hi <= 0:
         raise DomainError("grid/domain leaves no room above t = 1")
-    ys = np.linspace(0.0, y_hi, grid.n)
-    wvals = omega.evaluate_many(np.exp(ys))
-    inner = omega.evaluate_many
-
-    def scan(x, j):
-        return x * ys[j] - wvals[j]
-
-    def refine(x, y):
-        return x * y - inner(np.exp(y))
-
-    endpoint = -wvals[0]  # y = 0
-    out = np.full_like(xs, endpoint)
-    live = ~(xs <= 0)
-    out[live] = grid_sup(
-        xs[live], ys, scan, refine, ("phi_star", "x"), floor=endpoint,
-        monotone=True, **_kink_options((omega, 0)),
+    wvals, sup = _legendre(
+        omega, np.linspace(0.0, y_hi, grid.n), lambda y: y, ("phi_star", "x")
     )
-    return out
+    return sup(xs, -wvals[0])  # the y = 0 endpoint
 
 
 def phi_star(

@@ -15,11 +15,20 @@ Suprema are located by :func:`weightcalc.grids.grid_sup`: a search for the
 leftmost argmax on a log-spaced grid followed by refinement of the winning
 cell.  Each transform supplies its grid, its objective at grid cells and
 at points of each row, its endpoint or cap values, and whether the argmax
-is monotone in the argument: always for the conjugate and sequence
+is monotone in the argument: always for the conjugate, phi* and sequence
 recovery, and for the envelopes when the kind of tau proves tau(e^u)
 convex on the range the scan touches, so that the grid search costs
 O((n + k) log k) cells instead of k x n.  Envelopes whose tau is of
-another kind take the dense scan.
+another kind take the dense scan.  Every transform reaches ``grid_sup``
+through ``_transform_values``.
+
+The conjugate, the Young conjugate phi* of ``bmt`` and sequence recovery
+are one transform in y = log t, x -> sup_y x phi(y) - omega(e^y), with
+phi = exp for the conjugate and the identity for the other two.  They
+share one kernel (``_legendre``): it tabulates omega on the caller's grid
+of y, passes omega's kinks and the monotone argmax, answers x <= 0 with
+the caller's endpoint, which also floors the supremum, and x = +inf with
++inf; the callers keep only their grids, endpoints and preconditions.
 
 Every function describes its kinks once (``log_kinks``): its knots in
 log t, and whether it is linear in log t between them, as associated
@@ -212,7 +221,11 @@ def log_power_weight(beta: float) -> WeightFunction:
 
 
 def power_substitution(omega: WeightFunction, alpha: float) -> WeightFunction:
-    """omega^(1/alpha): t -> omega(t^(1/alpha))."""
+    """omega^(1/alpha): t -> omega(t^(1/alpha)).
+
+    An argument t whose power t^(1/alpha) passes the float range reaches
+    omega as +inf, without an overflow warning.
+    """
     if not (alpha > 0):
         raise DomainError(f"substitution exponent must be > 0, got {alpha}")
     inner = omega.evaluate_many
@@ -221,7 +234,9 @@ def power_substitution(omega: WeightFunction, alpha: float) -> WeightFunction:
 
     def fn(ts, groups=None):
         args = np.maximum(ts, 0.0)
-        return inner(np.power(args, expo, out=args), groups=groups)
+        with np.errstate(over="ignore"):
+            np.power(args, expo, out=args)
+        return inner(args, groups=groups)
 
     return WeightFunction(
         "power_substitution",
@@ -548,6 +563,40 @@ def _transform_values(xs, live, fill, groups, *kernel, sign=1.0, **options):
     return out, refused
 
 
+def _legendre(omega, ys, phi, where):
+    """The transform x -> sup over the grid ``ys`` of x phi(y) - omega(e^y),
+    for phi = ``np.exp`` (the conjugate) or the identity (phi* and sequence
+    recovery), with ``where`` labelling its refusals.
+
+    Returns (wvals, sup): omega at e^ys, and ``sup(xs, endpoint, groups=None)``
+    for a 1-d float array ``xs``.  The caller's ``endpoint`` is the value
+    of the competing end of the range outside the grid: it answers every
+    x <= 0 and floors the supremum of the others.  x = +inf is answered by
+    +inf, since phi is unbounded.  The argmax is monotone in x (Topkis: x
+    phi(y) has increasing differences), and the objective kinks where omega
+    does, at y.
+    """
+    wvals = omega.evaluate_many(np.exp(ys))
+    phis = phi(ys)
+    inner = omega.evaluate_many
+    options = {"monotone": True, **_kink_options((omega, 0))}
+
+    def scan(x, j):
+        return x * phis[j] - wvals[j]
+
+    def refine(x, y):
+        return x * phi(y) - inner(np.exp(y))
+
+    def sup(xs, endpoint, groups=None):
+        top = xs == math.inf
+        return _transform_values(
+            xs, ~(xs <= 0) & ~top, np.where(top, math.inf, endpoint), groups,
+            ys, scan, refine, where, floor=endpoint, **options,
+        )
+
+    return wvals, sup
+
+
 def conjugate(
     omega: WeightFunction,
     grid: GridSpec = DEFAULT_GRID,
@@ -572,29 +621,16 @@ def conjugate(
             function=omega.name,
         )
     log_ts = grid.log_points(omega.domain_hint)
+    wvals, sup = _legendre(omega, log_ts, np.exp, ("conjugate", "s"))
     ts = np.exp(log_ts)
-    wvals = omega.evaluate_many(ts)
     w0 = omega(0.0)
-    inner = omega.evaluate_many
     # conservative reliable-argument bound: maximal secant slope covered
     slopes = np.diff(wvals) / np.diff(ts)
     slope_cap = float(np.max(slopes)) if np.all(np.isfinite(slopes)) else math.inf
     hint = 0.95 * slope_cap if math.isfinite(slope_cap) else math.inf
-    kink_options = _kink_options((omega, 0))
-
-    def scan(s, j):
-        return s * ts[j] - wvals[j]
-
-    def refine(ss, ys):
-        return ss * np.exp(ys) - inner(np.exp(ys))
 
     def fn(ss, groups=None):
-        ss = np.atleast_1d(np.asarray(ss, dtype=float))
-        live = ~(ss <= 0)
-        return _transform_values(
-            ss, live, -w0, groups, log_ts, scan, refine, ("conjugate", "s"),
-            floor=-w0, monotone=True, **kink_options,
-        )
+        return sup(np.atleast_1d(np.asarray(ss, dtype=float)), -w0, groups)
 
     return WeightFunction(
         "conjugate",
@@ -1319,6 +1355,8 @@ def recover_sequence(
     reproduces it; otherwise the log-convex minorant comes back.  An argmax
     on the right grid edge raises :class:`DomainExhaustedError` naming p.
     """
+    if isinstance(p_count, bool) or not isinstance(p_count, (int, np.integer)):
+        raise DomainError(f"p_count must be an integer, got {p_count!r}")
     if p_count < 8:
         raise DomainError("need p_count >= 8 to form a weight sequence")
     if not (m0 > 0):
@@ -1327,24 +1365,13 @@ def recover_sequence(
         raise PreconditionError(
             "recovery needs log t = o(omega(t)) on the tail; the proxy fails"
         )
-    log_ts = grid.log_points(omega.domain_hint)
-    ts = np.exp(log_ts)
-    wvals = omega.evaluate_many(ts)
-    inner = omega.evaluate_many
-
-    def scan(p, j):
-        return p * log_ts[j] - wvals[j]
-
-    def refine(ps, ys):
-        return ps * ys - inner(np.exp(ys))
-
+    _, sup = _legendre(
+        omega, grid.log_points(omega.domain_hint), lambda y: y,
+        ("recover_sequence", "p"),
+    )
     # p = 0 is answered by the t -> 0 endpoint, -omega(0); for p >= 1 that
     # endpoint is -inf and only the grid supremum counts
     best = np.full(p_count + 1, -omega(0.0))
-    ps = np.arange(1, p_count + 1, dtype=float)
-    best[1:] = grid_sup(
-        ps, log_ts, scan, refine, ("recover_sequence", "p"), monotone=True,
-        **_kink_options((omega, 0)),
-    )
+    best[1:] = sup(np.arange(1, p_count + 1, dtype=float), -math.inf)
     values = math.log(m0) + best
     return WeightSequence(values, name=f"recovered({omega.name})")

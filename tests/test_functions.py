@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import tracemalloc
@@ -6,13 +7,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from weightcalc import bmt
 from weightcalc import functions as fn
 from weightcalc import grids
 from weightcalc import sequences as sq
 from weightcalc.errors import (
+    DomainError,
     DomainExhaustedError,
     PreconditionError,
+    WeightCalcError,
     WellDefinednessError,
 )
 from weightcalc.grids import GridSpec, TailWindow
@@ -260,6 +266,15 @@ def test_refused_power_substitution_consults_its_operand_only_for_alpha_at_most_
     verdict, calls = _recorded_c2_proxy(sub)
     assert not verdict
     assert [w for w, _ in calls] == ([sub, omega] if alpha <= 1.0 else [sub])
+
+
+def test_power_substitution_past_the_float_range_reaches_its_operand_as_inf():
+    # t^1000 overflows at t = 1e7; the mapped tail window overflows too
+    omega = fn.power_substitution(fn.power_weight(0.5), 0.001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert omega(1e7) == math.inf
+        assert not fn.c2_proxy(omega)
 
 
 def test_conjugate_domain_exhausted_at_edge():
@@ -1036,3 +1051,223 @@ def test_recover_p0_is_log_m0():
     omega = fn.associated(sq.gevrey(0.5, 400))
     recovered = fn.recover_sequence(omega, 2.5, 20)
     assert recovered.log_values[0] == pytest.approx(math.log(2.5), abs=1e-12)
+
+
+def test_recover_sequence_refuses_a_non_integer_p_count():
+    omega = fn.power_weight(1.0)
+    for p_count in (8.5, 9.0, True):
+        with pytest.raises(DomainError, match="p_count must be an integer"):
+            fn.recover_sequence(omega, 1.0, p_count)
+    got = fn.recover_sequence(omega, 1.0, np.int64(9))
+    np.testing.assert_array_equal(
+        got.log_values, fn.recover_sequence(omega, 1.0, 9).log_values
+    )
+
+
+# ---------------------------------------------------------------------------
+# the Legendre kernel of the conjugate, phi* and sequence recovery
+# ---------------------------------------------------------------------------
+
+
+def _reference_conjugate(omega, grid=fn.DEFAULT_GRID):
+    """The conjugate's evaluator as it was written before the kernel: its
+    own tabulation, scan, refinement and fill."""
+    log_ts = grid.log_points(omega.domain_hint)
+    ts = np.exp(log_ts)
+    wvals = omega.evaluate_many(ts)
+    w0 = omega(0.0)
+    inner = omega.evaluate_many
+    kink_options = fn._kink_options((omega, 0))
+
+    def scan(s, j):
+        return s * ts[j] - wvals[j]
+
+    def refine(ss, ys):
+        return ss * np.exp(ys) - inner(np.exp(ys))
+
+    def evaluate(ss, groups=None):
+        ss = np.atleast_1d(np.asarray(ss, dtype=float))
+        live = ~(ss <= 0)
+        return fn._transform_values(
+            ss, live, -w0, groups, log_ts, scan, refine, ("conjugate", "s"),
+            floor=-w0, monotone=True, **kink_options,
+        )
+
+    return evaluate
+
+
+def _reference_phi_star_many(omega, xs, grid=fn.DEFAULT_GRID):
+    """phi* at x >= 0 as ``bmt.phi_star_many`` computed it before the
+    kernel, past its preconditions."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ys = np.linspace(0.0, math.log(min(grid.t_max, omega.domain_hint)), grid.n)
+    wvals = omega.evaluate_many(np.exp(ys))
+    inner = omega.evaluate_many
+
+    def scan(x, j):
+        return x * ys[j] - wvals[j]
+
+    def refine(x, y):
+        return x * y - inner(np.exp(y))
+
+    endpoint = -wvals[0]  # y = 0
+    out = np.full_like(xs, endpoint)
+    live = ~(xs <= 0)
+    out[live] = grids.grid_sup(
+        xs[live], ys, scan, refine, ("phi_star", "x"), floor=endpoint,
+        monotone=True, **fn._kink_options((omega, 0)),
+    )
+    return out
+
+
+def _reference_recovered(omega, p_count, grid=fn.DEFAULT_GRID):
+    """log M_p, M_0 = 1, as ``recover_sequence`` computed it before the
+    kernel, past its preconditions."""
+    log_ts = grid.log_points(omega.domain_hint)
+    ts = np.exp(log_ts)
+    wvals = omega.evaluate_many(ts)
+    inner = omega.evaluate_many
+
+    def scan(p, j):
+        return p * log_ts[j] - wvals[j]
+
+    def refine(ps, ys):
+        return ps * ys - inner(np.exp(ys))
+
+    best = np.full(p_count + 1, -omega(0.0))
+    ps = np.arange(1, p_count + 1, dtype=float)
+    best[1:] = grids.grid_sup(
+        ps, log_ts, scan, refine, ("recover_sequence", "p"), monotone=True,
+        **fn._kink_options((omega, 0)),
+    )
+    return sq.WeightSequence(math.log(1.0) + best).log_values
+
+
+#: One operand per refinement route: an associated function refines at its
+#: kinks, a power weight by parabolic steps, and a normalized power weight
+#: cuts its brackets at t = 1, where the conjugate at s < 2 has its maximum.
+_LEGENDRE_OPERANDS = {
+    "kinks": lambda: fn.associated(sq.gevrey(0.5, 8000)),
+    "parabolic": lambda: fn.power_weight(0.5),
+    "breaks": lambda: fn.normalized(fn.power_weight(0.5)),
+}
+
+
+@functools.cache
+def _legendre_operand(route):
+    return _LEGENDRE_OPERANDS[route]()
+
+
+def _outcome(call):
+    """The bits of ``call()``'s arrays, or its refusal: type, message and
+    details."""
+    try:
+        out = call()
+    except WeightCalcError as err:
+        return type(err), str(err), err.details
+    if isinstance(out, tuple):
+        return tuple(np.asarray(part).tobytes() for part in out)
+    return np.asarray(out).tobytes()
+
+
+def _arguments(top):
+    """Arguments up to 10^top (past the coverage of the operands with a
+    finite hint, so that some are refused), with NaN and x <= 0 mixed in."""
+    positive = st.floats(-3.0, top).map(lambda e: 10.0**e)
+    special = st.sampled_from([math.nan, 0.0, -0.0, -2.5])
+    return st.lists(st.one_of(positive, special), min_size=1, max_size=24)
+
+
+@pytest.mark.parametrize("route", sorted(_LEGENDRE_OPERANDS))
+@settings(max_examples=25, deadline=None)
+@given(ss=_arguments(3.0), data=st.data())
+# s = 1e3 is past the slopes of the associated function's coverage
+@example(ss=[1e3, 0.5, math.nan, 0.0], data=None)
+def test_conjugate_through_the_kernel_keeps_every_bit(route, ss, data):
+    omega = _legendre_operand(route)
+    star = fn.conjugate(omega, check=False)
+    reference = _reference_conjugate(omega)
+    assert _outcome(lambda: star.evaluate_many(ss)) == _outcome(lambda: reference(ss))
+    groups = [i % 3 for i in range(len(ss))] if data is None else data.draw(
+        st.lists(st.integers(0, 3), min_size=len(ss), max_size=len(ss))
+    )
+    assert _outcome(lambda: star.evaluate_many(ss, groups=groups)) == _outcome(
+        lambda: reference(np.asarray(ss), groups=np.asarray(groups, dtype=np.intp))
+    )
+
+
+@pytest.mark.parametrize("route", sorted(_LEGENDRE_OPERANDS))
+@settings(max_examples=25, deadline=None)
+@given(xs=_arguments(4.3))
+# x = 2e4 is past the associated function's slope 8000 at its last knot
+@example(xs=[2e4, 3.0, math.nan, -0.0])
+def test_phi_star_through_the_kernel_keeps_every_bit(route, xs):
+    # phi* refuses x < 0 before any search
+    xs = [x for x in xs if not x < 0]
+    omega = _legendre_operand(route)
+    assert _outcome(lambda: bmt.phi_star_many(omega, xs, check=False)) == _outcome(
+        lambda: _reference_phi_star_many(omega, xs)
+    )
+
+
+@pytest.mark.parametrize("route", sorted(_LEGENDRE_OPERANDS))
+@settings(max_examples=10, deadline=None)
+@given(p_count=st.integers(8, 12000))
+# p = 8000 is the associated function's slope at its last knot
+@example(p_count=9000)
+def test_recovery_through_the_kernel_keeps_every_bit(route, p_count):
+    omega = _legendre_operand(route)
+    assert _outcome(
+        lambda: fn.recover_sequence(omega, 1.0, p_count, check=False).log_values
+    ) == _outcome(lambda: _reference_recovered(omega, p_count))
+
+
+@pytest.mark.parametrize("route", sorted(_LEGENDRE_OPERANDS))
+def test_each_legendre_transform_reaches_grid_sup_monotone_with_the_operands_kinks(
+    route, monkeypatch
+):
+    omega = _legendre_operand(route)
+    want = fn._kink_options((omega, 0))
+    assert set(want) == {"kinks": {"kinks"}, "parabolic": set(), "breaks": {"breaks"}}[route]
+    seen, real = [], fn.grid_sup
+
+    def recording(xs, ys, scan, refine, where, **options):
+        seen.append((where, options))
+        return real(xs, ys, scan, refine, where, **options)
+
+    monkeypatch.setattr(fn, "grid_sup", recording)
+    fn.conjugate(omega, check=False)(0.5)
+    bmt.phi_star_many(omega, [3.0], check=False)
+    fn.recover_sequence(omega, 1.0, 8, check=False)
+    assert [where for where, _ in seen] == [
+        ("conjugate", "s"), ("phi_star", "x"), ("recover_sequence", "p")
+    ]
+    for _, options in seen:
+        assert options["monotone"] is True
+        for key in ("kinks", "breaks"):
+            got = options.get(key)
+            assert (got is None) == (key not in want)
+            for (knots, shifted), (want_knots, want_shifted) in zip(got or (), want.get(key, ())):
+                np.testing.assert_array_equal(knots, want_knots)
+                assert shifted == want_shifted
+
+
+def test_legendre_transforms_answer_plus_inf_with_plus_inf():
+    # phi = exp and the identity are unbounded, so each supremum is +inf;
+    # no row is searched, so inf * y never meets y = 0
+    omega = fn.power_weight(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        star = fn.conjugate(omega)
+        assert star(math.inf) == math.inf
+        values, refused = star.evaluate_many([math.inf, 3.7], groups=[0, 1])
+        assert values[0] == math.inf and values[1] == star(3.7) and not refused.any()
+        got = bmt.phi_star_many(omega, [math.inf, 3.0])
+        assert got[0] == math.inf and got[1] == bmt.phi_star(omega, 3.0)
+        # sequence recovery's kernel, with its -inf endpoint at t -> 0
+        _, sup = fn._legendre(
+            omega, fn.DEFAULT_GRID.log_points(), lambda y: y, ("recover_sequence", "p")
+        )
+        got = sup(np.array([math.inf, 4.0]), -math.inf)
+        want = fn.recover_sequence(omega, 1.0, 8).log_values[4]
+        assert got[0] == math.inf and got[1] == want
