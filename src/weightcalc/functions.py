@@ -19,8 +19,19 @@ is monotone in the argument: always for the conjugate, phi* and sequence
 recovery, and for the envelopes when the kind of tau proves tau(e^u)
 convex on the range the scan touches, so that the grid search costs
 O((n + k) log k) cells instead of k x n.  Envelopes whose tau is of
-another kind take the dense scan.  Every transform reaches ``grid_sup``
-through ``_transform_values``.
+another kind take the dense scan.  Every grid transform reaches
+``grid_sup`` through ``_transform_values``.
+
+The envelopes of two associated functions whose sequences M and N share
+P_max need no search: in y = log t both envelopes are Legendre transforms
+of sequences, the lower one of log M_p + log N_p (the infimal convolution
+of two convex functions conjugates to the sum of their conjugates) and the
+upper one of the log-convex minorant of log M_p - log N_p (Toland-Singer
+duality for a difference of convex functions).  They are answered by one
+binary search on that sequence's quotients, and the index found there
+gives the exact set of optimal s, which takes the place of the grid argmax
+in the grid route's refusals (``_exact_envelope``).  The grid route stays
+for every other pair (``_grid_envelope_lower``, ``_grid_envelope_upper``).
 
 The conjugate, the Young conjugate phi* of ``bmt`` and sequence recovery
 are one transform in y = log t, x -> sup_y x phi(y) - omega(e^y), with
@@ -66,6 +77,7 @@ from .grids import (
     TailWindow,
     bisect_edge,
     decays_to_zero,
+    edge_refusal,
     grid_sup,
     quarter_maxima,
     stopped_rising,
@@ -328,12 +340,18 @@ def associated_log_eval(m: WeightSequence, log_ts) -> np.ndarray:
     Assumes ``m`` log-convex; for t beyond the last quotient the final
     segment extrapolates.
     """
-    logmu = m.log_quotients
+    return _associated_log_argmax(m, np.asarray(log_ts, dtype=float))[0]
+
+
+def _associated_log_argmax(m: WeightSequence, lts: np.ndarray):
+    """(values, p) with ``associated_log_eval``'s values at the log
+    arguments ``lts`` and the index p attaining each: log mu_p <= lts <
+    log mu_(p+1), so p = P_max on the extrapolated last segment and for
+    a NaN argument, whose value is NaN."""
     lv = m.log_values
-    lts = np.asarray(log_ts, dtype=float)
-    idx = np.searchsorted(logmu[1:], lts, side="right")
+    idx = np.searchsorted(m.log_quotients[1:], lts, side="right")
     out = lv[0] + idx * lts - lv[idx]
-    return np.where(idx == 0, 0.0, out)
+    return np.where(idx == 0, 0.0, out), idx
 
 
 def associated(m: WeightSequence, p0: int = 8) -> WeightFunction:
@@ -571,10 +589,10 @@ def _legendre(omega, ys, phi, where):
     Returns (wvals, sup): omega at e^ys, and ``sup(xs, endpoint, groups=None)``
     for a 1-d float array ``xs``.  The caller's ``endpoint`` is the value
     of the competing end of the range outside the grid: it answers every
-    x <= 0 and floors the supremum of the others.  x = +inf is answered by
-    +inf, since phi is unbounded.  The argmax is monotone in x (Topkis: x
-    phi(y) has increasing differences), and the objective kinks where omega
-    does, at y.
+    x <= 0 and floors the supremum of the others, a zero endpoint as
+    +0.0.  x = +inf is answered by +inf, since phi is unbounded.  The
+    argmax is monotone in x (Topkis: x phi(y) has increasing differences),
+    and the objective kinks where omega does, at y.
     """
     wvals = omega.evaluate_many(np.exp(ys))
     phis = phi(ys)
@@ -588,6 +606,7 @@ def _legendre(omega, ys, phi, where):
         return x * phi(y) - inner(np.exp(y))
 
     def sup(xs, endpoint, groups=None):
+        endpoint = endpoint + 0.0  # omega = 0 at the endpoint answers +0.0
         top = xs == math.inf
         return _transform_values(
             xs, ~(xs <= 0) & ~top, np.where(top, math.inf, endpoint), groups,
@@ -719,12 +738,102 @@ def _prefix_length(guess, holds, n):
     return k - ((k > 0) & ~holds(np.maximum(k - 1, 0)))
 
 
-def envelope_lower(
-    sigma: WeightFunction,
-    tau: WeightFunction,
-    grid: GridSpec = DEFAULT_GRID,
+def _lower_run_start(ss, t, tau_hint):
+    """First column of each row's run on the lower envelope's grid ``ss``
+    of s: the run starts past the cells t / s > tau_hint beyond tau's
+    coverage, and a NaN row runs over the whole grid."""
+    with np.errstate(all="ignore"):
+        guess = np.searchsorted(ss, np.nan_to_num(t / tau_hint, nan=0.0))
+        return _prefix_length(guess, lambda j: t / ss[j] > tau_hint, ss.size)
+
+
+def _upper_run_length(ss, ts, tau_hint):
+    """Number of columns in each row's run on the upper envelope's grid
+    ``ss`` of s: the run ends before the cells s / t > tau_hint beyond
+    tau's coverage, and a NaN row, which the search puts past the grid end,
+    runs over the whole grid."""
+    with np.errstate(all="ignore"):
+        guess = np.searchsorted(ss, ts * tau_hint, side="right")
+        return _prefix_length(guess, lambda j: ~(ss[j] / ts > tau_hint), ss.size)
+
+
+def _envelope(kind, fn, sigma, tau, grid) -> WeightFunction:
+    """The envelope of ``kind`` of (sigma, tau) evaluated by ``fn``."""
+    mark = "lowstar" if kind == "envelope_lower" else "upstar"
+    return WeightFunction(
+        kind,
+        fn,
+        params={"sigma": sigma, "tau": tau, "grid": grid},
+        name=f"({sigma.name} {mark} {tau.name})",
+    )
+
+
+def _associated_pair(sigma: WeightFunction, tau: WeightFunction):
+    """The log-convex minorants (M, N) behind sigma and tau when both are
+    associated functions and M and N share P_max, else None."""
+    if not (sigma.kind == tau.kind == "associated"):
+        return None
+    m, n = sigma.params.get("minorant"), tau.params.get("minorant")
+    if m is None or n is None or m.p_max != n.p_max:
+        return None
+    return m, n
+
+
+def _exact_envelope(kind, sigma, tau, grid, seq, maximizers, runs):
+    """An envelope of an associated pair answered from the sequence ``seq``
+    whose associated function it is, with the refusals of its grid route.
+
+    ``runs(ss, ts, tau_hint)`` gives, as the grid route builds them on the
+    grid ``ss`` of s, the mask of live arguments and each live one's run
+    of columns [lo, hi].  A live t, with x = log t, takes the index p
+    attaining omega_seq(t), and ``maximizers(x, p, p + 1)`` the ends of the
+    set of optimal log s (exact for 1 <= p < P_max).  p = 0 answers 0, the
+    value at s = 0, unrefused.  Refused are the arguments on the last,
+    extrapolated segment (p = P_max) and those whose optimal set misses the
+    inside of their searched range [log s_lo, log s_hi]."""
+    log_ss = grid.log_points(sigma.domain_hint)
+    ss = np.exp(log_ss)
+    top = seq.p_max
+
+    def fn(ts, groups=None):
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        live, lo, hi = runs(ss, ts, tau.domain_hint)
+        x = np.log(ts[live])
+        values, p = _associated_log_argmax(seq, x)
+        y_lo, y_hi = maximizers(x, p, np.minimum(p + 1, top))  # p = P_max is refused
+        # an optimal set that meets the range only at an end leaves the grid
+        # argmax there, where the grid route refuses it
+        missed = (lo >= hi) | (y_hi <= log_ss[np.minimum(lo, hi)]) | (y_lo >= log_ss[hi])
+        refused = (p > 0) & ~np.isnan(x) & ((p == top) | missed)
+        # the value at s = 0 and at t <= 0 is sigma(0) +- tau(0) = 0
+        return _exact_values(ts, live, 0.0, groups, values, refused, (kind, "t"))
+
+    return _envelope(kind, fn, sigma, tau, grid)
+
+
+def _exact_values(ts, live, fill, groups, values, refused, where):
+    """A transform's values in the form of ``_transform_values``, from
+    ``values`` known at the ``live`` arguments and the mask ``refused`` of
+    those to refuse: the first refused argument raises ``grid_sup``'s
+    :class:`DomainExhaustedError`, or with ``groups`` every group holding
+    one is refused and its live values are NaN."""
+    out = np.full_like(ts, fill)
+    if groups is None:
+        if refused.any():
+            raise edge_refusal(where, ts[live][np.argmax(refused)])
+        out[live] = values
+        return out
+    labels = groups[live]
+    gone = np.zeros(int(groups.max(initial=-1)) + 1, dtype=bool)
+    gone[labels[refused]] = True
+    out[live] = np.where(gone[labels], np.nan, values)
+    return out, gone
+
+
+def _grid_envelope_lower(
+    sigma: WeightFunction, tau: WeightFunction, grid: GridSpec = DEFAULT_GRID
 ) -> WeightFunction:
-    """Lower envelope (sigma, tau) -> inf_{s>0} sigma(s) + tau(t/s)."""
+    """``envelope_lower`` by grid search and refinement, for any pair."""
     log_ss = grid.log_points(sigma.domain_hint)
     ss = np.exp(log_ss)
     sig_vals = sigma.evaluate_many(ss)
@@ -751,11 +860,7 @@ def envelope_lower(
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         live = ~(ts <= 0)
         t = ts[live]
-        # each row's run starts past the cells t / s > tau_hint beyond tau's
-        # coverage; a NaN row runs over the whole grid
-        with np.errstate(all="ignore"):
-            guess = np.searchsorted(ss, np.nan_to_num(t / tau_hint, nan=0.0))
-            lo = _prefix_length(guess, lambda j: t / ss[j] > tau_hint, ss.size)
+        lo = _lower_run_start(ss, t, tau_hint)
         # the scan touches g(u) = tau(e^u) at u = log t - y, up to log tau_hint
         log_t = np.log(t)
         u_lo = np.nanmin(log_t, initial=np.inf) - log_ss[-1]
@@ -771,41 +876,49 @@ def envelope_lower(
             **kink_options,
         )
 
-    return WeightFunction(
-        "envelope_lower",
-        fn,
-        params={"sigma": sigma, "tau": tau, "grid": grid},
-        name=f"({sigma.name} lowstar {tau.name})",
-    )
+    return _envelope("envelope_lower", fn, sigma, tau, grid)
 
 
-def envelope_upper(
+def envelope_lower(
     sigma: WeightFunction,
     tau: WeightFunction,
     grid: GridSpec = DEFAULT_GRID,
-    check: bool = True,
-    window: Optional[TailWindow] = None,
 ) -> WeightFunction:
-    """Upper envelope (sigma, tau) -> sup_{s>=0} sigma(s) - tau(s/t).
+    """Lower envelope (sigma, tau) -> inf_{s>0} sigma(s) + tau(t/s).
 
-    Well-defined iff sigma(s) - tau(s/t) is bounded above for each t, which
-    is the dilation little-o relation of tau against sigma; the finite
-    verdict is required up front unless ``check`` is disabled.
+    Found by grid search and refinement, except for the associated
+    functions of sequences M and N that share P_max: the infimal
+    convolution in log t adds the conjugates, log M_p + log N_p, so the
+    envelope is omega_{M N}, answered from the product of the log-convex
+    minorants.  With p its index at t, the infimum is attained at every
+    log s with log mu_p <= log s <= log mu_(p+1) and log nu_p <= log(t/s)
+    <= log nu_(p+1); that set stands in for the grid argmax in the grid
+    route's refusals (``_exact_envelope``).
     """
-    if check:
-        # the forward dilation scan of relation_fn(tau, sigma) decides
-        # triangle_c; the rest of the verdict only names a refusal
-        win_ts, win_tau, win_sig = _relation_samples(tau, sigma, window)
-        forward = _dilation_scan(win_ts, win_sig, tau, H_GRID)
-        if not _triangle_c(forward[2]):
-            verdict = _relation_verdict(tau, sigma, win_ts, win_tau, win_sig, forward)
-            raise WellDefinednessError(
-                "upper envelope is not certifiable: sup_s {sigma(s) - tau(s/t)} "
-                "is finite for all t iff for every h > 0 there is C_h with "
-                "sigma(u) <= tau(hu) + C_h, and the window verdict rejects "
-                "that relation",
-                verdict=verdict.kind,
-            )
+    pair = _associated_pair(sigma, tau)
+    if pair is None:
+        return _grid_envelope_lower(sigma, tau, grid)
+    m, n = pair
+    log_mu, log_nu = m.log_quotients, n.log_quotients
+
+    def maximizers(x, p, q):
+        return np.maximum(log_mu[p], x - log_nu[q]), np.minimum(log_mu[q], x - log_nu[p])
+
+    def runs(ss, ts, tau_hint):
+        live = ~(ts <= 0)
+        return live, _lower_run_start(ss, ts[live], tau_hint), ss.size - 1
+
+    product = WeightSequence(m.log_values + n.log_values)
+    return _exact_envelope(
+        "envelope_lower", sigma, tau, grid, product, maximizers, runs
+    )
+
+
+def _grid_envelope_upper(
+    sigma: WeightFunction, tau: WeightFunction, grid: GridSpec = DEFAULT_GRID
+) -> WeightFunction:
+    """``envelope_upper`` by grid search and refinement, for any pair,
+    without the precondition."""
     log_ss = grid.log_points(sigma.domain_hint)
     ss = np.exp(log_ss)
     sig_vals = sigma.evaluate_many(ss)
@@ -826,14 +939,7 @@ def envelope_upper(
 
     def fn(ts, groups=None):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        # each row's run ends before the cells s / t > tau_hint beyond tau's
-        # coverage; a NaN row, which the search puts past the grid end, runs
-        # over the whole grid
-        with np.errstate(all="ignore"):
-            guess = np.searchsorted(ss, ts * tau_hint, side="right")
-            covered = _prefix_length(
-                guess, lambda j: ~(ss[j] / ts > tau_hint), ss.size
-            )
+        covered = _upper_run_length(ss, ts, tau_hint)
         # the s = 0 endpoint competes, and alone answers the rows whose run
         # is empty
         live = ~(ts <= 0) & (covered > 0)
@@ -851,11 +957,63 @@ def envelope_upper(
             **kink_options,
         )
 
-    return WeightFunction(
-        "envelope_upper",
-        fn,
-        params={"sigma": sigma, "tau": tau, "grid": grid},
-        name=f"({sigma.name} upstar {tau.name})",
+    return _envelope("envelope_upper", fn, sigma, tau, grid)
+
+
+def envelope_upper(
+    sigma: WeightFunction,
+    tau: WeightFunction,
+    grid: GridSpec = DEFAULT_GRID,
+    check: bool = True,
+    window: Optional[TailWindow] = None,
+) -> WeightFunction:
+    """Upper envelope (sigma, tau) -> sup_{s>=0} sigma(s) - tau(s/t).
+
+    Well-defined iff sigma(s) - tau(s/t) is bounded above for each t, which
+    is the dilation little-o relation of tau against sigma; the finite
+    verdict is required up front unless ``check`` is disabled.
+
+    Found by grid search and refinement, except for the associated
+    functions of sequences M and N that share P_max: by Toland-Singer
+    duality the supremum in log t of a difference of convex functions is
+    sup_p (p log t - (log M_p - log N_p)), so the envelope is the
+    associated function of the log-convex minorant of M/N, whether or not
+    M/N is log-convex.  With p its index at t, the supremum is attained at
+    every log s with log nu_p <= log(s/t) <= log nu_(p+1); that set stands
+    in for the grid argmax in the grid route's refusals
+    (``_exact_envelope``).
+    """
+    if check:
+        # the forward dilation scan of relation_fn(tau, sigma) decides
+        # triangle_c; the rest of the verdict only names a refusal
+        win_ts, win_tau, win_sig = _relation_samples(tau, sigma, window)
+        forward = _dilation_scan(win_ts, win_sig, tau, H_GRID)
+        if not _triangle_c(forward[2]):
+            verdict = _relation_verdict(tau, sigma, win_ts, win_tau, win_sig, forward)
+            raise WellDefinednessError(
+                "upper envelope is not certifiable: sup_s {sigma(s) - tau(s/t)} "
+                "is finite for all t iff for every h > 0 there is C_h with "
+                "sigma(u) <= tau(hu) + C_h, and the window verdict rejects "
+                "that relation",
+                verdict=verdict.kind,
+            )
+    pair = _associated_pair(sigma, tau)
+    if pair is None:
+        return _grid_envelope_upper(sigma, tau, grid)
+    m, n = pair
+    log_nu = n.log_quotients
+
+    def maximizers(x, p, q):
+        return x + log_nu[p], x + log_nu[q]
+
+    def runs(ss, ts, tau_hint):
+        covered = _upper_run_length(ss, ts, tau_hint)
+        live = ~(ts <= 0) & (covered > 0)
+        return live, 0, covered[live] - 1
+
+    quotient = log_convex_minorant(WeightSequence(m.log_values - n.log_values))
+    return _exact_envelope(
+        "envelope_upper", sigma, tau, grid, quotient, maximizers, runs
     )
 
 

@@ -3,12 +3,15 @@ trend heuristics.
 
 Every sup/inf transform of the package (conjugate, the two Legendre
 envelopes, sequence recovery and the Young conjugate phi*) is one call of
-``grid_sup``: a search for each argument's leftmost grid argmax on a log
-grid, an edge test that refuses an optimum outside the searched range, and
-refinement of the winning cell.  Each argument is searched on its run of
-grid columns, the cells within the operands' coverage, which the caller
-passes in: one run per row, with ends non-decreasing in the argument.  A
-row whose run is empty is refused before any scan.  Refinement takes the
+``grid_sup``, except the envelopes of two associated functions sharing
+P_max, which ``functions`` answers from their sequences with the same
+refusal (``edge_refusal``).  A call is a search for each argument's
+leftmost grid argmax on a log grid, an edge test that refuses an optimum
+outside the searched range, and refinement of the winning cell.  Each
+argument is searched on its run of grid columns, the cells within the
+operands' coverage, which the caller passes in: one run per row, with ends
+non-decreasing in the argument.  A row whose run is empty is refused
+before any scan.  Refinement takes the
 best of the cell's bracket ends and the kinks inside it when the objective
 is piecewise convex with known kinks (operands piecewise linear in log t,
 such as associated functions), the breakpoint view of Lucet (1997), once
@@ -758,6 +761,18 @@ def _refined(xs, ys, j, at_cap, refine, floor, cap, kinks=None, breaks=None):
     return out
 
 
+def edge_refusal(where, x) -> DomainExhaustedError:
+    """The error refusing argument ``x`` of a transform whose optimum
+    escapes its searched range; ``where`` = (transform, argument name)."""
+    name, arg = where
+    bad = float(x)
+    return DomainExhaustedError(
+        f"{name}: optimum at the edge of the searched range for "
+        f"{arg}={bad:g}; enlarge the grid or the operands' coverage",
+        **{arg: bad},
+    )
+
+
 def grid_sup(
     xs,
     ys,
@@ -862,13 +877,7 @@ def grid_sup(
     )
     if groups is None:
         if refused_by[0] >= 0:
-            name, arg = where
-            bad = float(xs[refused_by[0]])
-            raise DomainExhaustedError(
-                f"{name}: optimum at the edge of the searched range for "
-                f"{arg}={bad:g}; enlarge the grid or the operands' coverage",
-                **{arg: bad},
-            )
+            raise edge_refusal(where, xs[refused_by[0]])
         return _refined(xs, ys, j, at_cap, refine, floor, cap, kinks, breaks)
     refused = refused_by >= 0
     keep = ~refused[groups]

@@ -331,10 +331,12 @@ def test_envelope_lower_commutative():
 def test_envelope_lower_of_associated_functions_is_that_of_the_product():
     # inf_s omega_M(s) + omega_N(t/s) = omega_MN(t), the infimal convolution
     # in log t of two conjugates being the conjugate of the sum
+    # (the grid route's accuracy: the public envelope of this pair is
+    # answered from the sequences, see the tests below)
     m, n = sq.gevrey(0.5, 2000), sq.gevrey(0.8, 2000)
     sigma, tau = fn.associated(m), fn.associated(n)
     ts = np.exp(np.linspace(math.log(2.0), math.log(5e3), 300))
-    got = fn.envelope_lower(sigma, tau).evaluate_many(ts)
+    got = fn._grid_envelope_lower(sigma, tau).evaluate_many(ts)
     lv = m.log_values + n.log_values
     ps = np.arange(lv.size, dtype=float)
     exact = np.max(ps * np.log(ts)[:, None] - (lv - lv[0]), axis=1)
@@ -584,6 +586,247 @@ def test_envelope_runs_match_the_coverage_predicate_cell_for_cell(
 
 
 # ---------------------------------------------------------------------------
+# envelopes of associated pairs, answered from their sequences
+# ---------------------------------------------------------------------------
+
+
+def _both_routes(which, sigma, tau, grid=fn.DEFAULT_GRID):
+    """The public envelope of the pair and its grid route; the upper
+    envelope's precondition is not applied."""
+    if which == "lower":
+        return (
+            fn.envelope_lower(sigma, tau, grid),
+            fn._grid_envelope_lower(sigma, tau, grid),
+        )
+    return (
+        fn.envelope_upper(sigma, tau, grid, check=False),
+        fn._grid_envelope_upper(sigma, tau, grid),
+    )
+
+
+def _exact_optimum(which, sigma, tau, log_ts):
+    """The envelope's value at each log t by brute force over p, and for
+    every p the ends of the set of log s where p attains it (NaN where p is
+    not optimal, to rounding): the lower envelope is max_p (p x - (log M_p
+    + log N_p)), the upper one max_p (p x - (log M_p - log N_p)), with M and
+    N the operands' log-convex minorants and x = log t."""
+    m, n = sigma.params["minorant"], tau.params["minorant"]
+    lv = m.log_values + n.log_values if which == "lower" else m.log_values - n.log_values
+    ps = np.arange(lv.size)
+    x = log_ts[:, None]
+    affine = ps * x - (lv - lv[0])
+    value = affine.max(axis=1)
+    optimal = affine >= value[:, None] - 1e-13 * np.maximum(1.0, np.abs(value[:, None]))
+    log_mu, log_nu = (np.append(seq.log_quotients, np.inf) for seq in (m, n))
+    if which == "lower":
+        y_lo = np.maximum(log_mu[:-1], x - log_nu[1:])
+        y_hi = np.minimum(log_mu[1:], x - log_nu[:-1])
+    else:
+        y_lo, y_hi = x + log_nu[:-1], x + log_nu[1:]
+    return value, np.where(optimal, y_lo, np.nan), np.where(optimal, y_hi, np.nan)
+
+
+def _search_runs(which, sigma, tau, ts, grid=fn.DEFAULT_GRID):
+    """The grid of log s and each argument's run of columns [lo, hi], from
+    the coverage predicate (empty when lo > hi)."""
+    log_ss = grid.log_points(sigma.domain_hint)
+    ss = np.exp(log_ss)
+    ts = ts[:, None]
+    if which == "lower":
+        lo = (ts / ss > tau.domain_hint).sum(axis=1)
+        return log_ss, lo, np.full_like(lo, ss.size - 1)
+    hi = (ss / ts <= tau.domain_hint).sum(axis=1) - 1
+    return log_ss, np.zeros_like(hi), hi
+
+
+def _gap(y_lo, y_hi, y):
+    """Distance from the point y to the nearest of the intervals [y_lo,
+    y_hi] (NaN ends mark no interval)."""
+    return np.nanmin(np.maximum(0.0, np.maximum(y_lo - y, y - y_hi)), initial=np.inf)
+
+
+_PAIR_FAMILIES = {
+    "gevrey": (sq.gevrey, st.floats(0.25, 2.0)),
+    "exp_power": (sq.exp_power, st.floats(1.2, 2.5)),
+    "qgevrey": (sq.qgevrey, st.floats(1.05, 3.0)),
+}
+
+
+@st.composite
+def _associated_pairs(draw):
+    p_max = draw(st.sampled_from([100, 500, 2000, 8000]))
+
+    def one():
+        make, param = _PAIR_FAMILIES[draw(st.sampled_from(sorted(_PAIR_FAMILIES)))]
+        return fn.associated(make(draw(param), p_max))
+
+    return one(), one()
+
+
+@pytest.mark.parametrize("which", ["lower", "upper"])
+@settings(max_examples=40, deadline=None)
+@given(
+    pair=_associated_pairs(),
+    ts=st.lists(
+        st.one_of(
+            st.floats(-3.0, 9.0).map(lambda e: 10.0**e),
+            st.sampled_from([math.nan, 0.0, -2.5]),
+        ),
+        min_size=1,
+        max_size=24,
+    ),
+)
+def test_envelope_of_an_associated_pair_agrees_with_its_grid_route(which, pair, ts):
+    sigma, tau = pair
+    ts = np.asarray(ts)
+    exact, grid_route = _both_routes(which, sigma, tau)
+    labels = np.arange(ts.size)
+    got, refused = exact.evaluate_many(ts, groups=labels)
+    want, refused_ref = grid_route.evaluate_many(ts, groups=labels)
+    # t <= 0 and NaN are answered alike, and never refused
+    special = ~(ts > 0)
+    np.testing.assert_array_equal(got[special], want[special])
+    assert not (refused | refused_ref)[special].any()
+    # where both accept, the values agree (the rounding of p log t - log M_p
+    # is absolute, so below 1 the tolerance is too); the grid route answers
+    # the lower envelope's cap 0 within 1e-12 of it
+    both = ~refused & ~refused_ref & ~special
+    close = np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))
+    capped = (which == "lower") & (want == 0.0) & (got <= 1e-12)
+    assert np.all((close | capped)[both])
+    # a refusal flips only where an optimal set comes within one grid cell
+    # of a refusing end of the searched range, or where the grid route
+    # accepts a value short of the optimum, which lies outside its range
+    ts = np.where(special, 1.0, ts)
+    value, y_lo, y_hi = _exact_optimum(which, sigma, tau, np.log(ts))
+    log_ss, lo, hi = _search_runs(which, sigma, tau, ts)
+    cell = log_ss[1] - log_ss[0]
+    ends = (lo, hi) if which == "lower" else (hi,)
+    for i in np.flatnonzero(refused != refused_ref):
+        inside = [end[i] for end in ends if 0 <= end[i] < log_ss.size]
+        near = min((_gap(y_lo[i], y_hi[i], log_ss[end]) for end in inside), default=math.inf)
+        short = want[i] > value[i] * (1 + 1e-14) if which == "lower" else (
+            want[i] < value[i] * (1 - 1e-14)
+        )
+        assert near <= cell * (1 + 1e-9) or (refused[i] and short)
+
+
+def test_envelopes_of_other_pairs_take_the_grid_route(monkeypatch):
+    # P_max differs, or one operand is not an associated function
+    short, long = sq.gevrey(0.5, 4000), sq.gevrey(0.25, 8000)
+    pairs = [
+        (fn.associated(short), fn.associated(long)),
+        (fn.associated(sq.gevrey(1.5, 4000)), fn.associated(short)),
+        (fn.associated(short), fn.power_weight(2.0)),
+    ]
+    builds = [
+        lambda: fn.envelope_lower(*pairs[0]),
+        lambda: fn.envelope_upper(*pairs[0][::-1], check=False),
+        lambda: fn.envelope_lower(fn.associated(short), fn.integral_form(short)),
+        lambda: fn.envelope_lower(*pairs[2]),
+    ]
+    envelopes = [build() for build in builds]
+    same_p_max = fn.envelope_upper(*pairs[1])
+
+    def refuse(*args, **options):
+        raise AssertionError("grid_sup called")
+
+    monkeypatch.setattr(fn, "grid_sup", refuse)
+    for env in envelopes:
+        with pytest.raises(AssertionError, match="grid_sup called"):
+            env.evaluate_many([5.0, 40.0])
+    assert np.all(np.isfinite(same_p_max.evaluate_many([5.0, 40.0])))
+
+
+def _growthrel_envelopes(p_max=100000):
+    """GROWTHREL_SEQ's two lower envelopes, as the check builds them."""
+    small = fn.envelope_lower(
+        fn.associated(sq.gevrey(1 / 3, p_max)), fn.associated(sq.gevrey(0.25, p_max))
+    )
+    big = fn.envelope_lower(
+        fn.associated(sq.gevrey(0.5, p_max)), fn.associated(sq.gevrey(1 / 3, p_max))
+    )
+    return small, big
+
+
+@functools.cache
+def _check_envelopes():
+    """(label, envelope, relation samples) for ENVELOPE_ID's five clauses
+    and GROWTHREL_SEQ's two envelopes."""
+    from weightcalc import checks
+
+    out = []
+    for clause in ("i", "ii", "iii", "iv", "v"):
+        (env, ref, window, _), _ = checks._envelope_id_clause(clause)
+        out.append((f"clause_{clause}", env, fn._relation_samples(env, ref, window)[0]))
+    small, big = _growthrel_envelopes()
+    ts = fn._relation_samples(small, big, TailWindow(2.0, 50.0, 256))[0]
+    return out + [("growthrel_small", small, ts), ("growthrel_big", big, ts)]
+
+
+def _dilated(ts):
+    """The relation samples at every dilation of H_GRID, and their labels."""
+    args = np.concatenate([h * ts for h in fn.H_GRID])
+    return args, np.repeat(np.arange(fn.H_GRID.size), ts.size)
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_check_envelopes_refuse_the_same_dilations_as_the_grid_route(index):
+    label, env, ts = _check_envelopes()[index]
+    which = env.kind.removeprefix("envelope_")
+    _, grid_route = _both_routes(which, env.params["sigma"], env.params["tau"])
+    args, labels = _dilated(ts)
+    got, refused = env.evaluate_many(args, groups=labels)
+    want, refused_ref = grid_route.evaluate_many(args, groups=labels)
+    np.testing.assert_array_equal(refused, refused_ref)
+    assert refused.any() and not refused.all()
+    keep = ~refused[labels]
+    assert np.all(np.abs(got - want)[keep] <= 1e-14 * np.maximum(1.0, np.abs(want[keep])))
+
+
+def test_check_envelopes_search_no_grid(monkeypatch):
+    envelopes = _check_envelopes()
+    small, big = _growthrel_envelopes(4000)
+
+    def refuse(*args, **options):
+        raise AssertionError("grid_sup called")
+
+    monkeypatch.setattr(fn, "grid_sup", refuse)
+    for _, env, ts in envelopes:
+        args, labels = _dilated(ts)
+        values, refused = env.evaluate_many(args, groups=labels)
+        assert np.all(np.isfinite(values[~refused[labels]]))
+        assert np.all(np.isfinite(env.evaluate_many(ts)))
+    # transform-sweep's refusal draw: t beyond the product's last quotient
+    for sigma, tau in ((small, big), (big, small)):
+        m = sigma.params["sigma"].params["sequence"]
+        n = tau.params["tau"].params["sequence"]
+        env = fn.envelope_lower(fn.associated(m), fn.associated(n))
+        top = math.exp(float(np.diff(m.log_values + n.log_values)[-1]))
+        with pytest.raises(DomainExhaustedError, match="envelope_lower"):
+            env.evaluate_many([2.0 * top, 10.0 * top])
+        with pytest.raises(DomainExhaustedError):
+            env(2.0 * top)
+
+
+def test_exact_envelope_refusal_names_the_first_refused_argument():
+    env, grid_route = _both_routes(
+        "lower", fn.associated(sq.gevrey(0.6, 2000)), fn.associated(sq.gevrey(0.3, 2000))
+    )
+    ts = [3.0, 1e9, 5.0, 1e10]
+    errors = []
+    for route in (env, grid_route):
+        with pytest.raises(DomainExhaustedError) as info:
+            route.evaluate_many(ts)
+        errors.append((str(info.value), info.value.details))
+    assert errors[0] == errors[1] and errors[0][1] == {"t": 1e9}
+    values, refused = env.evaluate_many(ts + [-1.0], groups=[0, 1, 0, 2, 1])
+    assert refused.tolist() == [False, True, True]
+    assert np.isnan(values[[1, 3]]).all() and values[4] == 0.0
+    np.testing.assert_array_equal(values[[0, 2]], env.evaluate_many([3.0, 5.0]))
+
+
+# ---------------------------------------------------------------------------
 # function relations
 # ---------------------------------------------------------------------------
 
@@ -721,10 +964,12 @@ def test_dilation_scan_breaks_a_near_tie_towards_the_smallest_h(ulp_lower_at):
 
 def test_batched_dilation_scan_of_an_envelope_with_fully_masked_rows(monkeypatch):
     # ENVELOPE_ID clause (i): at h = 1024 every t h / s of the search grid lies
-    # beyond the coverage of the conjugate's associated function
+    # beyond the coverage of the conjugate's associated function.  The
+    # public envelope of this associated pair is answered from the
+    # sequences, so the grid route is called directly.
     m = sq.gevrey(1 / 3, 8000)
     tau = fn.associated(sq.conjugate_sequence(m))
-    sigma = fn.envelope_lower(fn.associated(m), tau)
+    sigma = fn._grid_envelope_lower(fn.associated(m), tau)
     window = TailWindow(10.0, 1e3, 256)
     s_max = fn.DEFAULT_GRID.points(sigma.params["sigma"].domain_hint)[-1]
     assert fn.H_GRID[-1] * window.t_lo / s_max > tau.domain_hint
@@ -1071,11 +1316,12 @@ def test_recover_sequence_refuses_a_non_integer_p_count():
 
 def _reference_conjugate(omega, grid=fn.DEFAULT_GRID):
     """The conjugate's evaluator as it was written before the kernel: its
-    own tabulation, scan, refinement and fill."""
+    own tabulation, scan, refinement and fill, save that a zero endpoint
+    answers +0.0, not -0.0."""
     log_ts = grid.log_points(omega.domain_hint)
     ts = np.exp(log_ts)
     wvals = omega.evaluate_many(ts)
-    w0 = omega(0.0)
+    endpoint = -omega(0.0) + 0.0
     inner = omega.evaluate_many
     kink_options = fn._kink_options((omega, 0))
 
@@ -1089,8 +1335,8 @@ def _reference_conjugate(omega, grid=fn.DEFAULT_GRID):
         ss = np.atleast_1d(np.asarray(ss, dtype=float))
         live = ~(ss <= 0)
         return fn._transform_values(
-            ss, live, -w0, groups, log_ts, scan, refine, ("conjugate", "s"),
-            floor=-w0, monotone=True, **kink_options,
+            ss, live, endpoint, groups, log_ts, scan, refine, ("conjugate", "s"),
+            floor=endpoint, monotone=True, **kink_options,
         )
 
     return evaluate
@@ -1098,7 +1344,8 @@ def _reference_conjugate(omega, grid=fn.DEFAULT_GRID):
 
 def _reference_phi_star_many(omega, xs, grid=fn.DEFAULT_GRID):
     """phi* at x >= 0 as ``bmt.phi_star_many`` computed it before the
-    kernel, past its preconditions."""
+    kernel, past its preconditions, save that a zero endpoint answers
+    +0.0, not -0.0."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.linspace(0.0, math.log(min(grid.t_max, omega.domain_hint)), grid.n)
     wvals = omega.evaluate_many(np.exp(ys))
@@ -1110,7 +1357,7 @@ def _reference_phi_star_many(omega, xs, grid=fn.DEFAULT_GRID):
     def refine(x, y):
         return x * y - inner(np.exp(y))
 
-    endpoint = -wvals[0]  # y = 0
+    endpoint = -wvals[0] + 0.0  # y = 0
     out = np.full_like(xs, endpoint)
     live = ~(xs <= 0)
     out[live] = grids.grid_sup(
@@ -1250,6 +1497,16 @@ def test_each_legendre_transform_reaches_grid_sup_monotone_with_the_operands_kin
             for (knots, shifted), (want_knots, want_shifted) in zip(got or (), want.get(key, ())):
                 np.testing.assert_array_equal(knots, want_knots)
                 assert shifted == want_shifted
+
+
+def test_legendre_transforms_answer_a_zero_endpoint_with_plus_zero():
+    # omega(0) = 0 for the conjugate's endpoint t = 0 and omega(1) = 0 for
+    # phi*'s endpoint y = 0; -omega there is +0.0, not -0.0
+    star = fn.conjugate(fn.power_weight(0.5))
+    got = star.evaluate_many([0.0, -1.0, -0.0])
+    assert np.all(got == 0.0) and not np.signbit(got).any()
+    got = bmt.phi_star_many(fn.normalized(fn.power_weight(0.5)), [0.0])
+    assert got[0] == 0.0 and not np.signbit(got[0])
 
 
 def test_legendre_transforms_answer_plus_inf_with_plus_inf():

@@ -142,6 +142,29 @@ def test_function_descriptor_nested_envelope():
     assert np.max(np.abs(rebuilt.evaluate_many(ts) - env.evaluate_many(ts))) < 1e-9
 
 
+@pytest.mark.parametrize("which", ["lower", "upper"])
+def test_envelope_of_an_associated_pair_round_trips_bit_identically(which, monkeypatch):
+    # the loader rebuilds the envelope through its public constructor, which
+    # answers an associated pair sharing P_max from the sequences again
+    m, n = (sq.gevrey(0.5, 8000), sq.gevrey(0.25, 8000)) if which == "lower" else (
+        sq.gevrey(1.5, 8000), sq.gevrey(0.5, 8000)
+    )
+    build = fn.envelope_lower if which == "lower" else fn.envelope_upper
+    env = build(fn.associated(m), fn.associated(n))
+    rebuilt = ser.build_function(json.loads(ser.dump_json(ser.function_to_dict(env))))
+    assert rebuilt.kind == env.kind and rebuilt.name == env.name
+
+    def refuse(*args, **options):
+        raise AssertionError("grid_sup called")
+
+    monkeypatch.setattr(fn, "grid_sup", refuse)
+    ts = np.concatenate(([0.0, -1.0, np.nan], np.exp(np.linspace(0.0, 6.0, 97))))
+    assert rebuilt.evaluate_many(ts).tobytes() == env.evaluate_many(ts).tobytes()
+    labels = np.arange(ts.size) % 5
+    got, want = (f.evaluate_many(ts, groups=labels) for f in (rebuilt, env))
+    assert [part.tobytes() for part in got] == [part.tobytes() for part in want]
+
+
 def test_associated_descriptor_embeds_sequence():
     omega = fn.associated(sq.gevrey(1, 40))
     data = ser.function_to_dict(omega)
