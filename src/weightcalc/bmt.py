@@ -64,8 +64,13 @@ def phi_star_many(
     """phi*(x) = sup_{y >= 0} (x y - omega(e^y)) on an array of x >= 0.
 
     Finite only when log t = o(omega(t)); the finite proxy is enforced
-    unless ``check`` is off.  The y = 0 endpoint competes, so phi*(0) = 0
-    for normalized omega.
+    unless ``check`` is off.  The supremum is taken over y in [0,
+    log min(t_max, coverage)], and the y = 0 endpoint answers x = 0, so
+    phi*(0) = 0 for normalized omega.  An omega linear in log t between its
+    knots is answered exactly, as the best of its knots and the range's
+    ends (``functions._legendre``); any other omega by a grid search with
+    refinement.  An optimum at the top of the range raises
+    :class:`DomainExhaustedError`.
     """
     if check and not log_o_proxy(omega):
         raise PreconditionError(
@@ -79,10 +84,10 @@ def phi_star_many(
     y_hi = math.log(min(grid.t_max, omega.domain_hint))
     if y_hi <= 0:
         raise DomainError("grid/domain leaves no room above t = 1")
-    wvals, sup = _legendre(
+    sup = _legendre(
         omega, np.linspace(0.0, y_hi, grid.n), lambda y: y, ("phi_star", "x")
     )
-    return sup(xs, -wvals[0])  # the y = 0 endpoint
+    return sup(xs, -omega(1.0))  # the y = 0 endpoint
 
 
 def phi_star(

@@ -11,14 +11,15 @@ argmax lands on a search boundary (or, given group labels, report the
 refused groups), so a silently-extrapolated value can never win a
 supremum.
 
-Suprema are located by :func:`weightcalc.grids.grid_sup`: a search for the
-leftmost argmax on a log-spaced grid followed by refinement of the winning
-cell.  Each transform supplies its grid, its objective at grid cells and
-at points of each row, its endpoint or cap values, and whether the argmax
-is monotone in the argument: always for the conjugate, phi* and sequence
-recovery, and for the envelopes when the kind of tau proves tau(e^u)
-convex on the range the scan touches, so that the grid search costs
-O((n + k) log k) cells instead of k x n.  Envelopes whose tau is of
+Suprema are located by :func:`weightcalc.grids.grid_sup`, save where a
+transform of piecewise-linear operands is answered exactly (below): a
+search for the leftmost argmax on a log-spaced grid followed by
+refinement of the winning cell.  Each transform supplies its grid, its
+objective at grid cells and at points of each row, its endpoint or cap
+values, and whether the argmax is monotone in the argument: always for
+the conjugate, phi* and sequence recovery, and for the envelopes when the
+kind of tau proves tau(e^u) convex on the range the scan touches, so that
+the grid search costs O((n + k) log k) cells instead of k x n.  Envelopes whose tau is of
 another kind take the dense scan.  Every grid transform reaches
 ``grid_sup`` through ``_transform_values``.
 
@@ -35,27 +36,39 @@ for every other pair (``_grid_envelope_lower``, ``_grid_envelope_upper``).
 
 The conjugate, the Young conjugate phi* of ``bmt`` and sequence recovery
 are one transform in y = log t, x -> sup_y x phi(y) - omega(e^y), with
-phi = exp for the conjugate and the identity for the other two.  They
-share one kernel (``_legendre``): it tabulates omega on the caller's grid
-of y, passes omega's kinks and the monotone argmax, answers x <= 0 with
-the caller's endpoint, which also floors the supremum, and x = +inf with
-+inf; the callers keep only their grids, endpoints and preconditions.
+phi = exp for the conjugate and the identity for the other two, over the
+caller's range of y.  They share one kernel (``_legendre``): it answers
+x <= 0 with the caller's endpoint, which also floors the supremum, and
+x = +inf with +inf; the callers keep only their ranges, endpoints and
+preconditions.
 
 Every function describes its kinks once (``log_kinks``): its knots in
 log t, and whether it is linear in log t between them, as associated
 functions, their integral form, sampled functions and the ``normalized``
-and ``power_substitution`` wrappers of these are.  A transform whose
-operands are all piecewise linear passes their knots as kinks, and
-between two kinks its objective is convex in y = log t: s e^y minus a
-linear function for the conjugate, linear for the envelopes, sequence
-recovery and phi*.  A bracket's maximum then sits at one of its ends or
-kinks, and every row is answered by evaluating them all at once, after a
-run of more than 60 kinks of one operand is narrowed by bisection on that
-operand's kink values.  When only some operands are (an associated
-function with a power weight, a normalized power weight), brackets are
-cut at all the operands' knots and each piece refined on its own.  Smooth
-pieces are refined by safeguarded parabolic interpolation, which removes
-the grid bias down to machine precision for objectives concave near their
+and ``power_substitution`` wrappers of these are.  Between two knots of
+such an omega the kernel's objective is convex in y, so the supremum sits
+at a knot or at an end of the range: it is the upper envelope of one line
+x -> x phi(y_k) - omega(e^(y_k)) per candidate, the discrete Legendre
+transform of Lucet (1997).  The kernel answers it exactly from the lower
+convex hull of the points (phi(y_k), omega(e^(y_k))), built once from
+omega's own data, by one binary search per argument on the hull's chord
+slopes (``_hull_legendre``), and refuses an argument only when its best
+candidate is the top end of the range; the grid route also refuses an
+optimum at a knot inside its last cell when the grid argmax falls on the
+last grid point.  Every other omega takes the grid route (``_grid_legendre``):
+it tabulates omega on the grid of y and calls ``grid_sup`` with the
+monotone argmax.
+
+An envelope whose operands are all piecewise linear passes their knots to
+``grid_sup`` as kinks: between two kinks its objective is linear in y, so
+a bracket's maximum sits at one of its ends or kinks, and every row is
+answered by evaluating them all at once, after a run of more than 60
+kinks of one operand is narrowed by bisection on that operand's kink
+values.  When only some operands are (an associated function with a
+power weight, a normalized power weight), brackets are cut at all the
+operands' knots and each piece refined on its own.  Smooth pieces are
+refined by safeguarded parabolic interpolation, which removes the grid
+bias down to machine precision for objectives concave near their
 maximum.
 """
 
@@ -63,7 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
@@ -105,6 +118,11 @@ _EXPENSIVE_KINDS = frozenset(
 )
 #: Wrapper kinds that are grid transforms when their operand ``of`` is one.
 _WRAPPER_KINDS = frozenset({"normalized", "power_substitution"})
+
+#: Relative distance, to max(1, |y|), within which the best knot of an exact
+#: Legendre transform refuses as the top end y of its range would: rounding
+#: of a coverage hint can leave an operand's last knot an ulp inside it.
+_TOP_ROUNDING = 4 * np.finfo(float).eps
 
 #: Dilations h searched by ``relation_fn``.
 H_GRID = 2.0 ** np.arange(-10, 11)
@@ -444,6 +462,11 @@ def log_kinks(omega: WeightFunction) -> tuple[Optional[np.ndarray], bool]:
     t = 1, where it leaves 0, and ``power_substitution`` with exponent
     alpha moves each knot u to alpha u, where (log t) / alpha = u.  Every
     other kind has no known knot and is not linear.
+
+    The knots serve the grid routes of the envelopes (``_kink_options``)
+    and the refinement of operands that are not linear between them.  The
+    Legendre transforms of a linear omega search no grid: they read omega
+    at its knots from its own data (``_knot_values``).
     """
     # kinds are those of this module's constructors; a function built
     # directly under such a kind without its parameters has none
@@ -465,6 +488,39 @@ def log_kinks(omega: WeightFunction) -> tuple[Optional[np.ndarray], bool]:
     if np.any(knots[1:] < knots[:-1]):
         knots = np.maximum.accumulate(knots)
     return knots, True
+
+
+def _knot_values(omega: WeightFunction) -> np.ndarray:
+    """omega at e^u for every knot u of ``log_kinks(omega)``, for an omega
+    linear in log t between its knots, read from omega's own data.
+
+    An associated function is lv_0 + p log mu_p - lv_p at log mu_p, lv the
+    log values of its log-convex minorant; its integral form is p log mu_p
+    minus the sum of log mu_k over k <= p; a sampled function is its
+    samples.  ``normalized`` subtracts omega(1) and clips at 0, and
+    ``power_substitution`` keeps the values of the knots it moves.
+    """
+    kind, params = omega.kind, omega.params
+    if kind == "power_substitution":
+        return _knot_values(params["of"])
+    if kind == "normalized":
+        inner = params["of"]
+        # the knots of log_kinks: union1d is unique of the concatenation
+        _, first = np.unique(np.append(log_kinks(inner)[0], 0.0), return_index=True)
+        shift = inner(1.0)
+        return np.maximum(np.append(_knot_values(inner), shift)[first] - shift, 0.0)
+    if kind == "sampled":
+        return params["values"]
+    knots = log_kinks(omega)[0]
+    at = np.arange(1.0, knots.size + 1)
+    at *= knots
+    if kind == "associated":
+        lv = params["minorant"].log_values
+        at += lv[0]
+        at -= lv[1:]
+        return at
+    at -= np.cumsum(params["sequence"].log_quotients[1:])
+    return at
 
 
 def _kink_options(*placed):
@@ -581,20 +637,39 @@ def _transform_values(xs, live, fill, groups, *kernel, sign=1.0, **options):
     return out, refused
 
 
-def _legendre(omega, ys, phi, where):
-    """The transform x -> sup over the grid ``ys`` of x phi(y) - omega(e^y),
-    for phi = ``np.exp`` (the conjugate) or the identity (phi* and sequence
-    recovery), with ``where`` labelling its refusals.
+def _legendre(omega, ys, phi, where, wvals=None):
+    """The transform x -> sup over y in [ys[0], ys[-1]] of x phi(y) -
+    omega(e^y), for phi = ``np.exp`` (the conjugate) or the identity (phi*
+    and sequence recovery), with ``where`` labelling its refusals;
+    ``wvals`` is omega at e^ys when the caller has tabulated it.
 
-    Returns (wvals, sup): omega at e^ys, and ``sup(xs, endpoint, groups=None)``
-    for a 1-d float array ``xs``.  The caller's ``endpoint`` is the value
-    of the competing end of the range outside the grid: it answers every
-    x <= 0 and floors the supremum of the others, a zero endpoint as
-    +0.0.  x = +inf is answered by +inf, since phi is unbounded.  The
-    argmax is monotone in x (Topkis: x phi(y) has increasing differences),
-    and the objective kinks where omega does, at y.
+    Returns ``sup(xs, endpoint, groups=None)`` for a 1-d float array
+    ``xs``.  The caller's ``endpoint`` is the value of the competing end of
+    the range outside the grid: it answers every x <= 0 and floors the
+    supremum of the others, a zero endpoint as +0.0.  x = +inf is answered
+    by +inf, since phi is unbounded.  An omega linear in log t between its
+    knots takes the exact route (``_hull_legendre``), any other the grid
+    search (``_grid_legendre``).
     """
-    wvals = omega.evaluate_many(np.exp(ys))
+    route = _hull_legendre if log_kinks(omega)[1] else _grid_legendre
+    values = route(omega, ys, phi, where, wvals)
+
+    def sup(xs, endpoint, groups=None):
+        endpoint = endpoint + 0.0  # omega = 0 at the endpoint answers +0.0
+        top = xs == math.inf
+        live = ~(xs <= 0) & ~top
+        return values(xs, live, np.where(top, math.inf, endpoint), groups, endpoint)
+
+    return sup
+
+
+def _grid_legendre(omega, ys, phi, where, wvals):
+    """``_legendre`` by grid search and refinement: the transform's values
+    in the form of ``_transform_values``.  The argmax is monotone in x
+    (Topkis: x phi(y) has increasing differences), and the objective kinks
+    where omega does, at y."""
+    if wvals is None:
+        wvals = omega.evaluate_many(np.exp(ys))
     phis = phi(ys)
     inner = omega.evaluate_many
     options = {"monotone": True, **_kink_options((omega, 0))}
@@ -605,15 +680,97 @@ def _legendre(omega, ys, phi, where):
     def refine(x, y):
         return x * phi(y) - inner(np.exp(y))
 
-    def sup(xs, endpoint, groups=None):
-        endpoint = endpoint + 0.0  # omega = 0 at the endpoint answers +0.0
-        top = xs == math.inf
+    def values(xs, live, fill, groups, floor):
         return _transform_values(
-            xs, ~(xs <= 0) & ~top, np.where(top, math.inf, endpoint), groups,
-            ys, scan, refine, where, floor=endpoint, **options,
+            xs, live, fill, groups, ys, scan, refine, where, floor=floor, **options
         )
 
-    return wvals, sup
+    return values
+
+
+def _hull_legendre(omega, ys, phi, where, wvals):
+    """``_legendre`` of an omega linear in log t between its knots, with no
+    grid search, in the form of ``_grid_legendre``.
+
+    Between two knots x phi(y) - omega(e^y) is convex in y, so the
+    supremum over [ys[0], ys[-1]] is attained at a knot strictly inside or
+    at an end.  It is the upper envelope of the lines x -> x phi(y_k) -
+    omega_k, the discrete Legendre transform (Lucet 1997): the best line at
+    x is a vertex of the lower convex hull of the points (phi(y_k),
+    omega_k), found by one binary search of x in the hull's chord slopes,
+    and the leftmost best of that vertex and its two hull neighbours
+    answers.  omega_k comes from omega's own data (``_knot_values``), at
+    the ends from ``wvals`` or two evaluations.  The hull is built once, at
+    the first evaluation.
+
+    A live x is refused only when the top end wins: when its leftmost best
+    candidate is the top end, or a knot within rounding of it, where the
+    two values differ by rounding alone.  The grid route also refuses an
+    optimum at a knot inside the last grid cell whenever the grid argmax
+    falls on the last grid point; this route answers it.  NaN answers NaN,
+    unrefused.
+    """
+
+    @cache
+    def hull():
+        knots = log_kinks(omega)[0]
+        if wvals is None:
+            ends = omega.evaluate_many(np.exp(ys[[0, -1]]))
+        else:
+            ends = wvals[[0, -1]]
+        lo, top = ys[0], ys[-1]
+        inside = slice(np.searchsorted(knots, lo, "right"), np.searchsorted(knots, top))
+        px = phi(np.concatenate(([lo], knots[inside], [top])))
+        pw = np.concatenate((ends[:1], _knot_values(omega)[inside], ends[1:]))
+        px, pw, slopes = _lower_hull(px, pw)
+        # the first vertex within rounding of the top end, at latest the top
+        # end itself, the last vertex
+        edge = np.searchsorted(px, phi(top - _TOP_ROUNDING * max(1.0, abs(top))))
+        return px, pw, slopes, edge
+
+    def values(xs, live, fill, groups, floor):
+        px, pw, slopes, edge = hull()
+        x = xs[live]
+        near = np.searchsorted(slopes, x)[:, None] + np.arange(-1, 2)
+        np.clip(near, 0, px.size - 1, out=near)
+        candidates = x[:, None] * px[near] - pw[near]
+        rows, best = np.arange(x.size), candidates.argmax(axis=1)
+        refused = (near[rows, best] >= edge) & ~np.isnan(x)
+        found = np.maximum(candidates[rows, best], floor)
+        return _exact_values(xs, live, fill, groups, found, refused, where)
+
+    return values
+
+
+def _lower_hull(px, pw):
+    """The lower convex hull of the points (px, pw), px non-decreasing: its
+    vertices (hx, hw), hx increasing, and its chord slopes, non-decreasing.
+
+    Of points sharing an abscissa only the lowest is kept.  Points whose
+    chord slopes do not fall are then their own hull, found in one pass;
+    otherwise Andrew's monotone chain builds it.
+    """
+    dx = np.diff(px)
+    if not dx.min() > 0:
+        starts = np.flatnonzero(np.concatenate(([True], dx > 0)))
+        px, pw = px[starts], np.minimum.reduceat(pw, starts)
+        dx = np.diff(px)
+    slopes = np.diff(pw) / dx
+    if not np.any(slopes[1:] < slopes[:-1]):
+        return px, pw, slopes
+    hx, hw = [], []
+    for x, w in zip(px.tolist(), pw.tolist()):
+        # pop the top vertex while its left chord slope is at least its right
+        while len(hx) > 1 and (
+            (hw[-1] - hw[-2]) * (x - hx[-1]) >= (w - hw[-1]) * (hx[-1] - hx[-2])
+        ):
+            hx.pop()
+            hw.pop()
+        hx.append(x)
+        hw.append(w)
+    hx, hw = np.array(hx), np.array(hw)
+    # rounding can leave a chord slope an ulp below the one before
+    return hx, hw, np.maximum.accumulate(np.diff(hw) / np.diff(hx))
 
 
 def conjugate(
@@ -625,12 +782,17 @@ def conjugate(
     """Conjugate omega*(s) = sup_{t>=0} (st - omega(t)).
 
     Well-definedness needs t = o(omega(t)); the finite proxy is checked up
-    front unless ``check`` is disabled.  Each evaluation scans the log grid
-    and refines the winning cell, at omega's kinks when it has them; the
-    t = 0 endpoint (value -omega(0)) always competes.  The result's
-    ``domain_hint`` is the slope coverage of the grid: beyond it the
-    supremum would escape the grid, and such evaluations raise
-    :class:`DomainExhaustedError`.
+    front unless ``check`` is disabled.  The supremum is taken over the
+    grid's range of t, within omega's coverage, and the t = 0 endpoint
+    (value -omega(0)) always competes.  An omega linear in log t between
+    its knots (associated, integral form, sampled, and their wrappers) is
+    answered exactly, as the best of its knots inside the range and the
+    range's ends, through a lower convex hull built at the first
+    evaluation; any other omega by a scan of the log grid and refinement of
+    the winning cell.  The result's ``domain_hint`` is the slope coverage
+    of the grid, read from omega tabulated on it: beyond it the supremum
+    would escape the range, and an evaluation whose optimum is the top of
+    the range raises :class:`DomainExhaustedError`.
     """
     if check and not c2_proxy(omega, window):
         raise WellDefinednessError(
@@ -640,8 +802,9 @@ def conjugate(
             function=omega.name,
         )
     log_ts = grid.log_points(omega.domain_hint)
-    wvals, sup = _legendre(omega, log_ts, np.exp, ("conjugate", "s"))
     ts = np.exp(log_ts)
+    wvals = omega.evaluate_many(ts)
+    sup = _legendre(omega, log_ts, np.exp, ("conjugate", "s"), wvals)
     w0 = omega(0.0)
     # conservative reliable-argument bound: maximal secant slope covered
     slopes = np.diff(wvals) / np.diff(ts)
@@ -666,8 +829,9 @@ def biconjugate(
     """Double conjugate omega** = (omega*)*.
 
     The inner conjugate is tabulated on the grid range before the outer
-    transform runs, so an evaluation costs one grid search (the conjugate's
-    sorted-window argmax) and its refinement, with no nested transform.
+    transform runs, so the outer conjugate is that of a sampled function,
+    piecewise linear in log t: an evaluation is one binary search on the
+    chord slopes of its hull, with no nested transform and no grid search.
     """
     star = conjugate(omega, grid, check=check)
     upper = min(grid.t_max, star.domain_hint)
@@ -1510,8 +1674,12 @@ def recover_sequence(
     """Recover M_p = M_0 sup_t t^p / exp(omega(t)) from a weight function.
 
     For omega associated with a log-convex sequence the round trip
-    reproduces it; otherwise the log-convex minorant comes back.  An argmax
-    on the right grid edge raises :class:`DomainExhaustedError` naming p.
+    reproduces it; otherwise the log-convex minorant comes back.  Each
+    log M_p is the supremum of p log t - omega(t) over the grid's range,
+    the best of omega's knots and the range's ends when omega is linear in
+    log t between its knots, else a grid search with refinement.  An
+    optimum at the top of the range raises :class:`DomainExhaustedError`
+    naming p.
     """
     if isinstance(p_count, bool) or not isinstance(p_count, (int, np.integer)):
         raise DomainError(f"p_count must be an integer, got {p_count!r}")
@@ -1523,7 +1691,7 @@ def recover_sequence(
         raise PreconditionError(
             "recovery needs log t = o(omega(t)) on the tail; the proxy fails"
         )
-    _, sup = _legendre(
+    sup = _legendre(
         omega, grid.log_points(omega.domain_hint), lambda y: y,
         ("recover_sequence", "p"),
     )

@@ -3,9 +3,12 @@ trend heuristics.
 
 Every sup/inf transform of the package (conjugate, the two Legendre
 envelopes, sequence recovery and the Young conjugate phi*) is one call of
-``grid_sup``, except the envelopes of two associated functions sharing
-P_max, which ``functions`` answers from their sequences with the same
-refusal (``edge_refusal``).  A call is a search for each argument's
+``grid_sup``, except two that ``functions`` answers exactly, raising the
+same error (``edge_refusal``): the envelopes of two associated functions
+sharing P_max, from their sequences, and the conjugate, phi* and sequence
+recovery of an operand piecewise linear in log t, from the convex hull of
+its values at its knots, refused only when the top end of the range
+wins.  A call is a search for each argument's
 leftmost grid argmax on a log grid, an edge test that refuses an optimum
 outside the searched range, and refinement of the winning cell.  Each
 argument is searched on its run of grid columns, the cells within the
@@ -108,8 +111,9 @@ _PARABOLIC_RTOL = 7e-16
 #: which end the creep of parabolic steps along a nearly flat side of a kink
 #: that nothing declared.
 _PARABOLIC_STEPS = 20
-#: The most rows whose windowed-search schedule is cached: 32, under 80 KiB each.
-_SCHEDULE_ROWS = 4096
+#: The most rows whose windowed-search schedule is cached: 32, under 160 KiB
+#: each, so that the 8,192-point tabulations of ``gamma_indices`` reuse theirs.
+_SCHEDULE_ROWS = 8192
 
 
 def _check_count(n, least, what):
@@ -809,7 +813,10 @@ def grid_sup(
     one set is first halved by the sign of the objective's rise between its
     two middle kinks (2 points per row per step) until it holds at most 60,
     which assumes the objective's values at each set's kinks unimodal, as
-    they are when it is concave.
+    they are when it is concave.  The envelopes pass the knots of their
+    piecewise-linear operands here; the conjugate, phi* and sequence
+    recovery of such an operand never reach the kernel, since ``functions``
+    answers them exactly from the operand's knots.
 
     Without ``kinks``, rows take safeguarded parabolic refinement
     (``parabolic_max_vec``) seeded with the cells j-1, j and j+1, which is

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weightcalc import bmt
@@ -1390,14 +1390,75 @@ def _reference_recovered(omega, p_count, grid=fn.DEFAULT_GRID):
     return sq.WeightSequence(math.log(1.0) + best).log_values
 
 
-#: One operand per refinement route: an associated function refines at its
-#: kinks, a power weight by parabolic steps, and a normalized power weight
-#: cuts its brackets at t = 1, where the conjugate at s < 2 has its maximum.
+def _brute_max(omega, ys, phi, xs):
+    """The exact Legendre route by brute force, for an omega linear in log t
+    between its knots: at every x of ``xs``, the maximum of x phi(y) -
+    omega(e^y) over both ends of [ys[0], ys[-1]] and every knot strictly
+    inside it, with no hull and no binary search.  omega at a knot comes
+    from its own data, at the ends from two evaluations.
+
+    Returns the maxima, whether the leftmost best candidate is the top end
+    or a knot within rounding of it, and the size |x phi(y)| + |omega(e^y)|
+    of the terms there."""
+    knots, linear = fn.log_kinks(omega)
+    assert linear
+    at = fn._knot_values(omega)
+    top = ys[-1]
+    inside = (knots > ys[0]) & (knots < top)
+    ends = omega.evaluate_many(np.exp(ys[[0, -1]]))
+    phis = phi(np.concatenate(([ys[0]], knots[inside], [top])))
+    ws = np.concatenate((ends[:1], at[inside], ends[1:]))
+    best, at_top, size = np.empty(xs.size), np.empty(xs.size, dtype=bool), np.empty(xs.size)
+    for lo in range(0, xs.size, 64):
+        x = xs[lo : lo + 64]
+        values = x[:, None] * phis - ws
+        k = values.argmax(axis=1)
+        rows = np.arange(x.size)
+        best[lo : lo + 64] = values[rows, k]
+        at_top[lo : lo + 64] = phis[k] >= phi(top - fn._TOP_ROUNDING * max(1.0, abs(top)))
+        size[lo : lo + 64] = np.abs(x * phis[k]) + np.abs(ws[k])
+    return best, at_top, size
+
+
+def _brute_legendre(omega, ys, phi, where, endpoint):
+    """``fn._legendre``'s ``sup`` with the given endpoint, from ``_brute_max``:
+    the endpoint at x <= 0 and as the floor, +inf at +inf, NaN at NaN, and
+    a refusal where the leftmost best candidate is, to rounding, the top
+    end."""
+    endpoint = endpoint + 0.0
+
+    def evaluate(xs, groups=None):
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        live = ~(xs <= 0) & (xs != math.inf)
+        best, at_top, _ = _brute_max(omega, ys, phi, xs[live])
+        refused = at_top & ~np.isnan(xs[live])
+        fill = np.where(xs == math.inf, math.inf, endpoint)
+        found = np.maximum(best, endpoint)
+        return fn._exact_values(xs, live, fill, groups, found, refused, where)
+
+    return evaluate
+
+
+def _phi_star_ys(omega, grid=fn.DEFAULT_GRID):
+    return np.linspace(0.0, math.log(min(grid.t_max, omega.domain_hint)), grid.n)
+
+
+def _identity(y):
+    return y
+
+
+#: One operand per route: an associated function takes the exact route (no
+#: grid search), a power weight the grid route refined by parabolic steps,
+#: and a normalized power weight the grid route with its brackets cut at
+#: t = 1, where the conjugate at s < 2 has its maximum.
 _LEGENDRE_OPERANDS = {
     "kinks": lambda: fn.associated(sq.gevrey(0.5, 8000)),
     "parabolic": lambda: fn.power_weight(0.5),
     "breaks": lambda: fn.normalized(fn.power_weight(0.5)),
 }
+#: Units in the last place by which the exact route may miss its brute-force
+#: maximum; the grid routes keep every bit of the code before the kernel.
+_ULPS = {"kinks": 2, "parabolic": 0, "breaks": 0}
 
 
 @functools.cache
@@ -1406,15 +1467,31 @@ def _legendre_operand(route):
 
 
 def _outcome(call):
-    """The bits of ``call()``'s arrays, or its refusal: type, message and
-    details."""
+    """``call()``'s arrays, or its refusal: type, message and details."""
     try:
         out = call()
     except WeightCalcError as err:
         return type(err), str(err), err.details
-    if isinstance(out, tuple):
-        return tuple(np.asarray(part).tobytes() for part in out)
-    return np.asarray(out).tobytes()
+    parts = out if isinstance(out, tuple) else (out,)
+    return tuple(np.asarray(part) for part in parts)
+
+
+def _agree(call, reference, ulps):
+    """Whether ``call()`` and ``reference()`` raise the same refusal or return
+    arrays that agree to within ``ulps`` units in the last place, bit for
+    bit at 0 (NaN matching NaN)."""
+    got, want = _outcome(call), _outcome(reference)
+    if not isinstance(want[0], np.ndarray) or not isinstance(got[0], np.ndarray):
+        return got == want
+    for a, b in zip(got, want, strict=True):
+        if ulps == 0 or a.dtype == bool:
+            if a.tobytes() != b.tobytes():
+                return False
+            continue
+        close = np.abs(a - b) <= ulps * np.spacing(np.abs(b))
+        if not np.all((a == b) | (np.isnan(a) & np.isnan(b)) | close):
+            return False
+    return True
 
 
 def _arguments(top):
@@ -1431,15 +1508,25 @@ def _arguments(top):
 # s = 1e3 is past the slopes of the associated function's coverage
 @example(ss=[1e3, 0.5, math.nan, 0.0], data=None)
 def test_conjugate_through_the_kernel_keeps_every_bit(route, ss, data):
+    # the grid routes against the conjugate's code before the kernel, the
+    # exact route against its brute-force maximum
     omega = _legendre_operand(route)
     star = fn.conjugate(omega, check=False)
-    reference = _reference_conjugate(omega)
-    assert _outcome(lambda: star.evaluate_many(ss)) == _outcome(lambda: reference(ss))
+    if route == "kinks":
+        reference = _brute_legendre(
+            omega, fn.DEFAULT_GRID.log_points(omega.domain_hint), np.exp,
+            ("conjugate", "s"), -omega(0.0),
+        )
+    else:
+        reference = _reference_conjugate(omega)
+    assert _agree(lambda: star.evaluate_many(ss), lambda: reference(ss), _ULPS[route])
     groups = [i % 3 for i in range(len(ss))] if data is None else data.draw(
         st.lists(st.integers(0, 3), min_size=len(ss), max_size=len(ss))
     )
-    assert _outcome(lambda: star.evaluate_many(ss, groups=groups)) == _outcome(
-        lambda: reference(np.asarray(ss), groups=np.asarray(groups, dtype=np.intp))
+    assert _agree(
+        lambda: star.evaluate_many(ss, groups=groups),
+        lambda: reference(np.asarray(ss), groups=np.asarray(groups, dtype=np.intp)),
+        _ULPS[route],
     )
 
 
@@ -1452,9 +1539,14 @@ def test_phi_star_through_the_kernel_keeps_every_bit(route, xs):
     # phi* refuses x < 0 before any search
     xs = [x for x in xs if not x < 0]
     omega = _legendre_operand(route)
-    assert _outcome(lambda: bmt.phi_star_many(omega, xs, check=False)) == _outcome(
-        lambda: _reference_phi_star_many(omega, xs)
-    )
+    if route == "kinks":
+        brute = _brute_legendre(
+            omega, _phi_star_ys(omega), _identity, ("phi_star", "x"), -omega(1.0)
+        )
+        reference = lambda: brute(xs)  # noqa: E731
+    else:
+        reference = lambda: _reference_phi_star_many(omega, xs)  # noqa: E731
+    assert _agree(lambda: bmt.phi_star_many(omega, xs, check=False), reference, _ULPS[route])
 
 
 @pytest.mark.parametrize("route", sorted(_LEGENDRE_OPERANDS))
@@ -1464,15 +1556,29 @@ def test_phi_star_through_the_kernel_keeps_every_bit(route, xs):
 @example(p_count=9000)
 def test_recovery_through_the_kernel_keeps_every_bit(route, p_count):
     omega = _legendre_operand(route)
-    assert _outcome(
-        lambda: fn.recover_sequence(omega, 1.0, p_count, check=False).log_values
-    ) == _outcome(lambda: _reference_recovered(omega, p_count))
+    if route == "kinks":
+        brute = _brute_legendre(
+            omega, fn.DEFAULT_GRID.log_points(omega.domain_hint), _identity,
+            ("recover_sequence", "p"), -math.inf,
+        )
+
+        def reference():
+            best = np.full(p_count + 1, -omega(0.0))
+            best[1:] = brute(np.arange(1, p_count + 1, dtype=float))
+            return math.log(1.0) + best
+    else:
+        reference = lambda: _reference_recovered(omega, p_count)  # noqa: E731
+    assert _agree(
+        lambda: fn.recover_sequence(omega, 1.0, p_count, check=False).log_values,
+        reference, _ULPS[route],
+    )
 
 
 @pytest.mark.parametrize("route", sorted(_LEGENDRE_OPERANDS))
 def test_each_legendre_transform_reaches_grid_sup_monotone_with_the_operands_kinks(
     route, monkeypatch
 ):
+    # the exact route of an operand linear between its knots searches no grid
     omega = _legendre_operand(route)
     want = fn._kink_options((omega, 0))
     assert set(want) == {"kinks": {"kinks"}, "parabolic": set(), "breaks": {"breaks"}}[route]
@@ -1486,6 +1592,9 @@ def test_each_legendre_transform_reaches_grid_sup_monotone_with_the_operands_kin
     fn.conjugate(omega, check=False)(0.5)
     bmt.phi_star_many(omega, [3.0], check=False)
     fn.recover_sequence(omega, 1.0, 8, check=False)
+    if route == "kinks":
+        assert seen == []
+        return
     assert [where for where, _ in seen] == [
         ("conjugate", "s"), ("phi_star", "x"), ("recover_sequence", "p")
     ]
@@ -1499,32 +1608,210 @@ def test_each_legendre_transform_reaches_grid_sup_monotone_with_the_operands_kin
                 assert shifted == want_shifted
 
 
+_FAMILIES = {
+    # gevrey(s > 1), exp_power and qgevrey grow so fast in t that the chord
+    # slopes of (mu_p, omega(mu_p)) fall, and the conjugate's hull drops knots
+    "gevrey": (sq.gevrey, st.floats(0.2, 2.0), 3000),
+    "exp_power": (sq.exp_power, st.floats(1.2, 2.5), 2000),
+    "qgevrey": (sq.qgevrey, st.floats(1.05, 2.0), 300),
+}
+
+
+@st.composite
+def piecewise_linear_operands(draw):
+    """An operand of every kind linear in log t between its knots: an
+    associated function, its integral form, a sampled function (whose
+    slopes may fall), and the two wrappers of an associated function."""
+    kind = draw(st.sampled_from(
+        ["associated", "integral_form", "sampled", "normalized", "power_substitution"]
+    ))
+    if kind == "sampled":
+        logs = draw(st.lists(st.floats(-4.0, 12.0), min_size=2, max_size=200, unique=True))
+        rises = draw(st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 3.0, 40.0]), min_size=len(logs), max_size=len(logs)
+        ))
+        ts = np.unique(np.exp(logs))  # two logs can share their exp
+        assume(ts.size >= 2)
+        return fn.from_samples(ts, np.cumsum(rises[: ts.size]))
+    make, param, p_top = _FAMILIES[draw(st.sampled_from(sorted(_FAMILIES)))]
+    m = make(draw(param), draw(st.integers(20, p_top)))
+    if kind == "integral_form":
+        # its coverage e^(log mu_P) must stay finite
+        assume(m.log_quotients[-1] < 700.0)
+        return fn.integral_form(sq.log_convex_minorant(m))
+    omega = fn.associated(m)
+    if kind == "normalized":
+        return fn.normalized(omega)
+    if kind == "power_substitution":
+        return fn.power_substitution(omega, draw(st.floats(0.3, 1.0)))
+    return omega
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    omega=piecewise_linear_operands(),
+    transform=st.sampled_from(["conjugate", "phi_star", "recover_sequence"]),
+    grid=st.builds(
+        GridSpec, st.floats(1e-3, 1.0), st.floats(1e2, 1e9), st.integers(64, 3000)
+    ),
+    exponents=st.lists(st.floats(-2.0, 4.0), min_size=1, max_size=40),
+)
+# the best knot, t = 1, lies within rounding of the top end, where omega
+# jumps by 1 within three ulps of t: refused as the top end, not answered
+# by the end's value
+@example(
+    omega=fn.from_samples([1.0, 1.0000000000000007], [0.0, 1.0]),
+    transform="conjugate", grid=GridSpec(0.5, 100.0, 64), exponents=[0.0],
+)
+# the best knot, y = 6.25, lies strictly inside the last grid cell [6.2,
+# 6.3] of phi*, and the objective is higher at 6.3 than at 6.2: the grid
+# route refuses, the exact route answers the knot's value
+@example(
+    omega=fn.from_samples(np.exp([0.0, 6.25, 8.0]), [0.0, 6.25, 11.5]),
+    transform="phi_star", grid=GridSpec(0.5, math.exp(6.3), 64), exponents=[math.log10(25.0)],
+)
+def test_exact_legendre_route_is_the_brute_force_maximum(omega, transform, grid, exponents):
+    # every candidate of the exact route competes in the brute force; the
+    # grid route's value can pass it only by the rounding of its terms
+    assume(grid.t_min * 1.01 < min(grid.t_max, omega.domain_hint))
+    if transform == "conjugate":
+        ys, phi, endpoint = grid.log_points(omega.domain_hint), np.exp, -omega(0.0)
+        xs = 10.0 ** np.asarray(exponents)
+        exact = fn.conjugate(omega, grid, check=False)
+        got = exact.evaluate_many(xs, groups=np.arange(xs.size))
+        grid_route = _reference_conjugate(omega, grid)(xs, groups=np.arange(xs.size))
+    else:
+        assume(grid.t_max > 1.0 and omega.domain_hint > 1.0)
+        ys = (
+            _phi_star_ys(omega, grid) if transform == "phi_star"
+            else grid.log_points(omega.domain_hint)
+        )
+        phi, endpoint = _identity, (-omega(1.0) if transform == "phi_star" else -math.inf)
+        xs = np.round(10.0 ** np.asarray(exponents) / 10.0, 3)
+        got = fn._legendre(omega, ys, phi, (transform, "x"))(xs, endpoint, np.arange(xs.size))
+        grid_route = fn._grid_legendre(omega, ys, phi, (transform, "x"), None)(
+            xs, ~(xs <= 0), np.full(xs.size, endpoint + 0.0), np.arange(xs.size), endpoint + 0.0
+        )
+    want = _brute_legendre(omega, ys, phi, (transform, "x"), endpoint)(xs, np.arange(xs.size))
+    assert _agree(lambda: got, lambda: want, 2)
+    (values, refused), (grid_values, grid_refused) = got, grid_route
+    live = ~refused & ~grid_refused & (xs > 0)
+    _, _, size = _brute_max(omega, ys, phi, xs[live])
+    # within the rounding of the terms, or absolutely below 1
+    tol = 4 * np.finfo(float).eps * np.maximum(1.0, size)
+    assert np.all(grid_values[live] <= values[live] + tol)
+
+
+def test_exact_route_answers_a_best_knot_inside_the_last_grid_cell():
+    # the exact route refuses only when the top end wins; the grid route
+    # also refuses when the best knot is inside its last cell and the grid
+    # argmax falls on the last grid point
+    omega = fn.from_samples(np.exp([0.0, 6.25, 8.0]), [0.0, 6.25, 11.5])
+    grid = GridSpec(0.5, math.exp(6.3), 64)
+    ys = _phi_star_ys(omega, grid)
+    assert ys[-2] < 6.25 < ys[-1]
+    x = np.array([2.5])
+    where = ("phi_star", "x")
+    grid_values, grid_refused = fn._grid_legendre(omega, ys, _identity, where, None)(
+        x, np.array([True]), np.zeros(1), np.zeros(1, dtype=np.intp), 0.0
+    )
+    assert grid_refused[0] and np.isnan(grid_values[0])
+    # 2.5 * 6.25 - omega(e^6.25)
+    assert bmt.phi_star_many(omega, x, grid, check=False)[0] == 9.375
+
+
+@pytest.mark.parametrize("falls", [False, True])
+def test_lower_hull_answers_every_line(falls):
+    # points with concave stretches, ties of abscissa and collinear runs,
+    # their hull built by the monotone chain, and points on a convex curve,
+    # their own hull from the one-pass check
+    rng = np.random.default_rng(7)
+    px = np.sort(np.round(rng.uniform(0.0, 50.0, 400), 1))
+    if falls:
+        pw = np.where(rng.uniform(size=px.size) < 0.3, 2.0 * px, np.sin(px) * 20.0 + 0.05 * px**2)
+    else:
+        px = np.unique(px)
+        pw = 0.05 * px**2
+    hx, hw, slopes = fn._lower_hull(px, pw)
+    assert hx[0] == px[0] and hx[-1] == px[-1]
+    assert np.all(np.diff(hx) > 0) and np.all(np.diff(slopes) >= 0)
+    np.testing.assert_array_equal(slopes, np.maximum.accumulate(np.diff(hw) / np.diff(hx)))
+    assert (hx.size < px.size) == falls
+    # every point lies on or above the hull, and the best of the lines
+    # x -> x px - pw is one of the vertices'
+    assert np.all(pw >= np.interp(px, hx, hw) - 1e-9)
+    xs = np.linspace(slopes[0] - 1.0, slopes[-1] + 1.0, 500)
+    best = np.max(xs[:, None] * px - pw, axis=1)
+    np.testing.assert_allclose(np.max(xs[:, None] * hx - hw, axis=1), best, rtol=1e-12, atol=1e-9)
+
+
+def test_knot_values_read_from_the_data_agree_with_evaluation():
+    m = sq.gevrey(0.6, 3000)
+    for omega in (
+        fn.associated(m),
+        fn.integral_form(sq.log_convex_minorant(m)),
+        fn.normalized(fn.associated(sq.exp_power(1.7, 500))),
+        fn.power_substitution(fn.associated(sq.qgevrey(1.3, 200)), 0.7),
+        fn.tabulate(fn.power_weight(0.4), 1e-2, 1e4, 512),
+    ):
+        (knots, linear), at = fn.log_kinks(omega), fn._knot_values(omega)
+        assert linear and knots.shape == at.shape
+        want = omega.evaluate_many(np.exp(knots))
+        np.testing.assert_allclose(at, want, rtol=1e-12, atol=1e-9)
+
+
+def test_conjugate_meets_the_maximum_over_the_knots_where_the_grid_cell_was_wrong():
+    # transform-sweep seed 1's operand: the grid route's refinement bracket
+    # missed the argmax knot at 24 of these 400 arguments, by up to 2.5e-4
+    # relative; GROWTHREL_SEQ's operand missed it at 3.  The reference is
+    # max over p of s mu_p - omega_M(mu_p) from log Gamma, and t = 0.
+    for s_gev, p_max, s_top in ((0.7897, 8000, None), (0.5, 100_000, 200.0)):
+        omega = fn.associated(sq.gevrey(s_gev, p_max))
+        star = fn.conjugate(omega)
+        ss = np.exp(np.linspace(0.0, math.log(s_top or star.domain_hint / 2), 400))
+        lv = s_gev * np.array([math.lgamma(p + 1.0) for p in range(p_max + 1)])
+        log_mu = np.diff(lv)
+        ps = np.arange(1, p_max + 1)
+        inside = log_mu < math.log(min(1e8, omega.domain_hint))
+        mu, at = np.exp(log_mu[inside]), (ps * log_mu - lv[1:] + lv[0])[inside]
+        want = np.array([max(0.0, float(np.max(s * mu - at))) for s in ss])
+        got = star.evaluate_many(ss)
+        assert not np.any(got < want - 1e-12 * np.maximum(1.0, want))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    got = fn.conjugate(fn.associated(sq.gevrey(0.7897, 8000)))(1.12161)
+    assert abs(got - 1.482926520041571) <= 1e-12 * 1.482926520041571
+
+
 def test_legendre_transforms_answer_a_zero_endpoint_with_plus_zero():
     # omega(0) = 0 for the conjugate's endpoint t = 0 and omega(1) = 0 for
-    # phi*'s endpoint y = 0; -omega there is +0.0, not -0.0
-    star = fn.conjugate(fn.power_weight(0.5))
-    got = star.evaluate_many([0.0, -1.0, -0.0])
-    assert np.all(got == 0.0) and not np.signbit(got).any()
-    got = bmt.phi_star_many(fn.normalized(fn.power_weight(0.5)), [0.0])
-    assert got[0] == 0.0 and not np.signbit(got[0])
+    # phi*'s endpoint y = 0; -omega there is +0.0, not -0.0, on the grid
+    # route (power weights) and on the exact one (associated functions)
+    for omega in (fn.power_weight(0.5), fn.associated(sq.gevrey(0.5, 400))):
+        star = fn.conjugate(omega)
+        got = star.evaluate_many([0.0, -1.0, -0.0])
+        assert np.all(got == 0.0) and not np.signbit(got).any()
+        got = bmt.phi_star_many(fn.normalized(omega), [0.0])
+        assert got[0] == 0.0 and not np.signbit(got[0])
 
 
 def test_legendre_transforms_answer_plus_inf_with_plus_inf():
     # phi = exp and the identity are unbounded, so each supremum is +inf;
-    # no row is searched, so inf * y never meets y = 0
-    omega = fn.power_weight(0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        star = fn.conjugate(omega)
-        assert star(math.inf) == math.inf
-        values, refused = star.evaluate_many([math.inf, 3.7], groups=[0, 1])
-        assert values[0] == math.inf and values[1] == star(3.7) and not refused.any()
-        got = bmt.phi_star_many(omega, [math.inf, 3.0])
-        assert got[0] == math.inf and got[1] == bmt.phi_star(omega, 3.0)
-        # sequence recovery's kernel, with its -inf endpoint at t -> 0
-        _, sup = fn._legendre(
-            omega, fn.DEFAULT_GRID.log_points(), lambda y: y, ("recover_sequence", "p")
-        )
-        got = sup(np.array([math.inf, 4.0]), -math.inf)
-        want = fn.recover_sequence(omega, 1.0, 8).log_values[4]
-        assert got[0] == math.inf and got[1] == want
+    # no row is searched, so inf * y never meets y = 0, on the grid route
+    # (a power weight) and on the exact one (an associated function)
+    for omega in (fn.power_weight(0.5), fn.associated(sq.gevrey(0.5, 400))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            star = fn.conjugate(omega, check=False)
+            assert star(math.inf) == math.inf
+            values, refused = star.evaluate_many([math.inf, 3.7], groups=[0, 1])
+            assert values[0] == math.inf and values[1] == star(3.7) and not refused.any()
+            got = bmt.phi_star_many(omega, [math.inf, 3.0], check=False)
+            assert got[0] == math.inf and got[1] == bmt.phi_star(omega, 3.0, check=False)
+            # sequence recovery's kernel, with its -inf endpoint at t -> 0
+            sup = fn._legendre(
+                omega, fn.DEFAULT_GRID.log_points(omega.domain_hint), lambda y: y,
+                ("recover_sequence", "p"),
+            )
+            got = sup(np.array([math.inf, 4.0]), -math.inf)
+            want = fn.recover_sequence(omega, 1.0, 8, check=False).log_values[4]
+            assert got[0] == math.inf and got[1] == want
