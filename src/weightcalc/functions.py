@@ -97,6 +97,7 @@ from .grids import (
 )
 from .sequences import (
     WeightSequence,
+    _hull_vertices,
     has_divergent_roots,
     is_log_convex,
     log_convex_minorant,
@@ -309,6 +310,8 @@ def from_samples(ts, values, name: str = "") -> WeightFunction:
     values.setflags(write=False)
     if ts.ndim != 1 or ts.size < 2 or ts.shape != values.shape:
         raise DomainError("need matching 1-d sample arrays with >= 2 points")
+    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(values))):
+        raise DomainError("sample abscissae and values must be finite")
     if not np.all(ts > 0) or not np.all(np.diff(ts) > 0):
         raise DomainError("sample abscissae must be positive and increasing")
     if np.any(np.diff(values) < -1e-9):
@@ -748,7 +751,7 @@ def _lower_hull(px, pw):
 
     Of points sharing an abscissa only the lowest is kept.  Points whose
     chord slopes do not fall are then their own hull, found in one pass;
-    otherwise Andrew's monotone chain builds it.
+    otherwise the monotone chain of ``sequences._hull_vertices`` builds it.
     """
     dx = np.diff(px)
     if not dx.min() > 0:
@@ -758,19 +761,11 @@ def _lower_hull(px, pw):
     slopes = np.diff(pw) / dx
     if not np.any(slopes[1:] < slopes[:-1]):
         return px, pw, slopes
-    hx, hw = [], []
-    for x, w in zip(px.tolist(), pw.tolist()):
-        # pop the top vertex while its left chord slope is at least its right
-        while len(hx) > 1 and (
-            (hw[-1] - hw[-2]) * (x - hx[-1]) >= (w - hw[-1]) * (hx[-1] - hx[-2])
-        ):
-            hx.pop()
-            hw.pop()
-        hx.append(x)
-        hw.append(w)
-    hx, hw = np.array(hx), np.array(hw)
+    vertices = _hull_vertices(pw, px)
+    if vertices is not None:
+        px, pw = px[vertices], pw[vertices]
     # rounding can leave a chord slope an ulp below the one before
-    return hx, hw, np.maximum.accumulate(np.diff(hw) / np.diff(hx))
+    return px, pw, np.maximum.accumulate(np.diff(pw) / np.diff(px))
 
 
 def conjugate(

@@ -23,7 +23,9 @@ not depend on the order of the elements, and every element is computed
 from the same operands in the same order as a whole-array expression, so
 the blocked results are those of the whole-array forms bit for bit.  A
 log-convex minorant that has to build a hull (an input with local
-convexity violations) also keeps its hull stack and interpolation nodes.
+convexity violations) also keeps a byte per element marking them, the
+stack of ``_hull_vertices`` (the monotone chain it shares with the exact
+Legendre route of ``functions``) and its interpolation nodes.
 """
 
 from __future__ import annotations
@@ -287,14 +289,14 @@ def small_is_log_concave(m: WeightSequence, tol: float = TOL_LOG_CONVEX) -> bool
     return True
 
 
-def log_convex_minorant(m: WeightSequence) -> WeightSequence:
-    """Lower convex envelope of p -> log M_p evaluated at integer p.
+def _hull_vertices(ys: np.ndarray, xs: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+    """Indices of the vertices of the lower convex hull of the points
+    (x_i, ys[i]), with x_i = xs[i] (increasing) or x_i = i when ``xs`` is
+    None, or None when every point is a vertex.  Needs at least 3 points.
 
-    Andrew's monotone chain over the graph points (p, log M_p): a point p2
-    on top of the hull stack, with p1 below it, is dropped when it lies on
-    or above the chord p1 -> p, i.e. when
-    ``(lv[p2] - lv[p1]) * (p - p1) >= (lv[p] - lv[p1]) * (p2 - p1)``; the
-    minorant interpolates linearly between the surviving vertices.
+    Andrew's monotone chain: a point p2 on top of the hull stack, with p1
+    below it, is dropped when it lies on or above the chord p1 -> p, i.e.
+    when ``(y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1)``.
 
     One blocked numpy pass evaluates that test on every consecutive triple
     (q-1, q, q+1).  The points q where it holds (local convexity
@@ -302,23 +304,26 @@ def log_convex_minorant(m: WeightSequence) -> WeightSequence:
     run of consecutive pushes, so each run between violations is pushed in
     one slice.  Per-point Python steps run only at violations and in the
     pop cascades that follow them.  Every pop decision evaluates the
-    expression above with the same operands, so the vertex set, and the
-    output, are those of the plain per-point scan bit for bit.  Without any
-    violation the input's log values come back after the single O(P) pass,
-    shared, not copied; sequences with many violations (noise, concave
-    stretches) still cost O(P) interpreted steps.
+    expression above with the same operands, so the vertex set is that of
+    the plain per-point scan bit for bit: integer abscissae stay Python
+    ints, whose differences convert to floats exactly, and real ones are
+    read as Python floats.  Without any violation the answer comes after
+    the single O(n) pass; inputs with many violations (noise, concave
+    stretches) still cost O(n) interpreted steps.
     """
-    lv = m.log_values
-    n = lv.size
-    name = f"{m.name}.lc" if m.name else ""
+    n = ys.size
     violation = None  # violation[q] is 1 at a violation, from the first one on
     step = _SCRATCH_CELLS // 2  # two scratch arrays
     scratch = np.empty((2, min(n - 2, step)))
     for lo, hi in _blocks(0, n - 2, step):
-        # the test with p1, p2, p = q-1, q, q+1 (so p2 - p1 = 1, p - p1 = 2)
-        rise = np.subtract(lv[lo + 1 : hi + 1], lv[lo:hi], out=scratch[0, : hi - lo])
-        rise *= 2
-        local = rise >= np.subtract(lv[lo + 2 : hi + 2], lv[lo:hi], out=scratch[1, : hi - lo])
+        # the test with p1, p2, p = q-1, q, q+1 (so x2 - x1 = 1, x - x1 = 2
+        # on integer abscissae)
+        rise = np.subtract(ys[lo + 1 : hi + 1], ys[lo:hi], out=scratch[0, : hi - lo])
+        rise *= 2 if xs is None else xs[lo + 2 : hi + 2] - xs[lo:hi]
+        chord = np.subtract(ys[lo + 2 : hi + 2], ys[lo:hi], out=scratch[1, : hi - lo])
+        if xs is not None:
+            chord *= xs[lo + 1 : hi + 1] - xs[lo:hi]
+        local = rise >= chord
         if violation is None:
             if not local.any():
                 continue
@@ -326,12 +331,15 @@ def log_convex_minorant(m: WeightSequence) -> WeightSequence:
             flags = np.frombuffer(violation, dtype=bool)
         flags[lo + 1 : hi + 1] = local
     if violation is None:
-        return WeightSequence(lv, name)
+        return None
     hull = np.empty(n, dtype=np.intp)
-    val, hull_at, next_violation = lv.item, hull.item, violation.find
+    val, hull_at, next_violation = ys.item, hull.item, violation.find
+    at = None if xs is None else xs.tolist().__getitem__
     hull[:2] = 0, 1
     top = 2  # hull[:top] is the stack
-    p1, y1, p2, y2 = 0, val(0), 1, val(1)  # the two top entries; p2 == p - 1
+    # the two top entries (index, abscissa, value); p2 == p - 1
+    p1, x1, y1 = 0, 0 if at is None else at(0), val(0)
+    p2, x2, y2 = 1, 1 if at is None else at(1), val(1)
     p = 2
     while p < n:
         if p1 == p - 2 and not violation[p - 1]:
@@ -341,25 +349,44 @@ def log_convex_minorant(m: WeightSequence) -> WeightSequence:
                 stop = n - 1
             hull[top : top + stop - p + 1] = np.arange(p, stop + 1)
             top += stop - p + 1
-            p1, y1, p2, y2 = stop - 1, val(stop - 1), stop, val(stop)
+            p1, p2 = stop - 1, stop
+            x1, y1 = p1 if at is None else at(p1), val(p1)
+            x2, y2 = p2 if at is None else at(p2), val(p2)
             p = stop + 1
             continue
-        y = val(p)
-        while (y2 - y1) * (p - p1) >= (y - y1) * (p2 - p1):
+        x, y = p if at is None else at(p), val(p)
+        while (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1):
             top -= 1
-            p2, y2 = p1, y1
+            p2, x2, y2 = p1, x1, y1
             if top == 1:
                 break
             p1 = hull_at(top - 2)
-            y1 = val(p1)
+            x1, y1 = p1 if at is None else at(p1), val(p1)
         hull[top] = p
         top += 1
-        p1, y1, p2, y2 = p2, y2, p, y
+        p1, x1, y1 = p2, x2, y2
+        p2, x2, y2 = p, x, y
         p += 1
-    xs, ys = hull[:top].astype(float), lv[hull[:top]]
-    del hull, hull_at  # the stack goes before the output comes
-    out = np.empty(n)
-    for lo, hi in _blocks(0, n):
+    return hull[:top]
+
+
+def log_convex_minorant(m: WeightSequence) -> WeightSequence:
+    """Lower convex envelope of p -> log M_p evaluated at integer p: linear
+    interpolation between the vertices of the lower convex hull of the
+    graph points (p, log M_p), found by ``_hull_vertices``.
+
+    Without any local convexity violation the input's log values come back
+    after one O(P) pass, shared, not copied.
+    """
+    lv = m.log_values
+    name = f"{m.name}.lc" if m.name else ""
+    vertices = _hull_vertices(lv)
+    if vertices is None:
+        return WeightSequence(lv, name)
+    xs, ys = vertices.astype(float), lv[vertices]
+    del vertices  # the hull stack goes before the output comes
+    out = np.empty(lv.size)
+    for lo, hi in _blocks(0, lv.size):
         out[lo:hi] = np.interp(np.arange(lo, hi, dtype=float), xs, ys)
     return WeightSequence(_frozen(out), name)
 

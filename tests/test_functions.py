@@ -103,6 +103,23 @@ def test_negative_argument_gives_the_value_at_zero(build):
     assert math.isnan(vals[3])
 
 
+@pytest.mark.parametrize(
+    "ts, values",
+    [
+        # an infinite last abscissa would make domain_hint inf, so nothing
+        # would count as extrapolation
+        ([1.0, 2.0, math.inf], [0.0, 1.0, 2.0]),
+        ([1.0, 2.0, 4.0], [0.0, math.nan, 2.0]),
+        ([1.0, 2.0, 4.0], [-math.inf, 1.0, 2.0]),
+        ([1.0, 2.0, 4.0], [0.0, 1.0, math.inf]),
+    ],
+    ids=["inf_abscissa", "nan_value", "minus_inf_value", "inf_value"],
+)
+def test_from_samples_rejects_non_finite_samples(ts, values):
+    with pytest.raises(DomainError, match="finite"):
+        fn.from_samples(ts, values)
+
+
 def test_associated_exact_value_and_zero_region():
     omega = fn.associated(sq.gevrey(1, 400))
     assert omega(3.0) == pytest.approx(math.log(27 / 6), abs=1e-12)
@@ -1743,6 +1760,20 @@ def test_lower_hull_answers_every_line(falls):
     xs = np.linspace(slopes[0] - 1.0, slopes[-1] + 1.0, 500)
     best = np.max(xs[:, None] * px - pw, axis=1)
     np.testing.assert_allclose(np.max(xs[:, None] * hx - hw, axis=1), best, rtol=1e-12, atol=1e-9)
+
+
+def test_lower_hull_keeps_every_point_when_slopes_fall_by_rounding_alone():
+    # collinear points whose chord slopes fall by rounding, while no point
+    # lies on or above the chord of its neighbours: the chain pops nothing,
+    # every point stays a vertex and the slopes are made non-decreasing
+    px = np.array([2.0, 15.0, 16.0])
+    pw = 0.94 * px
+    raw = np.diff(pw) / np.diff(px)
+    assert raw[1] < raw[0] and sq._hull_vertices(pw, px) is None
+    hx, hw, slopes = fn._lower_hull(px, pw)
+    np.testing.assert_array_equal(hx, px)
+    np.testing.assert_array_equal(hw, pw)
+    np.testing.assert_array_equal(slopes, [raw[0], raw[0]])
 
 
 def test_knot_values_read_from_the_data_agree_with_evaluation():

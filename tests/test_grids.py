@@ -819,18 +819,37 @@ def test_breakpoint_refinement_does_not_depend_on_the_batch():
 # ---------------------------------------------------------------------------
 
 
+_BYTES = np.arange(256)
+#: The phi step, the psi value and the argument x of each byte of
+#: ``monotone_problems``: step 0 for 3/8 of the bytes and 1..3 for the rest;
+#: psi 0 for 1/4 and -6..6 for the rest; NaN for an odd byte, 0 for 1/16 of
+#: the even ones and m / 4, m in -40..40, for the rest.  The zeros bring
+#: the shares of plateaus and of rows with tied maxima, and the odd bytes
+#: the share of NaN arguments, close to those of a draw cell by cell.
+_STEP_OF_BYTE = np.where(_BYTES % 8 < 3, 0.0, _BYTES % 3 + 1.0)
+_PSI_OF_BYTE = np.where(_BYTES % 4, _BYTES % 13 - 6.0, 0.0)
+_ARG_OF_BYTE = np.where(
+    _BYTES % 2, math.nan, np.where(_BYTES % 32, (_BYTES // 2 * 81 // 128 - 40) / 4, 0.0)
+)
+
+
 @st.composite
 def monotone_problems(draw, min_n=3, min_k=1):
     """x * phi(y) - psi(y) on the integer grid with phi non-decreasing, psi
     arbitrary (plateaus, ties, no convexity), quarter-integer x and small
     integer values, so every grid cell is computed exactly and the leftmost
-    argmax is non-decreasing in x (increasing differences)."""
-    n = draw(st.integers(min_n, 160))
-    ints = lambda lo, hi: st.lists(st.integers(lo, hi), min_size=n, max_size=n)
-    phi = np.cumsum(draw(ints(0, 3))).astype(float)
-    psi = np.asarray(draw(ints(-6, 6)), dtype=float)
-    arg = st.one_of(st.integers(-40, 40).map(lambda m: m / 4), st.just(math.nan))
-    xs = np.asarray(draw(st.lists(arg, min_size=min_k, max_size=100)))
+    argmax is non-decreasing in x (increasing differences).
+
+    The steps of phi, psi and the k arguments are one draw of 2 n + k
+    bytes, offset as in ``dense_problems`` before ``_STEP_OF_BYTE``,
+    ``_PSI_OF_BYTE`` and ``_ARG_OF_BYTE`` map them."""
+    n, k = draw(st.integers(min_n, 160)), draw(st.integers(min_k, 100))
+    size = 2 * n + k
+    raw = np.frombuffer(draw(st.binary(min_size=size, max_size=size)), dtype=np.uint8)
+    cells = (raw + 89 * np.arange(size)) % 256
+    phi = np.cumsum(_STEP_OF_BYTE[cells[:n]])
+    psi = _PSI_OF_BYTE[cells[n : 2 * n]]
+    xs = _ARG_OF_BYTE[cells[2 * n :]]
     # a row's run of columns: a prefix, a suffix or a window moving right
     # with x, cut by thresholds a x + c0 and a x + c1 with a >= 0
     kind = draw(st.sampled_from(["none", "prefix", "suffix", "both"]))

@@ -203,20 +203,36 @@ def test_minorant_and_renaming_share_the_log_values():
     assert not lc.log_values.flags.writeable
 
 
-def _reference_minorant(values):
-    # per-element monotone chain; the library must reproduce it bit for bit
-    lv = np.asarray(values, dtype=float)
-    hull_p = []
-    for p in range(lv.size):
-        while len(hull_p) >= 2:
-            p1, p2 = hull_p[-2], hull_p[-1]
-            if (lv[p2] - lv[p1]) * (p - p1) >= (lv[p] - lv[p1]) * (p2 - p1):
-                hull_p.pop()
+def _reference_hull(ys, xs=None):
+    # per-point monotone chain over the points (x_i, ys[i]), x_i = xs[i] or
+    # x_i = i when xs is None; the library must reproduce its vertices bit
+    # for bit
+    ys = np.asarray(ys, dtype=float).tolist()
+    at = range(len(ys)) if xs is None else np.asarray(xs, dtype=float).tolist()
+    hull = []
+    for p, (x, y) in enumerate(zip(at, ys)):
+        while len(hull) >= 2:
+            p1, p2 = hull[-2], hull[-1]
+            if (ys[p2] - ys[p1]) * (x - at[p1]) >= (y - ys[p1]) * (at[p2] - at[p1]):
+                hull.pop()
             else:
                 break
-        hull_p.append(p)
+        hull.append(p)
+    return hull
+
+
+def _reference_minorant(values):
+    # the reference chain at integer p, interpolated between its vertices
+    lv = np.asarray(values, dtype=float)
+    hull_p = _reference_hull(lv)
     xs = np.array(hull_p, dtype=float)
     return np.interp(np.arange(lv.size, dtype=float), xs, lv[hull_p])
+
+
+def _vertices(ys, xs=None):
+    """``sq._hull_vertices`` as a list, every index when it answers None."""
+    got = sq._hull_vertices(np.asarray(ys, dtype=float), xs)
+    return list(range(len(ys))) if got is None else got.tolist()
 
 
 @st.composite
@@ -248,6 +264,53 @@ def hull_inputs(draw):
 def test_minorant_matches_reference_scan(values):
     lc = sq.log_convex_minorant(sq.from_log_values(values))
     assert np.array_equal(lc.log_values, _reference_minorant(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hull_inputs())
+def test_hull_vertices_at_integer_and_real_integer_abscissae_agree(values):
+    # x_i = i read as Python ints and as floats: the same pop decisions
+    ys = np.asarray(values, dtype=float)
+    got = sq._hull_vertices(ys)
+    real = sq._hull_vertices(ys, np.arange(ys.size, dtype=float))
+    assert (got is None) == (real is None)
+    if got is not None:
+        assert np.array_equal(got, real)
+    assert _vertices(ys) == _reference_hull(ys)
+
+
+@st.composite
+def real_hull_inputs(draw):
+    """(ys, xs) with sorted distinct real abscissae: integer-valued lines
+    with collinear runs and turns both ways, concave stretches on a convex
+    base, and convex points with bumps."""
+    n = draw(st.integers(min_value=3, max_value=3000))
+    kind = draw(st.sampled_from(["lines", "concave", "bumps"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "lines":
+        # integer abscissae and slopes, so every value is an exact integer
+        # and a run of one slope is exactly collinear
+        xs = np.cumsum(rng.integers(1, 4, size=n)).astype(float)
+        slopes = np.repeat(rng.integers(-3, 4, size=n), rng.integers(1, 8, size=n))[:n]
+        ys = np.concatenate(([0.0], np.cumsum(slopes[1:] * np.diff(xs))))
+        return ys, xs
+    xs = rng.uniform(-50.0, 50.0) + np.cumsum(rng.uniform(1e-3, 2.0, size=n))
+    ys = rng.uniform(0.01, 1.0) * xs**2
+    if kind == "concave":
+        lo = int(rng.integers(0, n))
+        hi = int(rng.integers(lo, n)) + 1
+        ys[lo:hi] -= rng.uniform(0.5, 5.0) * (xs[lo:hi] - xs[lo]) ** 2
+    else:
+        bumps = rng.integers(0, n, size=int(rng.integers(1, 6)))
+        ys[bumps] += rng.uniform(1e-13, 2.0, size=bumps.size)
+    return ys, xs
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_hull_inputs())
+def test_hull_vertices_at_real_abscissae_match_reference_chain(problem):
+    ys, xs = problem
+    assert _vertices(ys, xs) == _reference_hull(ys, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -737,3 +800,13 @@ def test_blocked_convexity_and_root_scans_match_full_arrays(values):
 def test_minorant_with_violations_at_block_edges_matches_reference_scan(values):
     lc = sq.log_convex_minorant(sq.from_log_values(values))
     assert np.array_equal(lc.log_values, _reference_minorant(values))
+
+
+@settings(max_examples=6, deadline=None)
+@given(edge_violations(BLOCK + 9), st.floats(0.1, 10.0), st.floats(-1e3, 1e3))
+def test_hull_vertices_with_violations_at_block_edges_match_reference_chain(
+    values, scale, shift
+):
+    # real abscissae shift + scale * i keep the violations at the block edges
+    xs = shift + scale * np.arange(values.size, dtype=float)
+    assert _vertices(values, xs) == _reference_hull(values, xs)
